@@ -4,10 +4,11 @@ Moving the independent branch points x while forcing all periods of the
 second-kind differential to stay constant determines u(x).  Two integration
 modes are provided:
 
-* ``implicit``: at every step the curve's periods are recomputed, the
-  first-order system du_m/dx_j = -v_m(P_xj) Omega(P_xj) / Omega(P_um) is
-  evaluated from fresh period data, and an optional Newton projection pulls
-  the state back onto the constant-b-period manifold.
+* ``implicit``: predictor-corrector continuation.  Each step predicts u by
+  the second-order Taylor polynomial, with the first-order system
+  du_m/dx_j = -v_m(P_xj) Omega(P_xj) / Omega(P_um) evaluated from fresh period
+  data and the rational second derivative, then Newton-projects it back onto
+  the constant-b-period manifold (unless ``correct`` is off).
 * ``rational``: the second-order system with rational coefficients is
   integrated directly; no period computations happen inside the stepper.
 
@@ -24,8 +25,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .curves import BranchConfig, idx_u, idx_x, idx_zero, v_polynomial
-from .errors import (DriftExceeded, NoProgress, SingularJacobian, SingularLocus,
-                     VanishingOmegaAtU)
+from .errors import (DegenerateConfig, DriftExceeded, NoProgress, SingularJacobian,
+                     SingularLocus, VanishingOmegaAtU)
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
                       build_omega, normalized_basis, w_constants, w_value)
 
@@ -239,36 +240,39 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
                    max_iter: int = 5):
     """Newton-project u onto beta(x, u) = beta_target at fixed x.
 
-    Returns (corrected cfg, final residual, iterations).  Raises
-    SingularJacobian / NoProgress on failure.
+    Returns (corrected cfg, final residual, updates applied), at most
+    ``max_iter`` updates.  Raises SingularJacobian / NoProgress on failure.
     """
+    return _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter)[:3]
+
+
+def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
+    """newton_correct, also returning the final iterate's PeriodData and
+    OmegaDifferential: (cfg, residual, updates, pd, om)."""
     alpha = np.asarray(alpha, dtype=complex)
     beta_target = np.asarray(beta_target, dtype=complex)
+    # beta_from_evaluations reads B, the only use of the b-contours, when alpha != 0
+    need_b = bool(np.any(alpha != 0))
     u = np.asarray(cfg.u, dtype=complex)
     res_prev = None
     for it in range(max_iter + 1):
         work = cfg.replace(u=u)
-        pd = normalized_basis(work, basis=basis, tol=quad_tol)
+        pd = normalized_basis(work, basis=basis, tol=quad_tol, need_b=need_b)
         om = build_omega(work, pd, alpha, need_beta=False)
-        beta = beta_from_evaluations(pd, alpha)
-        r = beta - beta_target
+        r = beta_from_evaluations(pd, alpha) - beta_target
         res = float(np.max(np.abs(r)))
-        if res <= tol:
-            return work, res, it
-        if res_prev is not None and res > res_prev and it >= 3:
-            raise NoProgress(f"Newton residual stalled at {res:.3e}")
+        # an update that still cut the residual by more than 1e3 stopped short of
+        # the quadrature floor; one more reaches it at quadratic convergence
+        floor = res_prev is None or 1e3 * res >= res_prev
+        if res <= tol and (floor or it == max_iter):
+            return work, res, it, pd, om
+        if it == max_iter or (res_prev is not None and res > res_prev and it >= 3):
+            raise NoProgress(f"Newton correction stopped at residual {res:.3e} after {it} updates")
         res_prev = res
         J = period_jacobian(work, pd, om)
         if np.linalg.cond(J) > 1e13:
             raise SingularJacobian(f"period Jacobian condition {np.linalg.cond(J):.2e}")
         u = u - np.linalg.solve(J.T, r)
-    work = cfg.replace(u=u)
-    pd = normalized_basis(work, basis=basis, tol=quad_tol)
-    beta = beta_from_evaluations(pd, alpha)
-    res = float(np.max(np.abs(beta - beta_target)))
-    if res > tol:
-        raise NoProgress(f"Newton correction stopped above tolerance: {res:.3e}")
-    return work, res, max_iter
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +282,14 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
 @dataclass
 class FlowControl:
     quad_tol: float = 1e-11
-    rk_rtol: float = 1e-9
+    rk_rtol: float = 1e-9               # RK45 tolerances, rational mode only
     rk_atol: float = 1e-12
     macro_step: float = 0.01
-    correct: bool = True
+    correct: bool = True                # implicit mode: Newton after the Taylor predictor
     newton_tol: float = 1e-11
     drift_tol: float | None = None      # raise DriftExceeded beyond this
-    verify_beta: bool = True            # recompute b-periods at every sample
-    max_halvings: int = 40
+    verify_beta: bool = True            # report |2 pi i omega(inf) + alpha B - beta_target|
+    max_halvings: int = 40              # per macro step, on a failed step
 
 
 @dataclass
@@ -342,46 +346,33 @@ def _axis_legs(path):
     return path, legs
 
 
-def _implicit_rhs_factory(state: DeformationState, x_template, coord, control):
-    def rhs(s, u):
-        x = x_template.copy()
-        x[coord] = s
-        _check_regular(x, u, 1e-8)
-        cfg = state.cfg.replace(x=x, u=u)
-        pd = normalized_basis(cfg, basis=state.basis, tol=control.quad_tol, need_b=False)
-        om = build_omega(cfg, pd, state.alpha, need_beta=False)
-        du = first_derivatives(cfg, pd, om)
-        return du[:, coord]
-    return rhs
-
-
-def _rational_rhs_factory(state: DeformationState, x_template, coord, genus):
-    def rhs(s, y):
-        x = x_template.copy()
-        x[coord] = s
-        u = y[:genus]
-        du = y[genus:].reshape(genus, genus)
-        T = rhs_genus_g(x, u, du)
-        return np.concatenate((du[:, coord], T[:, :, coord].reshape(-1)))
-    return rhs
-
-
-def _solve_leg(rhs, s0, s1, y0, control):
-    sol = solve_ivp(rhs, (s0, s1), y0, method="RK45",
-                    rtol=control.rk_rtol, atol=control.rk_atol, dense_output=False)
-    if not sol.success:
-        raise SingularLocus(f"integrator failed on leg [{s0}, {s1}]: {sol.message}")
-    return sol.y[:, -1]
+def _continuation_step(state, control, beta_target, x0, x1, u, du, coord):
+    """One implicit-mode step from (x0, u, du) to x1: the Taylor predictor
+    u + h du + h^2 T / 2 with T = rhs_genus_g, then at most 3 Newton updates
+    (none without ``control.correct``).  Returns (cfg, pd, om, du, updates) at x1.
+    """
+    h = x1[coord] - x0[coord]
+    T = rhs_genus_g(x0, u, du)
+    u_pred = u + h * du[:, coord] + 0.5 * h * h * T[:, coord, coord]
+    _check_regular(x1, u_pred, 1e-8)
+    tol, max_iter = (control.newton_tol, 3) if control.correct else (math.inf, 0)
+    cfg, _, iters, pd, om = _project(state.cfg.replace(x=x1, u=u_pred), state.alpha,
+                                     beta_target, state.basis, tol, control.quad_tol,
+                                     max_iter)
+    # a real step that reorders the branch points has jumped through a collision
+    if cfg.real and np.any(np.argsort(cfg.points.real) != np.argsort(state.cfg.points.real)):
+        raise SingularLocus(f"branch points changed order between x = {x0} and {x1}")
+    return cfg, pd, om, first_derivatives(cfg, pd, om), iters
 
 
 def integrate_flow(state: DeformationState, path, control: FlowControl | None = None) -> Trajectory:
     """Integrate an isoperiodic deformation along an axis-aligned x-path.
 
     Samples are recorded at macro-step boundaries (spacing ``control.macro_step``
-    along each leg).  In implicit mode each accepted macro step is optionally
-    Newton-corrected back onto the constant-period manifold; in rational mode
-    the state (u, du) evolves through the second-order rational system and
-    b-periods are only recomputed for drift reporting.
+    along each leg).  In implicit mode each macro step is one predictor-corrector
+    step whose final Newton iterate gives the sample's du and drift; in rational
+    mode the state (u, du) evolves through the second-order rational system and
+    periods are only recomputed for drift reporting.  Failed steps are halved.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
@@ -390,7 +381,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
 
-    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol)
+    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol,
+                           need_b=bool(np.any(state.alpha != 0)))
     om0 = build_omega(cfg0, pd0, state.alpha, need_beta=False)
     beta0 = beta_from_evaluations(pd0, state.alpha)
     beta_target = beta0 if state.beta_target is None else np.asarray(state.beta_target, dtype=complex)
@@ -406,63 +398,70 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
 
     for leg_no, (coord, p, q) in enumerate(legs):
         s0, s1 = complex(p[coord]), complex(q[coord])
-        length = abs(s1 - s0)
-        nmacro = max(1, int(math.ceil(length / control.macro_step)))
+        step = s1 - s0
+        nmacro = max(1, int(math.ceil(abs(step) / control.macro_step)))
         # real leg parameter tau in [0, 1]; s = s0 + tau * (s1 - s0)
         sgrid = [i / nmacro for i in range(nmacro + 1)]
         x_template = p.astype(complex).copy()
-        if state.mode == IMPLICIT:
-            rhs_s = _implicit_rhs_factory(state, x_template, coord, control)
-        else:
-            rhs_s = _rational_rhs_factory(state, x_template, coord, g)
-        step = s1 - s0
-        rhs = lambda tau, y: step * rhs_s(s0 + tau * step, y)  # noqa: E731
+
+        def x_at(tau):
+            x = x_template.copy()
+            x[coord] = s0 + tau * step
+            return x
+
+        def rhs(tau, y):        # rational mode: y = (u, du) against tau
+            du = y[g:].reshape(g, g)
+            T = rhs_genus_g(x_at(tau), y[:g], du)
+            return step * np.concatenate((du[:, coord], T[:, :, coord].reshape(-1)))
 
         for a, b in zip(sgrid, sgrid[1:]):
-            # macro step with halving on singular-locus aborts
-            done = False
             sub_from, target = a, b
-            halvings = 0
-            while not done:
+            halvings = iters = 0
+            while True:
                 try:
                     if state.mode == IMPLICIT:
-                        u = _solve_leg(rhs, sub_from, target, u, control)
+                        cfg_now, pd, om, du, n = _continuation_step(
+                            state, control, beta_target, x_at(sub_from), x_at(target),
+                            u, du, coord)
+                        u = np.asarray(cfg_now.u, dtype=complex)
+                        iters += n
                     else:
                         y = np.concatenate((u, du.reshape(-1)))
-                        y = _solve_leg(rhs, sub_from, target, y, control)
-                        u, du = y[:g], y[g:].reshape(g, g)
-                    done = target == b
-                    sub_from = target
-                    target = b
-                except SingularLocus:
+                        sol = solve_ivp(rhs, (sub_from, target), y, method="RK45",
+                                        rtol=control.rk_rtol, atol=control.rk_atol)
+                        if not sol.success:
+                            raise SingularLocus(f"integrator failed on leg [{sub_from}, {target}]: "
+                                                f"{sol.message}")
+                        u, du = sol.y[:g, -1], sol.y[g:, -1].reshape(g, g)
+                except (SingularLocus, NoProgress, SingularJacobian, VanishingOmegaAtU,
+                        DegenerateConfig) as exc:
+                    # any failed step is halved, as a collision is
                     halvings += 1
                     if halvings > control.max_halvings:
                         raise SingularLocus(
-                            f"flow stopped near x[{coord}] = {s0 + sub_from * step}: singular locus")
+                            f"flow stopped near x[{coord}] = {s0 + sub_from * step}: "
+                            "singular locus") from exc
                     target = sub_from + 0.5 * (target - sub_from)
+                    continue
+                if target == b:
+                    break
+                sub_from, target = target, b
 
-            x_now = x_template.copy()
-            x_now[coord] = s0 + b * step
-            cfg_now = state.cfg.replace(x=x_now, u=u)
+            x_now = x_at(b)
             info = {"leg": leg_no}
-            if state.mode == IMPLICIT and control.correct:
-                cfg_now, res, iters = newton_correct(
-                    cfg_now, state.alpha, beta_target, basis=state.basis,
-                    tol=control.newton_tol, quad_tol=control.quad_tol)
-                u = np.asarray(cfg_now.u, dtype=complex)
-                info.update(newton_residual=res, newton_iters=iters)
-
-            pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol,
-                                  need_b=control.verify_beta)
-            om = build_omega(cfg_now, pd, state.alpha, need_beta=False)
-            du_fresh = first_derivatives(cfg_now, pd, om)
             if state.mode == IMPLICIT:
-                du = du_fresh
+                info.update(newton_iters=iters, halvings=halvings)
+            else:
+                cfg_now = state.cfg.replace(x=x_now, u=u)
+                pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol,
+                                      need_b=control.verify_beta)
+                om = build_omega(cfg_now, pd, state.alpha, need_beta=False)
+                du_fresh = first_derivatives(cfg_now, pd, om)
+                info["du_consistency"] = float(np.max(np.abs(du_fresh - du)))
             drift = (np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
                      if control.verify_beta else np.full(g, np.nan))
             if control.drift_tol is not None and np.max(drift) > control.drift_tol:
                 raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x_now}")
-            info["du_consistency"] = float(np.max(np.abs(du_fresh - du)))
             samples.append(FlowSample(x=x_now.copy(), u=u.copy(), du=du.copy(),
                                       beta_drift=drift, info=info))
         # next leg continues from the leg's endpoint

@@ -138,7 +138,7 @@ class PeriodData:
     tol: float
     quad_report: dict
     _contours_a: list = field(repr=False, default=None)
-    _contours_b: list = field(repr=False, default=None)
+    _contours_b: list = field(repr=False, default=None)    # None without need_b
 
     @property
     def genus(self) -> int:
@@ -148,27 +148,24 @@ class PeriodData:
         return self.omega_at[:, -1]
 
 
-def _realize_basis(points, basis):
-    ca = [_cycles.realize(s, points) for s in basis.a]
-    cb = [_cycles.realize(s, points) for s in basis.b]
-    return ca, cb
-
-
 def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
                      tol: float = 1e-10, need_b: bool = True) -> PeriodData:
     """Normalize the holomorphic differentials and assemble period data.
 
     Solves sum_k C[j, k] * A_raw[., k] = identity so that the a-periods of
-    omega_j are delta_jk, fills the Riemann matrix from b-periods (skipped
-    when ``need_b`` is false, for inner deformation steps that only require
-    a-normalization), and tabulates evaluations at all ramification points.
+    omega_j are delta_jk, fills the Riemann matrix from b-periods (skipped,
+    b-contours unrealized, when ``need_b`` is false, for inner deformation steps
+    that only require a-normalization), and tabulates evaluations at all
+    ramification points.
     """
     require_valid(cfg)
     g = cfg.genus
     points = cfg.points
     if basis is None:
         basis = _cycles.gap_basis(points)
-    ca, cb = _realize_basis(points, basis)
+    ca = [_cycles.realize(s, points) for s in basis.a]
+    # realizing a contour tracks mu on a 512-node table; skip b-contours never integrated
+    cb = [_cycles.realize(s, points) for s in basis.b] if need_b else None
 
     mons = [monomial(k) for k in range(g + 1)]
     A_ext = np.empty((g, g + 1), dtype=complex)
@@ -260,9 +257,10 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
     om = OmegaDifferential(cfg=cfg, alpha=alpha, c=c, beta=np.full(g, np.nan, dtype=complex),
                            values_at=values, beta_residual=float("nan"))
     if need_beta:
+        contours_b = pd._contours_b or [_cycles.realize(s, pd.cfg.points) for s in pd.basis.b]
         diff = om.differential(pd)
         beta = np.empty(g, dtype=complex)
-        for k, contour in enumerate(pd._contours_b):
+        for k, contour in enumerate(contours_b):
             val, _, _ = integrate_contour(contour, diff, tol)
             beta[k] = val
         expected = 2j * math.pi * pd.omega_at[:, -1] + alpha @ pd.B

@@ -6,7 +6,8 @@ import pytest
 from _oracles import second_difference
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
-from isoperiod.errors import SingularLocus, VanishingOmegaAtU
+import isoperiod.flow as flow_module
+from isoperiod.errors import NoProgress, SingularLocus, VanishingOmegaAtU
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
                             newton_correct, period_jacobian, rhs_genus1,
@@ -163,6 +164,19 @@ def test_newton_quadratic_convergence():
     assert iters <= 3
 
 
+def test_newton_max_iter_bounds_updates():
+    pd, _ = _setup(G2)
+    target = beta_from_evaluations(pd)
+    perturbed = G2.replace(u=(1.0 + 1e-6, 4.0 - 1e-6))
+    with pytest.raises(NoProgress):
+        newton_correct(perturbed, np.zeros(2), target, tol=1e-10, quad_tol=1e-12,
+                       max_iter=0)
+    _, res, iters = newton_correct(perturbed, np.zeros(2), target, tol=1e-10,
+                                   quad_tol=1e-12, max_iter=1)
+    assert res < 1e-10
+    assert iters == 1
+
+
 def test_newton_already_feasible_is_identity():
     pd, _ = _setup(G1)
     target = beta_from_evaluations(pd)
@@ -245,6 +259,33 @@ def test_flow_stops_at_singular_locus_with_location():
                        [[2.0], [1.02]],
                        FlowControl(quad_tol=TOL, macro_step=0.05,
                                    verify_beta=False, max_halvings=10))
+
+
+def test_implicit_flow_stops_at_singular_locus_with_location():
+    # the implicit twin: a corrected step may not jump u_1 across x_1 (about x = 1.4357)
+    with pytest.raises(SingularLocus, match="x\\[0\\] = \\(1\\.435"):
+        integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
+                       [[2.0], [1.02]],
+                       FlowControl(quad_tol=TOL, macro_step=0.05,
+                                   verify_beta=False, max_halvings=10))
+
+
+def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
+    # one predictor-corrector step costs at most 3 period evaluations
+    calls = []
+    original = flow_module.normalized_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "normalized_basis", counting)
+    traj = integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
+                          [[2.0], [2.2]], FlowControl(quad_tol=TOL, macro_step=0.02))
+    n_macro = len(traj.samples) - 1
+    assert len(calls) <= 1 + 3 * n_macro
+    for s in traj.samples[1:]:
+        assert s.info["newton_iters"] >= 0 and s.info["halvings"] >= 0
 
 
 def test_flow_rejects_diagonal_legs():
