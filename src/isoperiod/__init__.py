@@ -10,20 +10,30 @@ wavevector/periodicity reports, and comb regions.
 
 __version__ = "0.1.0"
 
-from .curves import (BranchConfig, BranchOfMu, PointCurve, SurfacePoint,
-                     mu_along_path, phi_at_ramification, v_at, validate_config)
+from .curves import BranchConfig, PointCurve, v_at, validate_config
 from .cycles import CanonicalBasis, CycleSpec, band_basis, gap_basis, intersection_matrix
 from .periods import (DifferentialOverMu, OmegaDifferential, PeriodData,
-                      WEvaluation, beta_from_evaluations, build_omega,
-                      cycle_integral, eval_W_pair, eval_at_infinity,
-                      normalized_basis, wavevector_U)
+                      beta_from_evaluations, build_omega, normalized_basis,
+                      wavevector_U)
 from .flow import (DeformationState, FlowControl, Trajectory, first_derivatives,
                    hill_check, integrate_flow, newton_correct, rhs_genus1,
-                   rhs_genus2_example, rhs_genus_g, verify_identities)
+                   rhs_genus_g, verify_identities)
 from .comb import CombRegion, comb_invariance_check, comb_map, omega_zeros
 from .apps import (GapSpectrum, WeierstrassData, cnoidal_period_report,
                    config_to_weierstrass, kdv_wavevector_report,
                    lame_two_gap_config, neumann_config, weierstrass_to_config,
                    wp_function)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "apps", "comb", "curves", "cycles", "errors", "flow", "periods",
+    "BranchConfig", "PointCurve", "v_at", "validate_config",
+    "CanonicalBasis", "CycleSpec", "band_basis", "gap_basis", "intersection_matrix",
+    "DifferentialOverMu", "OmegaDifferential", "PeriodData", "beta_from_evaluations",
+    "build_omega", "normalized_basis", "wavevector_U",
+    "DeformationState", "FlowControl", "Trajectory", "first_derivatives", "hill_check",
+    "integrate_flow", "newton_correct", "rhs_genus1", "rhs_genus_g", "verify_identities",
+    "CombRegion", "comb_invariance_check", "comb_map", "omega_zeros",
+    "GapSpectrum", "WeierstrassData", "cnoidal_period_report", "config_to_weierstrass",
+    "kdv_wavevector_report", "lame_two_gap_config", "neumann_config",
+    "weierstrass_to_config", "wp_function",
+]

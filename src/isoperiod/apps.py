@@ -11,7 +11,6 @@ x = e2 + 2 e3.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,12 +159,6 @@ def wp_function(wd: WeierstrassData, z, nterms: int = 120):
     return complex(wp), complex(wp_prime)
 
 
-def wp_ode_residual(wd: WeierstrassData, z) -> float:
-    """|wp'^2 - (4 wp^3 - g2 wp - g3)| at z, a self-consistency measure."""
-    p, dp = wp_function(wd, z)
-    return abs(dp ** 2 - (4.0 * p ** 3 - wd.g2 * p - wd.g3))
-
-
 def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
                           quad_tol: float = 1e-11, macro_step: float = 0.01) -> dict:
     """Deform the one-gap curve keeping the a-period of d(lambda)/w constant
@@ -286,7 +279,7 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     U_band_rows = []
     for s in trajectory.samples:
         c = cfg.replace(x=s.x, u=s.u)
-        pd = normalized_basis(c, tol=quad_tol)
+        pd = normalized_basis(c, tol=quad_tol, need_b=False)
         U_rows.append(wavevector_U(c, pd))
         if c.real:
             bb = _cycles.band_basis(c.points)

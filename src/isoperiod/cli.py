@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import apps, comb, flow, periods
 from .curves import BranchConfig, validate_config
-from .errors import (DriftExceeded, IsoperiodError, NoConvergence,
+from .errors import (DegenerateConfig, DriftExceeded, IsoperiodError, NoConvergence,
                      SingularJacobian, SingularLocus, SingularPeriodMatrix,
                      VanishingOmegaAtU)
 
@@ -45,12 +45,26 @@ def c2j(z):
     return [z.real, z.imag]
 
 
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def j2c(v):
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    try:
+        if _is_real(v):
+            return complex(v)
+        if isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_real, v)):
+            return complex(float(v[0]), float(v[1]))
+    except OverflowError:       # a JSON integer beyond the float range
+        pass
     raise ValueError(f"expected number or [re, im] pair, got {v!r}")
+
+
+def _vector(v, n: int, what: str) -> list:
+    """A JSON list of n numbers or [re, im] pairs, as complex values."""
+    if not isinstance(v, list) or len(v) != n:
+        raise ValueError(f"{what} must be a JSON list of {n} numbers, got {v!r}")
+    return [j2c(z) for z in v]
 
 
 def matrix_json(m):
@@ -66,15 +80,26 @@ def config_json(cfg: BranchConfig):
             "real": cfg.real}
 
 
-def load_config(path) -> BranchConfig:
+def _load_valid(path, ordered: bool = False) -> BranchConfig:
+    """Read a JSON configuration file and validate it.
+
+    Malformed input raises ValueError (exit 2); a well-formed configuration
+    that violates an invariant raises DegenerateConfig (exit 3).
+    """
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
-    x = [j2c(v) for v in data["x"]]
-    u = [j2c(v) for v in data["u"]]
-    g = data.get("genus", len(x))
-    if g != len(x) or g != len(u):
-        raise ValueError("genus field inconsistent with x/u lengths")
-    return BranchConfig(x=tuple(x), u=tuple(u), real=bool(data.get("real", False)))
+    if not isinstance(data, dict) or not isinstance(data.get("x"), list):
+        raise ValueError('configuration must be a JSON object with an "x" list')
+    g = data.get("genus", len(data["x"]))
+    real = data.get("real", False)
+    if not isinstance(real, bool):
+        raise ValueError(f'"real" must be a JSON boolean, got {real!r}')
+    cfg = BranchConfig(x=tuple(_vector(data["x"], g, "x")),
+                       u=tuple(_vector(data["u"], g, "u")), real=real)
+    bad = validate_config(cfg, ordered=ordered)
+    if bad:
+        raise DegenerateConfig("invalid configuration: " + "; ".join(bad))
+    return cfg
 
 
 def write_json(path: Path, payload):
@@ -82,34 +107,29 @@ def write_json(path: Path, payload):
                     encoding="utf-8")
 
 
-def read_trajectory_csv(path, genus: int):
-    """Samples (x, u, du, drift) back from a trajectory CSV written by deform."""
-    from .flow import FlowSample
+def read_trajectory_csv(path, genus: int) -> flow.Trajectory:
+    """Samples (x, u, du, drift) back from a trajectory CSV written by deform.
 
-    def parse(s):
-        return complex(s)
-
-    samples = []
+    The CSV does not record alpha, the target b-periods or the mode, so the
+    returned trajectory has None there; its path is the samples' x.
+    """
     with open(path, "r", encoding="utf-8") as f:
         rows = list(csv.reader(f))
-    header, body = rows[0], rows[1:]
     g = genus
-    if header[:1] != ["step"] or len(header) != 1 + 2 * g + g * g + g:
+    width = 1 + 2 * g + g * g + g
+    if (len(rows) < 2 or rows[0][:1] != ["step"]
+            or any(len(row) != width for row in rows)):
         raise ValueError(f"unexpected trajectory schema in {path}")
-    for row in body:
-        vals = [parse(v) for v in row[1:]]
+    samples = []
+    for row in rows[1:]:
+        vals = [complex(v) for v in row[1:]]
         x = np.array(vals[:g])
         u = np.array(vals[g:2 * g])
         du = np.array(vals[2 * g:2 * g + g * g]).reshape(g, g)
         drift = np.array([v.real for v in vals[2 * g + g * g:]])
-        samples.append(FlowSample(x=x, u=u, du=du, beta_drift=drift))
-
-    class _Loaded:
-        pass
-
-    out = _Loaded()
-    out.samples = samples
-    return out
+        samples.append(flow.FlowSample(x=x, u=u, du=du, beta_drift=drift))
+    return flow.Trajectory(samples=samples, path=[s.x for s in samples],
+                           beta_target=None, alpha=None, mode=None)
 
 
 def write_manifest(outdir: Path, command, args_dict, outputs, t0):
@@ -129,11 +149,7 @@ def write_manifest(outdir: Path, command, args_dict, outputs, t0):
 
 def cmd_periods(args) -> int:
     t0 = time.time()
-    cfg = load_config(args.config)
-    bad = validate_config(cfg)
-    if bad:
-        print("invalid configuration: " + "; ".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load_valid(args.config)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
     om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus), tol=args.tol_quad)
     from .cycles import intersection_matrix
@@ -165,12 +181,8 @@ def cmd_periods(args) -> int:
 
 def cmd_deform(args) -> int:
     t0 = time.time()
-    cfg = load_config(args.config)
-    bad = validate_config(cfg)
-    if bad:
-        print("invalid configuration: " + "; ".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
-    path = json.loads(args.path)
+    cfg = _load_valid(args.config)
+    path = _parse_path(args.path, cfg.genus)
     control = flow.FlowControl(quad_tol=args.tol_quad, macro_step=args.macro_step,
                                correct=args.correct, drift_tol=args.tol_flow)
     state = flow.DeformationState(cfg=cfg, alpha=_parse_alpha(args, cfg.genus),
@@ -197,11 +209,7 @@ def cmd_deform(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.time()
-    cfg = load_config(args.config)
-    bad = validate_config(cfg)
-    if bad:
-        print("invalid configuration: " + "; ".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load_valid(args.config)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
     om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus), tol=args.tol_quad)
     report = flow.verify_identities(cfg, pd, om, tol=args.tol_quad)
@@ -236,11 +244,7 @@ def cmd_verify(args) -> int:
 
 def cmd_comb(args) -> int:
     t0 = time.time()
-    cfg = load_config(args.config)
-    bad = validate_config(cfg, ordered=True)
-    if bad:
-        print("invalid configuration: " + "; ".join(bad), file=sys.stderr)
-        return EXIT_VALIDATION
+    cfg = _load_valid(args.config, ordered=True)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
     om = periods.build_omega(cfg, pd, tol=args.tol_quad)
     region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
@@ -281,22 +285,12 @@ def cmd_comb(args) -> int:
     return EXIT_OK
 
 
-_EXAMPLES = {
-    "genus1-reference": {"x": [2.0], "u": [1.0], "real": True},
-    "lame-one-gap": None,       # built from (e2, e3) = (0, 1)
-    "lame-two-gap": None,
-    "neumann-n2": None,
-    "comb-g1": {"x": [2.0], "u": [1.0], "real": True},
-}
+_EXAMPLES = ("comb-g1", "genus1-reference", "lame-one-gap", "lame-two-gap", "neumann-n2")
 
 
 def cmd_examples(args) -> int:
     t0 = time.time()
     name = args.name
-    if name not in _EXAMPLES:
-        print(f"unknown example {name!r}; choose from {sorted(_EXAMPLES)}",
-              file=sys.stderr)
-        return EXIT_INPUT
     outdir = _outdir(args)
     outputs = []
 
@@ -372,12 +366,18 @@ def cmd_examples(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_alpha(args, genus):
-    if getattr(args, "alpha", None):
-        vals = [j2c(v) for v in json.loads(args.alpha)]
-        if len(vals) != genus:
-            raise ValueError("alpha length must equal the genus")
-        return np.array(vals, dtype=complex)
+    if args.alpha:
+        return np.array(_vector(json.loads(args.alpha), genus, "--alpha"), dtype=complex)
     return np.zeros(genus, dtype=complex)
+
+
+def _parse_path(text, genus):
+    """--path: a non-empty JSON list of x-points; a genus-one point may be a bare number."""
+    points = json.loads(text)
+    if not isinstance(points, list) or not points:
+        raise ValueError(f"--path must be a non-empty JSON list of x-points, got {points!r}")
+    return [_vector(p if isinstance(p, list) else [p], genus, "each --path point")
+            for p in points]
 
 
 def _write_trajectory_csv(path: Path, traj):
@@ -475,9 +475,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_comb)
 
     p = sub.add_parser("examples", help="canned reference runs")
-    p.add_argument("name", choices=sorted(_EXAMPLES))
-    p.add_argument("--tol-quad", type=float, default=1e-10)
-    p.add_argument("--out", default="out")
+    p.add_argument("name", choices=_EXAMPLES)
+    common(p, config=False)
     p.add_argument("--macro-step", type=float, default=0.02)
     p.add_argument("--grid", type=int, default=512)
     p.set_defaults(func=cmd_examples)
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (json.JSONDecodeError, FileNotFoundError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:     # JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DriftExceeded as exc:

@@ -2,9 +2,10 @@
 
 The finite branch points are 0, u_1..u_g, x_1..x_g; the point at infinity is
 also a branch point of the two-sheeted covering.  This module owns the
-configuration type, branch tracking of mu along paths, and closed-form
-evaluations of differentials at ramification points with respect to the
-standard local parameters sqrt(lambda - lambda_j) and 1/sqrt(lambda).
+configuration types, their validation, and closed-form evaluations of
+differentials at ramification points with respect to the standard local
+parameters sqrt(lambda - lambda_j) and 1/sqrt(lambda).  Branch tracking of mu
+along contours lives with the contours, in :mod:`isoperiod.cycles`.
 
 Point indexing convention used across the package: the finite branch points of
 a configuration are stored as
@@ -17,14 +18,11 @@ and the point at infinity is referred to by the index ``2g + 1``.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateConfig, PathTooClose
-
-INF_INDEX = -1  # ramification tag for the branch point at infinity
+from .errors import DegenerateConfig
 
 
 def idx_zero() -> int:
@@ -39,10 +37,6 @@ def idx_u(m: int) -> int:
 def idx_x(g: int, j: int) -> int:
     """Point index of x_j, 1-based j."""
     return g + j
-
-
-def idx_inf(g: int) -> int:
-    return 2 * g + 1
 
 
 @dataclass(frozen=True)
@@ -88,11 +82,6 @@ class BranchConfig:
         """Characteristic magnitude of the configuration."""
         return float(np.max(np.abs(self.points[1:])))
 
-    def min_separation(self) -> float:
-        pts = self.points
-        n = len(pts)
-        return min(abs(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n))
-
 
 @dataclass(frozen=True)
 class PointCurve:
@@ -125,21 +114,16 @@ class PointCurve:
     def scale(self) -> float:
         return float(np.max(np.abs(self.points)))
 
-    def min_separation(self) -> float:
-        pts = self.points
-        n = len(pts)
-        return min(abs(pts[i] - pts[j]) for i in range(n) for j in range(i + 1, n))
-
 
 def validate_config(cfg, ordered: bool = False) -> list:
     """Report invariant violations of a configuration.
 
-    Returns an empty list iff the 2g+1 finite branch points are pairwise
-    distinct (and, when ``ordered`` is requested for a real configuration,
-    interleaved as 0 < u_1 < x_1 < ... < u_g < x_g).  Each violation is a
-    human-readable string naming the offending pair.
+    Returns an empty list iff the 2g+1 finite branch points are finite and
+    pairwise distinct (and, when ``ordered`` is requested for a real
+    configuration, interleaved as 0 < u_1 < x_1 < ... < u_g < x_g).  Each
+    violation is a human-readable string naming the offending points.  A
+    non-finite point is reported alone: every other check would misread it.
     """
-    violations = []
     pts = cfg.points
     if isinstance(cfg, PointCurve):
         names = [f"p_{i}" for i in range(len(pts))]
@@ -147,6 +131,10 @@ def validate_config(cfg, ordered: bool = False) -> list:
         names = ["0"] + [f"u_{m}" for m in range(1, cfg.genus + 1)] + [
             f"x_{j}" for j in range(1, cfg.genus + 1)
         ]
+    violations = [f"non-finite branch point {name} = {v}"
+                  for name, v in zip(names, pts) if not np.isfinite(v)]
+    if violations:
+        return violations
     n = len(pts)
     sep_scale = max(1.0, float(np.max(np.abs(pts)))) * 1e-14
     for i in range(n):
@@ -176,102 +164,6 @@ def require_valid(cfg: BranchConfig):
     bad = validate_config(cfg)
     if bad:
         raise DegenerateConfig("; ".join(bad))
-
-
-@dataclass(frozen=True)
-class SurfacePoint:
-    """A point of the two-sheeted covering.
-
-    ``sheet`` = +1 is the branch on which mu agrees with the principal-branch
-    product sqrt (positive for real lambda to the right of all real branch
-    points).  For a ramification point set ``ramification_tag`` to the point
-    index (INF_INDEX for infinity); the sheet is then irrelevant.
-    """
-
-    lam: complex
-    sheet: int = +1
-    ramification_tag: int | None = None
-
-
-class BranchOfMu:
-    """Analytic continuation state for mu along a path in the lambda plane.
-
-    Tracks the unwrapped argument of every linear factor (lambda - p_i), so a
-    closed loop around an even number of branch points returns the starting
-    value exactly, and a loop around a single branch point flips the sign.
-    """
-
-    def __init__(self, points: np.ndarray, lam: complex, args: np.ndarray | None = None):
-        self.points = np.asarray(points, dtype=complex)
-        self.lam = complex(lam)
-        if args is None:
-            args = np.angle(self.lam - self.points)
-        self.args = np.asarray(args, dtype=float)
-
-    @classmethod
-    def principal(cls, points, lam) -> "BranchOfMu":
-        """Principal-branch start: every factor carries its principal argument."""
-        return cls(points, lam)
-
-    @property
-    def mu(self) -> complex:
-        d = self.lam - self.points
-        return math.exp(0.5 * float(np.sum(np.log(np.abs(d))))) * cmath.exp(
-            0.5j * float(np.sum(self.args))
-        )
-
-    def advance(self, lam_new: complex) -> "BranchOfMu":
-        """Continue to ``lam_new`` along the straight segment from the current point.
-
-        The segment must not pass through (or on the far side of) a branch
-        point; callers are responsible for subdividing paths finely enough.
-        """
-        d_old = self.lam - self.points
-        d_new = lam_new - self.points
-        self.args = self.args + np.angle(d_new / d_old)
-        self.lam = complex(lam_new)
-        return self
-
-
-def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
-    """Distance from point p to segment [a, b]."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(p - a)
-    t = ((p - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
-
-
-def mu_along_path(cfg: BranchConfig, path, start: BranchOfMu | None = None,
-                  clearance: float | None = None) -> complex:
-    """Continue mu along a polyline of lambda values and return the end value.
-
-    ``path`` is a sequence of complex lambda values; continuation starts from
-    ``start`` (principal branch at path[0] when omitted).  Raises
-    :class:`PathTooClose` if any segment comes within ``clearance`` of a
-    branch point (default 1e-3 times the minimal branch-point separation).
-    """
-    require_valid(cfg)
-    pts = cfg.points
-    path = [complex(z) for z in path]
-    if clearance is None:
-        clearance = 1e-3 * cfg.min_separation()
-    for a, b in zip(path, path[1:]):
-        for p in pts:
-            if _seg_point_dist(a, b, p) < clearance:
-                raise PathTooClose(f"path segment [{a}, {b}] within {clearance} of branch point {p}")
-    state = BranchOfMu.principal(pts, path[0]) if start is None else start
-    if abs(state.lam - path[0]) > 0:
-        raise ValueError("start state must sit at the first path vertex")
-    # subdivide each leg so per-factor argument increments stay well below pi
-    for a, b in zip(path, path[1:]):
-        max_turn = max(abs(b - a) / max(_seg_point_dist(a, b, p), clearance) for p in pts)
-        nsub = max(1, int(math.ceil(max_turn / 1.0)))
-        for k in range(1, nsub + 1):
-            state.advance(a + (b - a) * k / nsub)
-    return state.mu
 
 
 def effective_points(points) -> np.ndarray:
@@ -308,12 +200,6 @@ def phi_values(points: np.ndarray) -> np.ndarray:
             raise DegenerateConfig(f"coinciding branch points at {pts[j]}")
         out[j] = 2.0 / cmath.sqrt(prod)
     return out
-
-
-def phi_at_ramification(cfg: BranchConfig, j: int) -> complex:
-    """phi evaluated at the finite ramification point with point index j."""
-    require_valid(cfg)
-    return complex(phi_values(cfg.points)[j])
 
 
 def v_polynomial(cfg: BranchConfig, m: int) -> np.ndarray:

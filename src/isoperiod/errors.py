@@ -13,10 +13,6 @@ class OrderingViolation(IsoperiodError):
     """A real configuration does not satisfy the requested interleaving."""
 
 
-class PathTooClose(IsoperiodError):
-    """A continuation path passes closer to a branch point than the allowed clearance."""
-
-
 class NoConvergence(IsoperiodError):
     """Adaptive quadrature hit its node budget before the tolerance was met."""
 

@@ -176,52 +176,6 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     return T
 
 
-def rhs_genus2_example(x, u, du) -> np.ndarray:
-    """Hard-coded genus-two closed forms, as a cross-check of rhs_genus_g."""
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    du = np.asarray(du, dtype=complex)
-    if len(x) != 2:
-        raise ValueError("genus-two formulas")
-    _check_regular(x, u, 1e-8)
-
-    def mixed(x1, x2, u1, u2, d11, d12, d21, d22):
-        # d^2 u_1 / dx_1 dx_2 in terms of du_a/dx_b = d_ab.
-        # Third-line coefficient must be (2/u1 + 1/(u2 - u1)): anything else
-        # breaks agreement with the general system and with finite
-        # differences of the period-preserving flow.
-        return (0.5 * d11 * (1.0 / (x1 - x2) + 1.0 / (x2 - u1))
-                + 0.5 * d12 * (1.0 / (x2 - x1) + 1.0 / (x1 - u1))
-                + 0.5 * d11 * d12 * (2.0 / u1 + 1.0 / (u2 - u1))
-                + 0.25 * d11 * d22 * (1.0 / (u1 - u2) - 1.0 / (x1 - u2))
-                + 0.25 * d12 * d21 * (1.0 / (u1 - u2) - 1.0 / (x2 - u2))
-                - 0.5 * d11 ** 2 * d12 * (1.0 / u1 + 1.0 / (x1 - u1))
-                - 0.5 * d11 * d12 ** 2 * (1.0 / u1 + 1.0 / (x2 - u1)))
-
-    def diag(x1, x2, u1, u2, d11, d12, d21, d22):
-        # d^2 u_1 / dx_1^2
-        return (0.5 * (1.0 / x1 - 1.0 / (x1 - u1))
-                + 0.5 * d11 * (-2.0 / x1 - 1.0 / (x1 - x2) + 1.0 / (x1 - u2) + 1.0 / (x1 - u1))
-                - 0.5 * d12 * (1.0 / x1 + 1.0 / (x2 - x1))
-                + 0.5 * d11 ** 2 * (2.0 / u1 + 1.0 / (u1 - x2) - 1.0 / (u1 - u2) + 1.0 / (x1 - u1))
-                + 0.5 * d11 * d21 * (1.0 / (u1 - u2) - 1.0 / (x1 - u2))
-                - 0.5 * d11 ** 3 * (1.0 / u1 + 1.0 / (x1 - u1))
-                - 0.5 * d11 ** 2 * d12 * (1.0 / u1 + 1.0 / (x2 - u1)))
-
-    x1, x2 = x
-    u1, u2 = u
-    T = np.empty((2, 2, 2), dtype=complex)
-    # m = 1: as displayed; m = 2: swap u1 <-> u2 (rows of du)
-    T[0, 0, 1] = T[0, 1, 0] = mixed(x1, x2, u1, u2, du[0, 0], du[0, 1], du[1, 0], du[1, 1])
-    T[1, 0, 1] = T[1, 1, 0] = mixed(x1, x2, u2, u1, du[1, 0], du[1, 1], du[0, 0], du[0, 1])
-    T[0, 0, 0] = diag(x1, x2, u1, u2, du[0, 0], du[0, 1], du[1, 0], du[1, 1])
-    T[1, 0, 0] = diag(x1, x2, u2, u1, du[1, 0], du[1, 1], du[0, 0], du[0, 1])
-    # swap x1 <-> x2 (columns of du) for the second diagonal
-    T[0, 1, 1] = diag(x2, x1, u1, u2, du[0, 1], du[0, 0], du[1, 1], du[1, 0])
-    T[1, 1, 1] = diag(x2, x1, u2, u1, du[1, 1], du[1, 0], du[0, 1], du[0, 0])
-    return T
-
-
 # ---------------------------------------------------------------------------
 # Newton projection onto the constant-period manifold
 # ---------------------------------------------------------------------------

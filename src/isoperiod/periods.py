@@ -20,7 +20,7 @@ import numpy as np
 
 from . import cycles as _cycles
 from .curves import BranchConfig, phi_values, require_valid, v_polynomial
-from .cycles import CanonicalBasis, CycleSpec, EllipseContour
+from .cycles import CanonicalBasis, EllipseContour
 from .errors import NoConvergence, SingularPeriodMatrix
 
 _MAX_NODES = 1 << 17
@@ -72,48 +72,6 @@ def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10,
         prev = vals
         n *= 2
     raise NoConvergence(f"contour quadrature did not converge within {_MAX_NODES} nodes")
-
-
-def cycle_integral(cfg: BranchConfig, diff: DifferentialOverMu, cycle: CycleSpec,
-                   tol: float = 1e-10) -> complex:
-    """Integral of a differential over one homology cycle of the curve."""
-    require_valid(cfg)
-    contour = _cycles.realize(cycle, cfg.points)
-    val, _, _ = integrate_contour(contour, diff, tol)
-    return complex(val)
-
-
-def eval_at_infinity(points: np.ndarray, diff: DifferentialOverMu,
-                     radius_factor: float = 10.0, n: int = 256):
-    """Laurent data of a differential at the branch point at infinity.
-
-    Expands eta / d(zeta) in the local parameter zeta = 1 / sqrt(lambda) on
-    the sheet where mu ~ +lambda^(g + 1/2), by sampling on |lambda| = R with
-    R = radius_factor * max|branch point| and Fourier transforming.  Returns
-    (coефficients dict for zeta powers -2..2, value at infinity, double-pole
-    coefficient, residual estimate from a Richardson check at 2R).
-    """
-    pts = np.asarray(points, dtype=complex)
-
-    def fit(R):
-        rho = 1.0 / math.sqrt(R)
-        zeta = rho * np.exp(2j * math.pi * np.arange(n) / n)
-        lam = zeta ** -2
-        # principal sqrt of the product of (1 - p * zeta^2): analytic near zeta = 0
-        prod = np.prod(1.0 - pts[None, :] * zeta[:, None] ** 2, axis=1)
-        mu = zeta ** -(len(pts)) * np.sqrt(prod)
-        h = -2.0 * zeta ** -3 * diff.rational_part(lam) / mu
-        coef = np.fft.fft(h) / n
-        out = {}
-        for k in range(-4, 5):
-            out[k] = complex(coef[k % n] / rho ** k)
-        return out
-
-    R = radius_factor * max(1.0, float(np.max(np.abs(pts))))
-    c1 = fit(R)
-    c2 = fit(2.0 * R)
-    resid = max(abs(c1[k] - c2[k]) for k in (-2, -1, 0))
-    return c2, c2[0], c2[-2], resid
 
 
 @dataclass
@@ -278,18 +236,6 @@ def beta_from_evaluations(pd: PeriodData, alpha=None) -> np.ndarray:
     return base + np.asarray(alpha, dtype=complex) @ pd.B
 
 
-@dataclass
-class WEvaluation:
-    """The symmetric bidifferential evaluated at a pair of ramification points."""
-
-    j: int
-    k: int
-    value: complex
-    value_swapped: complex
-    I_constants: np.ndarray       # normalization constants of the expansion at point k
-    symmetry_defect: float
-
-
 def _v_period_matrix(cfg: BranchConfig, pd: PeriodData) -> np.ndarray:
     """a-periods of the dual basis v_i (columns i, rows cycles)."""
     g = cfg.genus
@@ -325,24 +271,6 @@ def w_value(cfg: BranchConfig, pd: PeriodData, j: int, k: int, I_k: np.ndarray) 
         poly = v_polynomial(cfg, i)
         val += I_k[i - 1] * np.polyval(poly[::-1], lam_j) * pd.phi_at[j]
     return complex(val)
-
-
-def eval_W_pair(cfg: BranchConfig, pd: PeriodData, j: int, k: int,
-                tol: float = 1e-10) -> WEvaluation:
-    """Evaluate the bidifferential at a pair of finite ramification points.
-
-    Computes both expansion orders and reports the symmetry defect, a direct
-    numerical check of W(P_j, P_k) = W(P_k, P_j).
-    """
-    if j == k:
-        raise ValueError("the bidifferential has a pole on the diagonal; need j != k")
-    I_k = w_constants(cfg, pd, k, tol)
-    I_j = w_constants(cfg, pd, j, tol)
-    v_jk = w_value(cfg, pd, j, k, I_k)
-    v_kj = w_value(cfg, pd, k, j, I_j)
-    scale = max(1.0, abs(v_jk))
-    return WEvaluation(j=j, k=k, value=v_jk, value_swapped=v_kj, I_constants=I_k,
-                       symmetry_defect=abs(v_jk - v_kj) / scale)
 
 
 def wavevector_U(cfg: BranchConfig, pd: PeriodData) -> np.ndarray:

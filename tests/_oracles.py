@@ -1,10 +1,21 @@
 """Independent numerical oracles used by the tests.
 
-These implement textbook methods (arithmetic-geometric mean, Gauss-Chebyshev
-segment quadrature, finite differences) with no code shared with the package,
-so they can referee the package's own quadrature and flow machinery.
+These implement textbook methods with no code shared with the package, so
+they can referee the package's own quadrature, branch tracking and flow
+machinery:
+
+* the arithmetic-geometric mean and Gauss-Chebyshev segment quadrature
+  (elliptic a-periods);
+* finite differences (derivatives of flows and periods);
+* ``BranchOfMu``/``mu_along_path``: pathwise continuation of mu by unwrapped
+  factor arguments, against the contour branch tracking of ``cycles``;
+* ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
+  against the closed-form evaluations of ``periods``;
+* ``rhs_genus2_example``: hand-derived genus-two closed forms of the second
+  derivatives, against the general ``rhs_genus_g``.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -43,3 +54,135 @@ def second_difference(vals, h: float):
     """Centered second differences of a 1-D sample array on a uniform grid."""
     vals = np.asarray(vals)
     return (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / h ** 2
+
+
+class BranchOfMu:
+    """Analytic continuation state for mu along a path in the lambda plane.
+
+    mu^2 = prod(lambda - p_i).  Tracks the unwrapped argument of every linear
+    factor (lambda - p_i), so a closed loop around an even number of branch
+    points returns the starting value exactly, and a loop around a single
+    branch point flips the sign.  A fresh state starts on the principal
+    branch: every factor carries its principal argument.
+    """
+
+    def __init__(self, points, lam, args=None):
+        self.points = np.asarray(points, dtype=complex)
+        self.lam = complex(lam)
+        if args is None:
+            args = np.angle(self.lam - self.points)
+        self.args = np.asarray(args, dtype=float)
+
+    @property
+    def mu(self) -> complex:
+        d = self.lam - self.points
+        return math.exp(0.5 * float(np.sum(np.log(np.abs(d))))) * cmath.exp(
+            0.5j * float(np.sum(self.args)))
+
+    def advance(self, lam_new: complex) -> "BranchOfMu":
+        """Continue to ``lam_new`` along the straight segment from the current point.
+
+        The segment must not pass through (or on the far side of) a branch
+        point; callers are responsible for subdividing paths finely enough.
+        """
+        self.args = self.args + np.angle((lam_new - self.points) / (self.lam - self.points))
+        self.lam = complex(lam_new)
+        return self
+
+
+def _seg_point_dist(a: complex, b: complex, p: complex) -> float:
+    """Distance from point p to segment [a, b]."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(p - a)
+    t = min(1.0, max(0.0, ((p - a) * ab.conjugate()).real / denom))
+    return abs(p - (a + t * ab))
+
+
+def mu_along_path(points, path, start=None) -> complex:
+    """Continue mu along a polyline of lambda values and return the end value.
+
+    Continuation starts from ``start`` (principal branch at path[0] when
+    omitted).  Each leg is subdivided so that every factor's argument turns by
+    at most about one radian per sub-step; the path must avoid the branch points.
+    """
+    pts = np.asarray(points, dtype=complex)
+    path = [complex(z) for z in path]
+    state = BranchOfMu(pts, path[0]) if start is None else start
+    for a, b in zip(path, path[1:]):
+        max_turn = max(abs(b - a) / _seg_point_dist(a, b, p) for p in pts)
+        nsub = max(1, int(math.ceil(max_turn)))
+        for k in range(1, nsub + 1):
+            state.advance(a + (b - a) * k / nsub)
+    return state.mu
+
+
+def eval_at_infinity(points, rational_part, radius_factor: float = 10.0, n: int = 256):
+    """Laurent data at the branch point at infinity of rational_part(lambda) dlambda / mu.
+
+    Expands eta / d(zeta) in the local parameter zeta = 1 / sqrt(lambda) on
+    the sheet where mu ~ +lambda^(g + 1/2), by sampling on |lambda| = R with
+    R = radius_factor * max|branch point| and Fourier transforming.  Returns
+    (coefficients dict for zeta powers -4..4, value at infinity, double-pole
+    coefficient, residual estimate from a Richardson check at 2R).
+    """
+    pts = np.asarray(points, dtype=complex)
+
+    def fit(R):
+        rho = 1.0 / math.sqrt(R)
+        zeta = rho * np.exp(2j * math.pi * np.arange(n) / n)
+        lam = zeta ** -2
+        # principal sqrt of the product of (1 - p * zeta^2): analytic near zeta = 0
+        prod = np.prod(1.0 - pts[None, :] * zeta[:, None] ** 2, axis=1)
+        mu = zeta ** -(len(pts)) * np.sqrt(prod)
+        h = -2.0 * zeta ** -3 * rational_part(lam) / mu
+        coef = np.fft.fft(h) / n
+        return {k: complex(coef[k % n] / rho ** k) for k in range(-4, 5)}
+
+    R = radius_factor * max(1.0, float(np.max(np.abs(pts))))
+    c1 = fit(R)
+    c2 = fit(2.0 * R)
+    resid = max(abs(c1[k] - c2[k]) for k in (-2, -1, 0))
+    return c2, c2[0], c2[-2], resid
+
+
+def rhs_genus2_example(x, u, du) -> np.ndarray:
+    """Hand-derived genus-two closed forms of T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}."""
+    du = np.asarray(du, dtype=complex)
+
+    def mixed(x1, x2, u1, u2, d11, d12, d21, d22):
+        # d^2 u_1 / dx_1 dx_2 in terms of du_a/dx_b = d_ab.
+        # Third-line coefficient must be (2/u1 + 1/(u2 - u1)): anything else
+        # breaks agreement with the general system and with finite
+        # differences of the period-preserving flow.
+        return (0.5 * d11 * (1.0 / (x1 - x2) + 1.0 / (x2 - u1))
+                + 0.5 * d12 * (1.0 / (x2 - x1) + 1.0 / (x1 - u1))
+                + 0.5 * d11 * d12 * (2.0 / u1 + 1.0 / (u2 - u1))
+                + 0.25 * d11 * d22 * (1.0 / (u1 - u2) - 1.0 / (x1 - u2))
+                + 0.25 * d12 * d21 * (1.0 / (u1 - u2) - 1.0 / (x2 - u2))
+                - 0.5 * d11 ** 2 * d12 * (1.0 / u1 + 1.0 / (x1 - u1))
+                - 0.5 * d11 * d12 ** 2 * (1.0 / u1 + 1.0 / (x2 - u1)))
+
+    def diag(x1, x2, u1, u2, d11, d12, d21, d22):
+        # d^2 u_1 / dx_1^2
+        return (0.5 * (1.0 / x1 - 1.0 / (x1 - u1))
+                + 0.5 * d11 * (-2.0 / x1 - 1.0 / (x1 - x2) + 1.0 / (x1 - u2) + 1.0 / (x1 - u1))
+                - 0.5 * d12 * (1.0 / x1 + 1.0 / (x2 - x1))
+                + 0.5 * d11 ** 2 * (2.0 / u1 + 1.0 / (u1 - x2) - 1.0 / (u1 - u2) + 1.0 / (x1 - u1))
+                + 0.5 * d11 * d21 * (1.0 / (u1 - u2) - 1.0 / (x1 - u2))
+                - 0.5 * d11 ** 3 * (1.0 / u1 + 1.0 / (x1 - u1))
+                - 0.5 * d11 ** 2 * d12 * (1.0 / u1 + 1.0 / (x2 - u1)))
+
+    x1, x2 = np.asarray(x, dtype=complex)
+    u1, u2 = np.asarray(u, dtype=complex)
+    T = np.empty((2, 2, 2), dtype=complex)
+    # m = 1: as displayed; m = 2: swap u1 <-> u2 (rows of du)
+    T[0, 0, 1] = T[0, 1, 0] = mixed(x1, x2, u1, u2, du[0, 0], du[0, 1], du[1, 0], du[1, 1])
+    T[1, 0, 1] = T[1, 1, 0] = mixed(x1, x2, u2, u1, du[1, 0], du[1, 1], du[0, 0], du[0, 1])
+    T[0, 0, 0] = diag(x1, x2, u1, u2, du[0, 0], du[0, 1], du[1, 0], du[1, 1])
+    T[1, 0, 0] = diag(x1, x2, u2, u1, du[1, 0], du[1, 1], du[0, 0], du[0, 1])
+    # swap x1 <-> x2 (columns of du) for the second diagonal
+    T[0, 1, 1] = diag(x2, x1, u1, u2, du[0, 1], du[0, 0], du[1, 1], du[1, 0])
+    T[1, 1, 1] = diag(x2, x1, u2, u1, du[1, 1], du[1, 0], du[0, 1], du[0, 0])
+    return T

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from isoperiod.cli import main
+from isoperiod.cli import main, read_trajectory_csv
+from isoperiod.flow import Trajectory
 
 G1 = {"genus": 1, "x": [2.0], "u": [1.0], "real": True}
 G2 = {"genus": 2, "x": [3.0, 5.0], "u": [1.0, 4.0], "real": True}
@@ -34,9 +36,39 @@ def test_periods_missing_file_exit_2(tmp_path):
     assert main(["periods", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_periods_config_is_directory_exit_2(tmp_path):
+    assert main(["periods", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+
+
 def test_periods_duplicate_points_exit_3(tmp_path):
     cfg = _write_config(tmp_path, {"genus": 1, "x": [1.0], "u": [1.0], "real": True})
     assert main(["periods", str(cfg), "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("payload,extra", [
+    ({"x": 2.0, "u": [1.0]}, []),
+    ([2.0, 1.0], []),
+    ({"x": [2.0], "u": [1.0], "real": "false"}, []),
+    ({"x": [[[2.0], [0.0]]], "u": [1.0]}, []),
+    ({"x": [10 ** 400], "u": [1.0]}, []),
+    (G1, ["--alpha", "0.5"]),
+    (G1, ["--path", "5"]),
+    (G1, ["--path", "[]"]),
+], ids=["x-scalar", "top-level-list", "real-string", "nested-pair", "int-overflow",
+        "alpha-scalar", "path-scalar", "path-empty"])
+def test_malformed_input_exit_2(tmp_path, payload, extra):
+    cfg = _write_config(tmp_path, payload)
+    cmd = "deform" if "--path" in extra else "periods"
+    assert main([cmd, str(cfg), "--out", str(tmp_path / "o")] + extra) == 2
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity"])
+def test_non_finite_config_exit_3_names_the_point(tmp_path, capsys, token):
+    p = tmp_path / "config.json"
+    p.write_text('{"x": [2.0], "u": [%s], "real": true}' % token, encoding="utf-8")
+    assert main(["periods", str(p), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite branch point u_1" in err and "duplicate" not in err
 
 
 def test_periods_unreachable_tolerance_exit_4(tmp_path):
@@ -92,6 +124,21 @@ def test_verify_reports_identities_and_hill(tmp_path):
     assert main(["verify", str(cfg), "--out", str(out), "--tol-quad", "1e-11"]) == 0
     data = json.loads((out / "verify.json").read_text())
     assert max(data["identity_residuals"].values()) < 1e-9
+
+
+def test_read_trajectory_csv_returns_trajectory(tmp_path):
+    cfg = _write_config(tmp_path, G1)
+    run = tmp_path / "run"
+    assert main(["deform", str(cfg), "--path", "[[2.0],[2.1]]", "--out", str(run),
+                 "--macro-step", "0.05"]) == 0
+    traj = read_trajectory_csv(run / "trajectory.csv", 1)
+    assert isinstance(traj, Trajectory)
+    rows = (run / "trajectory.csv").read_text().strip().splitlines()[1:]
+    assert len(traj.samples) == len(rows) >= 3
+    assert np.array_equal(np.array(traj.path), np.array([s.x for s in traj.samples]))
+    assert traj.alpha is None and traj.beta_target is None and traj.mode is None
+    with pytest.raises(ValueError, match="schema"):
+        read_trajectory_csv(run / "trajectory.csv", 2)
 
 
 def test_verify_with_trajectory_reports_wavevector(tmp_path):
@@ -158,4 +205,5 @@ def test_examples_lame_one_gap_small_grid(tmp_path):
 
 def test_examples_unknown_name_exit_2(tmp_path):
     assert main(["examples", "genus1-reference", "--out", str(tmp_path / "o")]) == 0
+    assert main(["examples", "nope", "--out", str(tmp_path / "o")]) == 2
     assert main(["periods"]) == 2  # missing required argument

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from isoperiod.curves import (BranchConfig, BranchOfMu, PointCurve, idx_u, idx_x,
-                              idx_zero, mu_along_path, phi_at_ramification,
-                              phi_values, v_at, validate_config)
-from isoperiod.errors import DegenerateConfig, PathTooClose
+from _oracles import BranchOfMu, mu_along_path
+
+from isoperiod.curves import (BranchConfig, PointCurve, idx_u, idx_x, idx_zero,
+                              phi_values, require_valid, v_at, validate_config)
+from isoperiod.errors import DegenerateConfig
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
 G2 = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
@@ -33,13 +34,21 @@ def test_validate_zero_collision():
     assert any("duplicate" in m for m in msgs)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_validate_non_finite_reported_alone(bad):
+    cfg = BranchConfig(x=[2.0, bad], u=[1.0, 3.0], real=True)
+    assert validate_config(cfg) == [f"non-finite branch point x_2 = {complex(bad)}"]
+    with pytest.raises(DegenerateConfig, match="non-finite branch point x_2"):
+        require_valid(cfg)
+
+
 def test_point_curve_needs_odd_count():
     with pytest.raises(DegenerateConfig):
         PointCurve((0.0, 1.0))
 
 
 def test_mu_constant_path_principal_value():
-    val = mu_along_path(G1, [4.0, 4.0 + 0j])
+    val = mu_along_path(G1.points, [4.0, 4.0 + 0j])
     assert val == pytest.approx(math.sqrt(24.0), rel=1e-14)
 
 
@@ -50,16 +59,16 @@ def _loop(center, radius, n=200):
 
 def test_mu_monodromy_single_branch_point_flips():
     loop = _loop(1.0, 0.3)
-    start = BranchOfMu.principal(G1.points, loop[0])
+    start = BranchOfMu(G1.points, loop[0])
     mu0 = start.mu
-    end = mu_along_path(G1, loop, BranchOfMu.principal(G1.points, loop[0]))
+    end = mu_along_path(G1.points, loop, BranchOfMu(G1.points, loop[0]))
     assert abs(end + mu0) < 1e-10 * abs(mu0)
 
 
 def test_mu_monodromy_pair_is_trivial():
     loop = _loop(1.5, 1.0)
-    mu0 = BranchOfMu.principal(G1.points, loop[0]).mu
-    end = mu_along_path(G1, loop, BranchOfMu.principal(G1.points, loop[0]))
+    mu0 = BranchOfMu(G1.points, loop[0]).mu
+    end = mu_along_path(G1.points, loop, BranchOfMu(G1.points, loop[0]))
     assert abs(end - mu0) < 1e-10 * abs(mu0)
 
 
@@ -67,19 +76,14 @@ def test_mu_monodromy_pair_is_trivial():
 def test_mu_monodromy_each_single_point(cfg):
     for p in cfg.points:
         loop = _loop(complex(p), 0.2)
-        mu0 = BranchOfMu.principal(cfg.points, loop[0]).mu
-        end = mu_along_path(cfg, loop, BranchOfMu.principal(cfg.points, loop[0]))
+        mu0 = BranchOfMu(cfg.points, loop[0]).mu
+        end = mu_along_path(cfg.points, loop, BranchOfMu(cfg.points, loop[0]))
         assert abs(end + mu0) < 1e-10 * abs(mu0)
-
-
-def test_mu_path_clearance_enforced():
-    with pytest.raises(PathTooClose):
-        mu_along_path(G1, [4.0, 1.0 + 1e-9j])
 
 
 def test_phi_at_zero_reference_value():
     # 2 / sqrt((0-1)(0-2)) = sqrt(2)
-    assert phi_at_ramification(G1, idx_zero()) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert phi_values(G1.points)[idx_zero()] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_phi_squared_scaling_is_exact():
@@ -119,4 +123,4 @@ def test_real_config_phi_values_pure_real_or_imaginary():
 
 def test_degenerate_evaluation_rejected():
     with pytest.raises(DegenerateConfig):
-        phi_at_ramification(BranchConfig(x=[1.0], u=[1.0]), 0)
+        phi_values(BranchConfig(x=[1.0], u=[1.0]).points)

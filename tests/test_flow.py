@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import second_difference
+from _oracles import rhs_genus2_example, second_difference
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 import isoperiod.flow as flow_module
@@ -11,7 +11,7 @@ from isoperiod.errors import NoProgress, SingularLocus, VanishingOmegaAtU
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
                             newton_correct, period_jacobian, rhs_genus1,
-                            rhs_genus2_example, rhs_genus_g, verify_identities)
+                            rhs_genus_g, verify_identities)
 from isoperiod.periods import (beta_from_evaluations, build_omega,
                                normalized_basis)
 
