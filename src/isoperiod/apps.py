@@ -11,7 +11,7 @@ x = e2 + 2 e3.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,6 +83,7 @@ class WeierstrassData:
     w1: complex
     w2: complex
     cfg: BranchConfig
+    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_roots(cls, e2, e3, tol: float = 1e-11) -> "WeierstrassData":
@@ -100,6 +101,12 @@ class WeierstrassData:
 
     def lattice(self):
         return 2.0 * self.w1, 2.0 * self.w2
+
+    def series_coeffs(self, nterms: int) -> np.ndarray:
+        """Laurent coefficients of wp (see _wp_series_coeffs), computed once per nterms."""
+        if nterms not in self._series:
+            self._series[nterms] = _wp_series_coeffs(self.g2, self.g3, nterms)
+        return self._series[nterms]
 
 
 def _gauss_reduce(w1: complex, w2: complex):
@@ -151,7 +158,7 @@ def wp_function(wd: WeierstrassData, z, nterms: int = 120):
     r_min = min(abs(g1), abs(gen2), abs(g1 + gen2), abs(g1 - gen2))
     if abs(zr) < 1e-12 * r_min:
         raise LatticePoint(f"wp evaluated at a lattice point: {z}")
-    c = _wp_series_coeffs(wd.g2, wd.g3, nterms)
+    c = wd.series_coeffs(nterms)
     k = np.arange(1, nterms + 1)
     zk = zr ** (2 * k)
     wp = 1.0 / zr ** 2 + np.sum(c[1:] * zk)
@@ -179,7 +186,7 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     wave = None
     for s in traj.samples:
         cfg = cfg0.replace(x=s.x, u=s.u)
-        pd = normalized_basis(cfg, tol=quad_tol)
+        pd = normalized_basis(cfg, tol=quad_tol, need_b=False)
         two_w1 = complex(pd.A_raw[0, 0]) / 2.0
         if two_w1_0 is None:
             two_w1_0 = two_w1

@@ -202,15 +202,17 @@ def phi_values(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def v_polynomial(cfg: BranchConfig, m: int) -> np.ndarray:
+def v_polynomial(cfg: BranchConfig, m: int, phis: np.ndarray) -> np.ndarray:
     """Ascending coefficients of the polynomial part of v_m over phi.
 
     v_m = phi * prod_{i != m}(lambda - u_i) / (phi(P_{u_m}) * prod_{i != m}(u_m - u_i)),
-    normalized so that v_m(P_{u_i}) = delta_{mi}.
+    normalized so that v_m(P_{u_i}) = delta_{mi}.  ``phis`` is the table
+    ``phi_values(cfg.points)`` (for instance ``PeriodData.phi_at``); only its
+    entry at u_m is read.
     """
     u = np.asarray(cfg.u)
     others = np.delete(u, m - 1)
-    denom = complex(phi_values(cfg.points)[idx_u(m)]) * complex(np.prod(u[m - 1] - others))
+    denom = complex(phis[idx_u(m)]) * complex(np.prod(u[m - 1] - others))
     poly = np.array([1.0 + 0.0j])
     for r in others:
         poly = np.convolve(poly, np.array([-r, 1.0 + 0.0j]))

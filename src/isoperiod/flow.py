@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .curves import BranchConfig, idx_u, idx_x, idx_zero, v_polynomial
+from .curves import BranchConfig, idx_u, idx_x, idx_zero
 from .errors import (DegenerateConfig, DriftExceeded, NoProgress, SingularJacobian,
                      SingularLocus, VanishingOmegaAtU)
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
@@ -50,12 +50,12 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     for m in range(1, g + 1):
         if abs(om.values_at[idx_u(m)]) < zero_tol * scale:
             raise VanishingOmegaAtU(m, om.values_at[idx_u(m)])
+    pv = pd.v_poly_at
     du = np.empty((g, g), dtype=complex)
     for m in range(1, g + 1):
-        vm = v_polynomial(cfg, m)
         for j in range(1, g + 1):
             xj = idx_x(g, j)
-            v_at_xj = np.polyval(vm[::-1], cfg.point(xj)) * pd.phi_at[xj]
+            v_at_xj = pv[m - 1, xj] * pd.phi_at[xj]
             du[m - 1, j - 1] = -v_at_xj * om.values_at[xj] / om.values_at[idx_u(m)]
     return du
 
@@ -470,10 +470,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     om_at = om.values_at
     w_at = pd.omega_at
 
-    v_at_tab = np.empty((g, 2 * g + 1), dtype=complex)
-    for m in range(1, g + 1):
-        poly = v_polynomial(cfg, m)
-        v_at_tab[m - 1] = np.polyval(poly[::-1], cfg.points) * pd.phi_at
+    v_at_tab = pd.v_poly_at * pd.phi_at
 
     if g == 1:
         report["omega_squares_sum"] = float(abs(np.sum(w_at[0, :-1] ** 2)))
@@ -493,12 +490,13 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     report["dual_weighted_residue_sum"] = float(max(dual_residue))
     report["derivative_sum_rule"] = float(max(slope_sum))
 
-    I_tab = {k: w_constants(cfg, pd, k, tol) for k in range(2 * g + 1)}
+    n_pts = 2 * g + 1
+    I_tab = [w_constants(cfg, pd, k, tol) for k in range(n_pts)]
+    # W[a, b] = W(P_a, P_b); the diagonal is a double pole and is never read
+    W = np.array([[w_value(cfg, pd, a, b, I_tab[b]) if a != b else np.nan
+                   for b in range(n_pts)] for a in range(n_pts)])
 
-    def W(a, b):
-        return w_value(cfg, pd, a, b, I_tab[b])
-
-    sym = max(abs(W(a, b) - W(b, a)) for a in range(2 * g + 1) for b in range(a + 1, 2 * g + 1))
+    sym = max(abs(W[a, b] - W[b, a]) for a in range(n_pts) for b in range(a + 1, n_pts))
     report["W_symmetry"] = float(sym)
     report["beta_consistency"] = float(om.beta_residual)
 
@@ -522,21 +520,21 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
             for n in range(1, g + 1):
                 if n == k:
                     continue
-                lhs = sum(W(idx_u(j), idx_x(g, k)) * v_at_tab[j - 1, idx_x(g, n)]
+                lhs = sum(W[idx_u(j), idx_x(g, k)] * v_at_tab[j - 1, idx_x(g, n)]
                           for j in range(1, g + 1))
                 rational = (pd.phi_at[idx_x(g, n)] / pd.phi_at[idx_x(g, k)]
                             / (x[k - 1] - x[n - 1])
                             * np.prod(x[n - 1] - u) / np.prod(x[k - 1] - u))
-                t1.append(abs(lhs - W(idx_x(g, n), idx_x(g, k)) - rational))
+                t1.append(abs(lhs - W[idx_x(g, n), idx_x(g, k)] - rational))
         report["w_dual_expansion_xx"] = float(max(t1))
 
         t2 = []
         for m in range(1, g + 1):
             for n in range(1, g + 1):
-                lhs = sum(W(idx_u(j), idx_u(m)) * v_at_tab[j - 1, idx_x(g, n)]
+                lhs = sum(W[idx_u(j), idx_u(m)] * v_at_tab[j - 1, idx_x(g, n)]
                           for j in range(1, g + 1) if j != m)
                 vmx = v_at_tab[m - 1, idx_x(g, n)]
-                rhs = (W(idx_x(g, n), idx_u(m)) - vmx / (x[n - 1] - u[m - 1])
+                rhs = (W[idx_x(g, n), idx_u(m)] - vmx / (x[n - 1] - u[m - 1])
                        + vmx * sum(1.0 / (u[m - 1] - u[i - 1]) for i in range(1, g + 1) if i != m)
                        - vmx * I_tab[idx_u(m)][m - 1])
                 t2.append(abs(lhs - rhs))
@@ -545,7 +543,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         t3 = []
         for k in range(1, g + 1):
             xk = idx_x(g, k)
-            lhs = sum(W(idx_u(j), xk) * v_at_tab[j - 1, xk] for j in range(1, g + 1))
+            lhs = sum(W[idx_u(j), xk] * v_at_tab[j - 1, xk] for j in range(1, g + 1))
             rhs = (sum(I_tab[xk][j - 1] * v_at_tab[j - 1, xk] for j in range(1, g + 1))
                    - np.sum(1.0 / (x[k - 1] - u)))
             t3.append(abs(lhs - rhs))
@@ -566,10 +564,10 @@ def _w_residue_u_defect(cfg, pd, om, du, I_tab, W, m):
     um = u[m - 1]
     u_others = np.delete(u, m - 1)
     O_um = om.values_at[idx_u(m)]
-    lhs = (W(idx_u(m), idx_zero()) * om.values_at[idx_zero()] / O_um
-           + sum(W(idx_u(m), idx_x(g, i)) * om.values_at[idx_x(g, i)] / O_um
+    lhs = (W[idx_u(m), idx_zero()] * om.values_at[idx_zero()] / O_um
+           + sum(W[idx_u(m), idx_x(g, i)] * om.values_at[idx_x(g, i)] / O_um
                  for i in range(1, g + 1))
-           + sum(W(idx_u(m), idx_u(j)) * om.values_at[idx_u(j)] / O_um
+           + sum(W[idx_u(m), idx_u(j)] * om.values_at[idx_u(j)] / O_um
                  for j in range(1, g + 1) if j != m))
     S = np.sum(du[m - 1])
     prod_m = np.prod(um - u_others) if g > 1 else 1.0 + 0.0j
@@ -602,10 +600,10 @@ def _w_residue_x_defect(cfg, pd, om, du, I_tab, W, v_at_tab, m, k):
     um = u[m - 1]
     xk = x[k - 1]
     Oxk = om.values_at[idx_x(g, k)]
-    T = (W(idx_x(g, k), idx_zero()) * om.values_at[idx_zero()] / Oxk
-         + sum(W(idx_x(g, k), idx_x(g, j)) * om.values_at[idx_x(g, j)] / Oxk
+    T = (W[idx_x(g, k), idx_zero()] * om.values_at[idx_zero()] / Oxk
+         + sum(W[idx_x(g, k), idx_x(g, j)] * om.values_at[idx_x(g, j)] / Oxk
                for j in range(1, g + 1) if j != k)
-         + sum(W(idx_x(g, k), idx_u(j)) * om.values_at[idx_u(j)] / Oxk
+         + sum(W[idx_x(g, k), idx_u(j)] * om.values_at[idx_u(j)] / Oxk
                for j in range(1, g + 1)))
     lhs = du[m - 1, k - 1] * T
     S = np.sum(du[m - 1])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -82,7 +83,9 @@ class PeriodData:
     the coefficients of omega_j = sum_k C[j, k] lambda^(k-1) phi; ``B`` the
     Riemann matrix.  ``omega_at[j, q]`` evaluates omega_j at ramification
     point q (columns follow the package point indexing; the final column is
-    the point at infinity).
+    the point at infinity).  The dual-basis tables ``v_coeffs`` and
+    ``v_poly_at`` are built on first read, so a :class:`PointCurve` (no u) or
+    a caller that never reads them does not pay for them.
     """
 
     cfg: BranchConfig
@@ -102,8 +105,15 @@ class PeriodData:
     def genus(self) -> int:
         return self.cfg.genus
 
-    def omega_at_infinity(self) -> np.ndarray:
-        return self.omega_at[:, -1]
+    @cached_property
+    def v_coeffs(self) -> np.ndarray:
+        """Row m-1: ascending coefficients of the polynomial part of v_m over phi."""
+        return np.array([v_polynomial(self.cfg, m, self.phi_at) for m in range(1, self.genus + 1)])
+
+    @cached_property
+    def v_poly_at(self) -> np.ndarray:
+        """v_m(P_q) = v_poly_at[m-1, q] * phi_at[q] at every finite point q."""
+        return np.array([np.polyval(poly[::-1], self.cfg.points) for poly in self.v_coeffs])
 
 
 def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
@@ -229,20 +239,18 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
 
 def beta_from_evaluations(pd: PeriodData, alpha=None) -> np.ndarray:
     """b-periods via 2 pi i omega(infinity) + alpha B (no extra quadrature)."""
-    g = pd.genus
     base = 2j * math.pi * pd.omega_at[:, -1]
     if alpha is None or not np.any(np.asarray(alpha) != 0):
         return base
     return base + np.asarray(alpha, dtype=complex) @ pd.B
 
 
-def _v_period_matrix(cfg: BranchConfig, pd: PeriodData) -> np.ndarray:
+def _v_period_matrix(pd: PeriodData) -> np.ndarray:
     """a-periods of the dual basis v_i (columns i, rows cycles)."""
-    g = cfg.genus
+    g = pd.genus
     out = np.empty((g, g), dtype=complex)
-    for i in range(1, g + 1):
-        poly = v_polynomial(cfg, i)
-        out[:, i - 1] = pd.A_ext[:, : len(poly)] @ poly
+    for i, poly in enumerate(pd.v_coeffs):
+        out[:, i] = pd.A_ext[:, :g] @ poly
     return out
 
 
@@ -259,17 +267,21 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, k: int, tol: float = 1e-10) -
     for n, contour in enumerate(pd._contours_a):
         val, _, _ = integrate_contour(contour, pole, tol)
         w[n] = val
-    V = _v_period_matrix(cfg, pd)
+    V = _v_period_matrix(pd)
     return np.linalg.solve(V, -w)
 
 
 def w_value(cfg: BranchConfig, pd: PeriodData, j: int, k: int, I_k: np.ndarray) -> complex:
-    """W(P_j, P_k) from the expansion based at point k."""
+    """W(P_j, P_k) from the expansion based at point k, with I_k = w_constants(cfg, pd, k).
+
+    W has a double pole on the diagonal: j == k raises ValueError."""
+    if j == k:
+        raise ValueError(f"W(P_j, P_k) has a double pole at j = k = {j}")
     lam_j, lam_k = cfg.point(j), cfg.point(k)
-    val = pd.phi_at[j] / (pd.phi_at[k] * (lam_j - lam_k))
+    phi, pv = pd.phi_at, pd.v_poly_at
+    val = phi[j] / (phi[k] * (lam_j - lam_k))
     for i in range(1, cfg.genus + 1):
-        poly = v_polynomial(cfg, i)
-        val += I_k[i - 1] * np.polyval(poly[::-1], lam_j) * pd.phi_at[j]
+        val += I_k[i - 1] * pv[i - 1, j] * phi[j]
     return complex(val)
 
 

@@ -122,6 +122,30 @@ def test_cnoidal_period_preservation_small():
     assert rep["beta_drift"] < 1e-7
 
 
+def test_cnoidal_series_coefficients_once_per_sample(monkeypatch):
+    import isoperiod.apps as apps
+
+    calls = []
+    fresh = apps._wp_series_coeffs
+
+    def counted(g2, g3, nterms):
+        calls.append(nterms)
+        return fresh(g2, g3, nterms)
+
+    monkeypatch.setattr(apps, "_wp_series_coeffs", counted)
+    rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
+    assert len(calls) == len(rep["samples"])
+
+    wd = WeierstrassData.from_roots(0.0, 1.0)
+    wp_function(wd, 0.3)
+    wp_function(wd, 0.7)
+    assert len(calls) == len(rep["samples"]) + 1
+    assert np.array_equal(wd.series_coeffs(120), fresh(wd.g2, wd.g3, 120))
+    # the cache is neither a constructor argument nor part of repr or equality
+    assert wd == WeierstrassData.from_roots(0.0, 1.0)
+    assert "_series" not in repr(wd)
+
+
 def test_cnoidal_zero_length_path():
     rep = cnoidal_period_report(0.0, 1.0, 2.0, n_grid=64)
     assert len(rep["samples"]) == 1

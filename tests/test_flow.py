@@ -380,6 +380,38 @@ def test_identity_suite_nonzero_alpha():
         assert val < 1e-9, f"{name}: {val}"
 
 
+def test_verify_identities_builds_tables_once(monkeypatch):
+    import sys
+    import isoperiod.curves
+    import isoperiod.periods
+
+    cfg = BranchConfig(x=[2.0, 5.0, 8.0, 11.0], u=[1.0, 4.0, 7.0, 10.0], real=True)
+    g = cfg.genus
+    pd, om = _setup(cfg)
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # patch every isoperiod module attribute that binds one of the counted functions
+    for name, fn in [("phi_values", isoperiod.curves.phi_values),
+                     ("v_polynomial", isoperiod.curves.v_polynomial),
+                     ("w_value", isoperiod.periods.w_value)]:
+        counts[name] = 0
+        wrapped = counted(name, fn)
+        for modname, mod in list(sys.modules.items()):
+            if modname.split(".")[0] == "isoperiod" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapped)
+    rep = verify_identities(cfg, pd, om, tol=TOL)
+    assert counts["phi_values"] == 0
+    assert counts["v_polynomial"] <= g
+    assert counts["w_value"] <= (2 * g + 1) * 2 * g
+    assert rep["W_symmetry"] < 1e-8
+
+
 def test_genus3_identities_and_flow_smoke():
     cfg = BranchConfig(x=[2.5, 6.0, 9.5], u=[0.8, 4.2, 8.0], real=True)
     pd, om = _setup(cfg)

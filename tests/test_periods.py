@@ -235,6 +235,36 @@ def test_W_links_omega_variation(pd2):
     assert abs(fd - predicted) < 1e-5 * abs(predicted)
 
 
+def test_w_value_diagonal_raises(pd2):
+    # W has a double pole at P_j = P_k: reject it instead of returning nan-infj
+    import warnings
+    from isoperiod.curves import idx_x
+    from isoperiod.periods import w_constants, w_value
+
+    j = idx_x(2, 1)
+    I_j = w_constants(G2, pd2, j, tol=TOL)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="double pole"):
+            w_value(G2, pd2, j, j, I_j)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_dual_basis_table_matches_closed_form(g):
+    from isoperiod.curves import v_at
+
+    cfg = BranchConfig(x=[3.0 * j + 2.0 for j in range(g)],
+                       u=[3.0 * j + 1.0 for j in range(g)], real=True)
+    pd = normalized_basis(cfg, tol=TOL, need_b=False)
+    assert "v_coeffs" not in vars(pd) and "v_poly_at" not in vars(pd)   # built on first read
+    table = pd.v_poly_at * pd.phi_at
+    assert pd.v_poly_at is pd.v_poly_at
+    for m in range(1, g + 1):
+        ref = np.array([v_at(cfg, m, q) for q in range(2 * g + 1)])
+        # relative to the row's largest value: v_m vanishes at the other u_i
+        assert np.max(np.abs(table[m - 1] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_random_configs_matrix_and_normalization_sweep():
     rng = np.random.default_rng(99)
     for _ in range(6):
