@@ -11,6 +11,8 @@ modes are provided:
   the constant-b-period manifold (unless ``correct`` is off).
 * ``rational``: the second-order system with rational coefficients is
   integrated directly; no period computations happen inside the stepper.
+  Each sample's period check integrates the a-cycles only, unless alpha is
+  nonzero (the drift then reads the b-periods B).
 
 Multi-dimensional paths are integrated coordinate-by-coordinate along
 axis-aligned legs.
@@ -64,14 +66,17 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 # rational second-order system
 # ---------------------------------------------------------------------------
 
-def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float):
+def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray:
+    """Raise SingularLocus at the first pair (row-major, i < j) of p = (0, x, u)
+    closer than ``threshold`` relative; return the table D[a, b] = p_a - p_b."""
     pts = np.concatenate(([0.0], np.asarray(x, dtype=complex), np.asarray(u, dtype=complex)))
     scale = max(1.0, float(np.max(np.abs(pts))))
-    n = len(pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) < threshold * scale:
-                raise SingularLocus(f"branch points {pts[i]} and {pts[j]} within {threshold * scale}")
+    D = pts[:, None] - pts[None, :]
+    close = np.abs(D) < threshold * scale
+    if np.count_nonzero(close) > len(pts):         # more than the diagonal
+        i, j = np.argwhere(np.triu(close, 1))[0]
+        raise SingularLocus(f"branch points {pts[i]} and {pts[j]} within {threshold * scale}")
+    return D
 
 
 def rhs_genus1(x: complex, u: complex, du: complex) -> complex:
@@ -86,93 +91,79 @@ def rhs_genus1(x: complex, u: complex, du: complex) -> complex:
 def rhs_genus_g(x, u, du) -> np.ndarray:
     """Full second-derivative tensor T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
 
-    Rational in (x, u, du); the mixed entries are symmetric in (k, n) by
-    construction.  Valid for every genus >= 1 (the genus-one diagonal entry
-    reduces to :func:`rhs_genus1`).
+    Rational in (x, u, du) and valid for every genus >= 1 (the genus-one
+    diagonal entry reduces to :func:`rhs_genus1`).
+
+    Array form: the singular-locus check returns the pairwise table
+    D[a, b] = p_a - p_b over p = (0, x, u), whose blocks are x_a - x_b,
+    x_a - u_b and u_a - u_b, and one division gives all their reciprocals
+    (0 on the diagonal).  Every factor is built from them once per call:
+
+    * lag[j] = prod_{s != j} u_s / (u_s - u_j), P[m] = prod_{s != m} (u_s - u_m) / u_s
+      = 1 / lag[m], den[i] = prod_{s != i} (u_i - u_s) and R[m, i] = den[m] / den[i];
+    * G[m] = 1/u_m - sum_{j != m} lag[j] / (u_m - u_j), Gx[k] = 1/x_k - sum_j lag[j] / (x_k - u_j);
+    * Px[m, k] = prod_{s != m} (u_s - x_k) / u_s,
+      pref[k, i] = prod_{s != i} (x_k - u_s) / (u_i - u_s);
+    * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k);
+    * H[m] = sum_j du[m, j] (1/(x_j - u_m) prod_{s != m} (u_m - u_s)/(x_j - u_s)
+      + sum_{i != m} (x_j - u_m) R[m, i] / ((x_j - u_i)(u_m - u_i))).
+
+    The s != m and j != m products and sums are masked with the identity.
+    Mixed values are evaluated over all (k, n) and the k < n value is written
+    to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
+    The terms are grouped and summed in another order than in the
+    entry-by-entry loop form of the system, so the two agree to rounding
+    (about 1e-14 relative for g <= 6), not bit for bit.
     """
     x = np.asarray(x, dtype=complex)
     u = np.asarray(u, dtype=complex)
     du = np.asarray(du, dtype=complex)
     g = len(x)
-    _check_regular(x, u, 1e-8)
-    T = np.empty((g, g, g), dtype=complex)
+    D = _check_regular(x, u, 1e-8)                      # p_a - p_b over p = (0, x, u)
+    E = np.eye(2 * g + 1, dtype=bool)
+    D1 = np.where(E, 1.0, D)                            # safe diagonal
+    R = np.where(E, 0.0, 1.0 / D1)                      # reciprocals, 0 on the diagonal
+    X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
+    xu, ux, uu, uu1 = D[X, U], D[U, X], D[U, U], D1[U, U]
+    r_x, r_u = R[X, 0], R[U, 0]
+    r_xx, r_xu, r_ux, r_uu = R[X, X], R[X, U], R[U, X], R[U, U]
+    ar = np.arange(g)
+    eye = ar[:, None] == ar
+    e_m = eye[:, None, :]                               # s == m over (m, ., s)
 
-    # per-m invariants
-    S = du.sum(axis=1)                                   # sum_i du_m/dx_i
-    lag = np.empty(g, dtype=complex)                     # prod_{s != j} u_s / (u_s - u_j)
-    for j in range(g):
-        others = np.delete(u, j)
-        lag[j] = np.prod(others / (others - u[j]))
+    lag = np.where(eye, 1.0, u[:, None] / uu1).prod(axis=0)
+    den = uu1.prod(axis=1)
+    G = r_u - r_uu @ lag
+    Gx = r_x - r_xu @ lag
+    Px = np.where(e_m, 1.0, (ux.T / u)[None]).prod(axis=-1)
+    pref = np.where(eye[None], 1.0, xu[:, None, :] / uu1[None]).prod(axis=-1)
+    C = np.where(e_m, 0.0, r_uu[:, None, :] - r_xu[None]) @ du
 
-    for m in range(g):
-        u_others = np.delete(u, m)
-        um = u[m]
-        P_m = np.prod((u_others - um) / u_others)
-        G_m = 1.0 / um - sum(lag[j] / (um - u[j]) for j in range(g) if j != m)
-        # H_m = sum_j du[m,j] * ( 1/(x_j - u_m) * prod_{i != m} (u_m - u_i)/(x_j - u_i)
-        #       + sum_{i != m} (x_j - u_m) / ((x_j - u_i)(u_m - u_i)) * R_i )
-        # with R_i = prod_{s != m}(u_m - u_s) / prod_{s != i}(u_i - u_s)
-        prod_m = np.prod(um - u_others)
-        H_m = 0.0 + 0.0j
-        for j in range(g):
-            term = (1.0 / (x[j] - um)) * np.prod((um - u_others) / (x[j] - u_others))
-            inner = 0.0 + 0.0j
-            for i in range(g):
-                if i == m:
-                    continue
-                R_i = prod_m / np.prod(u[i] - np.delete(u, i))
-                inner += (x[j] - um) / ((x[j] - u[i]) * (um - u[i])) * R_i
-            H_m += du[m, j] * (term + inner)
+    term = r_xu.T * np.where(e_m, 1.0, uu[:, None, :] / xu[None]).prod(axis=-1)
+    inner = xu.T * ((r_uu * den[:, None] / den[None, :]) @ r_xu.T)
+    H = (du * (term + inner)).sum(axis=1)
+    S1 = du.sum(axis=1) - 1.0
+    # P_m = 1 / lag[m]; base collects the m-only part of the du^2 coefficients
+    base = r_u - 2.0 * r_uu.sum(axis=1) - S1 * G / lag - H
+    kn = ~eye[:, None, :] & ~eye[None]                  # i not in (k, n)
+    UX = np.where(kn, r_ux[:, None, None, :], 0.0).sum(axis=-1)
 
-        for k in range(g):
-            # diagonal entry
-            xk = x[k]
-            x_others_k = np.delete(x, k)
-            line1 = (-1.0 / xk - np.sum(1.0 / (xk - x_others_k))
-                     + 2.0 * sum(1.0 / (xk - u[j]) for j in range(g) if j != m)
-                     + 1.0 / (xk - um))
-            line2 = (1.0 / um + np.sum(1.0 / (um - x_others_k))
-                     - 2.0 * sum(1.0 / (um - u[j]) for j in range(g) if j != m)
-                     + 1.0 / (xk - um))
-            line3 = sum((1.0 / (um - u[j]) - 1.0 / (xk - u[j])) * du[j, k]
-                        for j in range(g) if j != m)
-            Px_mk = np.prod((u_others - xk) / u_others)
-            Gx_k = 1.0 / xk - sum(lag[j] / (xk - u[j]) for j in range(g))
-            line6 = sum((1.0 / (x[j] - xk)) * np.prod((xk - u_others) / (x[j] - u_others))
-                        * du[m, j]
-                        for j in range(g) if j != k)
-            line7 = 0.0 + 0.0j
-            for i in range(g):
-                pref = np.prod((xk - np.delete(u, i)) / (u[i] - np.delete(u, i)))
-                for j in range(g):
-                    line7 += ((x[j] - um) / ((x[j] - u[i]) * (xk - um))) * pref * du[m, j]
-            T[m, k, k] = (0.5 * du[m, k] * line1
-                          + 0.5 * du[m, k] ** 2 * line2
-                          + 0.5 * du[m, k] * line3
-                          - 0.5 * (S[m] - 1.0) * Px_mk * Gx_k
-                          - 0.5 * du[m, k] ** 2 * (S[m] - 1.0) * P_m * G_m
-                          - 0.5 * line6
-                          - 0.5 * line7
-                          - 0.5 * du[m, k] ** 2 * H_m)
-            # mixed entries
-            for n in range(k + 1, g):
-                xn = x[n]
-                cross = (1.0 / um
-                         + sum(1.0 / (um - x[i]) for i in range(g) if i not in (k, n))
-                         - 2.0 * sum(1.0 / (um - u[i]) for i in range(g) if i != m))
-                sym_k = sum((1.0 / (um - u[j]) - 1.0 / (xk - u[j])) * du[j, n]
-                            for j in range(g) if j != m)
-                sym_n = sum((1.0 / (um - u[j]) - 1.0 / (xn - u[j])) * du[j, k]
-                            for j in range(g) if j != m)
-                val = (0.5 * du[m, k] * (1.0 / (xk - xn) + 1.0 / (xn - um))
-                       + 0.5 * du[m, n] * (1.0 / (xn - xk) + 1.0 / (xk - um))
-                       + 0.5 * du[m, k] * du[m, n] * cross
-                       + 0.25 * du[m, k] * sym_k
-                       + 0.25 * du[m, n] * sym_n
-                       - 0.5 * du[m, k] * du[m, n] * (S[m] - 1.0) * P_m * G_m
-                       - 0.5 * du[m, k] * du[m, n] * H_m)
-                T[m, k, n] = val
-                T[m, n, k] = val
+    # diagonal entries T[m, k, k]
+    line1 = ((-r_x - r_xx.sum(axis=1))[None]
+             + 2.0 * np.where(e_m, 0.0, r_xu[None]).sum(axis=-1) + r_xu.T)
+    line2 = base[:, None] + UX[:, ar, ar] + r_xu.T
+    ratio = np.where(eye[:, None, None, :], 1.0, (xu[:, None, :] / xu[None])[None]).prod(axis=-1)
+    line6 = (ratio * r_xx.T[None] * du[:, None, :]).sum(axis=-1)
+    line7 = r_xu.T * ((du * xu.T) @ (r_xu @ pref.T))
+    diag = 0.5 * (du * (line1 + C[:, ar, ar]) + du ** 2 * line2
+                  - S1[:, None] * Px * Gx - line6 - line7)
+
+    # mixed entries, Q[m, k, n] = du[m, k] (1/(x_k - x_n) + 1/(x_n - u_m) + C[m, k, n] / 2)
+    Q = du[:, :, None] * (r_xx + r_xu.T[:, None, :] + 0.5 * C)
+    val = 0.5 * (Q + np.swapaxes(Q, 1, 2)
+                 + du[:, :, None] * du[:, None, :] * (base[:, None, None] + UX))
+    T = np.where(ar[:, None] < ar, val, np.swapaxes(val, 1, 2))
+    T[:, ar, ar] = diag
     return T
 
 
@@ -257,6 +248,11 @@ class DeformationState:
 
     def __post_init__(self):
         self.alpha = np.asarray(self.alpha, dtype=complex)
+        if self.mode not in (IMPLICIT, RATIONAL):
+            raise ValueError(f"mode must be {IMPLICIT!r} or {RATIONAL!r}, not {self.mode!r}")
+        g = self.cfg.genus
+        if self.du is not None and np.shape(self.du) != (g, g):
+            raise ValueError(f"du must be {g}x{g}, not of shape {np.shape(self.du)}")
 
 
 @dataclass
@@ -335,8 +331,9 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
 
-    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol,
-                           need_b=bool(np.any(state.alpha != 0)))
+    # B is read (by the drift) only when alpha != 0
+    need_b = bool(np.any(state.alpha != 0))
+    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol, need_b=need_b)
     om0 = build_omega(cfg0, pd0, state.alpha, need_beta=False)
     beta0 = beta_from_evaluations(pd0, state.alpha)
     beta_target = beta0 if state.beta_target is None else np.asarray(state.beta_target, dtype=complex)
@@ -408,7 +405,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
             else:
                 cfg_now = state.cfg.replace(x=x_now, u=u)
                 pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol,
-                                      need_b=control.verify_beta)
+                                      need_b=control.verify_beta and need_b)
                 om = build_omega(cfg_now, pd, state.alpha, need_beta=False)
                 du_fresh = first_derivatives(cfg_now, pd, om)
                 info["du_consistency"] = float(np.max(np.abs(du_fresh - du)))

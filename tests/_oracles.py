@@ -12,7 +12,9 @@ machinery:
 * ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
   against the closed-form evaluations of ``periods``;
 * ``rhs_genus2_example``: hand-derived genus-two closed forms of the second
-  derivatives, against the general ``rhs_genus_g``.
+  derivatives, against the general ``rhs_genus_g``;
+* ``rhs_genus_g_loops``: the second-order system entry by entry in scalar
+  loops, against the array form of ``rhs_genus_g``.
 """
 
 import cmath
@@ -185,4 +187,95 @@ def rhs_genus2_example(x, u, du) -> np.ndarray:
     # swap x1 <-> x2 (columns of du) for the second diagonal
     T[0, 1, 1] = diag(x2, x1, u1, u2, du[0, 1], du[0, 0], du[1, 1], du[1, 0])
     T[1, 1, 1] = diag(x2, x1, u2, u1, du[1, 1], du[1, 0], du[0, 1], du[0, 0])
+    return T
+
+
+def rhs_genus_g_loops(x, u, du) -> np.ndarray:
+    """Loop form of ``rhs_genus_g``: T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
+
+    Written term by term as the second-order system reads, one entry at a
+    time; it does not check for the singular locus.
+    """
+    x = np.asarray(x, dtype=complex)
+    u = np.asarray(u, dtype=complex)
+    du = np.asarray(du, dtype=complex)
+    g = len(x)
+    T = np.empty((g, g, g), dtype=complex)
+
+    # per-m invariants
+    S = du.sum(axis=1)                                   # sum_i du_m/dx_i
+    lag = np.empty(g, dtype=complex)                     # prod_{s != j} u_s / (u_s - u_j)
+    for j in range(g):
+        others = np.delete(u, j)
+        lag[j] = np.prod(others / (others - u[j]))
+
+    for m in range(g):
+        u_others = np.delete(u, m)
+        um = u[m]
+        P_m = np.prod((u_others - um) / u_others)
+        G_m = 1.0 / um - sum(lag[j] / (um - u[j]) for j in range(g) if j != m)
+        # H_m = sum_j du[m,j] * ( 1/(x_j - u_m) * prod_{i != m} (u_m - u_i)/(x_j - u_i)
+        #       + sum_{i != m} (x_j - u_m) / ((x_j - u_i)(u_m - u_i)) * R_i )
+        # with R_i = prod_{s != m}(u_m - u_s) / prod_{s != i}(u_i - u_s)
+        prod_m = np.prod(um - u_others)
+        H_m = 0.0 + 0.0j
+        for j in range(g):
+            term = (1.0 / (x[j] - um)) * np.prod((um - u_others) / (x[j] - u_others))
+            inner = 0.0 + 0.0j
+            for i in range(g):
+                if i == m:
+                    continue
+                R_i = prod_m / np.prod(u[i] - np.delete(u, i))
+                inner += (x[j] - um) / ((x[j] - u[i]) * (um - u[i])) * R_i
+            H_m += du[m, j] * (term + inner)
+
+        for k in range(g):
+            # diagonal entry
+            xk = x[k]
+            x_others_k = np.delete(x, k)
+            line1 = (-1.0 / xk - np.sum(1.0 / (xk - x_others_k))
+                     + 2.0 * sum(1.0 / (xk - u[j]) for j in range(g) if j != m)
+                     + 1.0 / (xk - um))
+            line2 = (1.0 / um + np.sum(1.0 / (um - x_others_k))
+                     - 2.0 * sum(1.0 / (um - u[j]) for j in range(g) if j != m)
+                     + 1.0 / (xk - um))
+            line3 = sum((1.0 / (um - u[j]) - 1.0 / (xk - u[j])) * du[j, k]
+                        for j in range(g) if j != m)
+            Px_mk = np.prod((u_others - xk) / u_others)
+            Gx_k = 1.0 / xk - sum(lag[j] / (xk - u[j]) for j in range(g))
+            line6 = sum((1.0 / (x[j] - xk)) * np.prod((xk - u_others) / (x[j] - u_others))
+                        * du[m, j]
+                        for j in range(g) if j != k)
+            line7 = 0.0 + 0.0j
+            for i in range(g):
+                pref = np.prod((xk - np.delete(u, i)) / (u[i] - np.delete(u, i)))
+                for j in range(g):
+                    line7 += ((x[j] - um) / ((x[j] - u[i]) * (xk - um))) * pref * du[m, j]
+            T[m, k, k] = (0.5 * du[m, k] * line1
+                          + 0.5 * du[m, k] ** 2 * line2
+                          + 0.5 * du[m, k] * line3
+                          - 0.5 * (S[m] - 1.0) * Px_mk * Gx_k
+                          - 0.5 * du[m, k] ** 2 * (S[m] - 1.0) * P_m * G_m
+                          - 0.5 * line6
+                          - 0.5 * line7
+                          - 0.5 * du[m, k] ** 2 * H_m)
+            # mixed entries
+            for n in range(k + 1, g):
+                xn = x[n]
+                cross = (1.0 / um
+                         + sum(1.0 / (um - x[i]) for i in range(g) if i not in (k, n))
+                         - 2.0 * sum(1.0 / (um - u[i]) for i in range(g) if i != m))
+                sym_k = sum((1.0 / (um - u[j]) - 1.0 / (xk - u[j])) * du[j, n]
+                            for j in range(g) if j != m)
+                sym_n = sum((1.0 / (um - u[j]) - 1.0 / (xn - u[j])) * du[j, k]
+                            for j in range(g) if j != m)
+                val = (0.5 * du[m, k] * (1.0 / (xk - xn) + 1.0 / (xn - um))
+                       + 0.5 * du[m, n] * (1.0 / (xn - xk) + 1.0 / (xk - um))
+                       + 0.5 * du[m, k] * du[m, n] * cross
+                       + 0.25 * du[m, k] * sym_k
+                       + 0.25 * du[m, n] * sym_n
+                       - 0.5 * du[m, k] * du[m, n] * (S[m] - 1.0) * P_m * G_m
+                       - 0.5 * du[m, k] * du[m, n] * H_m)
+                T[m, k, n] = val
+                T[m, n, k] = val
     return T

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import rhs_genus2_example, second_difference
+from _oracles import rhs_genus2_example, rhs_genus_g_loops, second_difference
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 import isoperiod.flow as flow_module
@@ -93,6 +93,54 @@ def test_rhs_mixed_symmetry():
 def test_rhs_singular_locus_rejected():
     with pytest.raises(SingularLocus):
         rhs_genus1(2.0, 2.0 + 1e-12, 0.3)
+    # two close pairs among (0, x, u): the first in row-major (i < j) order is named
+    with pytest.raises(SingularLocus) as exc:
+        rhs_genus_g([2.0, 5.0, 8.0], [1.0, 5.0 + 1e-10, 2.0 + 1e-10], np.zeros((3, 3)))
+    assert str(exc.value) == "branch points (2+0j) and (2.0000000001+0j) within 8e-08"
+
+
+def _interleaved(rng, g, complex_perturbed):
+    pts = np.arange(1, 2 * g + 1) + rng.uniform(-0.3, 0.3, 2 * g)
+    if complex_perturbed:
+        pts = pts + 0.1j * rng.normal(size=2 * g)
+    return pts[1::2], pts[0::2]            # x, u with u_1 < x_1 < u_2 < ...
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_rhs_matches_loop_form(g):
+    rng = np.random.default_rng(100 + g)
+    for trial in range(20):
+        x, u = _interleaved(rng, g, complex_perturbed=trial % 2 == 1)
+        du = rng.normal(size=(g, g)) + 1j * rng.normal(size=(g, g))
+        T = rhs_genus_g(x, u, du)
+        ref = rhs_genus_g_loops(x, u, du)
+        assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(T, np.swapaxes(T, 1, 2))
+
+
+def test_rhs_property_symmetric_and_matches_loop_form():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def configurations(draw):
+        g = draw(st.integers(1, 5))
+        gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=2 * g, max_size=2 * g))
+        pts = np.cumsum(gaps)              # 0 < u_1 < x_1 < u_2 < ... < x_g
+        parts = draw(st.lists(st.floats(-3.0, 3.0), min_size=2 * g * g, max_size=2 * g * g))
+        du = (np.array(parts[::2]) + 1j * np.array(parts[1::2])).reshape(g, g)
+        return pts[1::2], pts[0::2], du
+
+    @hypothesis.settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(configurations())
+    def check(case):
+        x, u, du = case
+        T = rhs_genus_g(x, u, du)
+        assert np.array_equal(T, np.swapaxes(T, 1, 2))
+        ref = rhs_genus_g_loops(x, u, du)
+        assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    check()
 
 
 # -- first derivatives ----------------------------------------------------------
@@ -286,6 +334,35 @@ def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
     assert len(calls) <= 1 + 3 * n_macro
     for s in traj.samples[1:]:
         assert s.info["newton_iters"] >= 0 and s.info["halvings"] >= 0
+
+
+def test_deformation_state_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="implict"):
+        DeformationState(G2, np.zeros(2), mode="implict")
+
+
+def test_deformation_state_rejects_misshapen_du():
+    with pytest.raises(ValueError, match="2x2"):
+        DeformationState(G2, np.zeros(2), mode=RATIONAL, du=np.zeros(2))
+
+
+def test_rational_samples_integrate_b_periods_only_for_nonzero_alpha(monkeypatch):
+    # the drift reads B only when alpha != 0, and first_derivatives never does
+    need_b = []
+    original = flow_module.normalized_basis
+
+    def recording(*args, **kwargs):
+        need_b.append(kwargs.get("need_b", True))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "normalized_basis", recording)
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.05)
+    zero = integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL),
+                          [[2.0], [2.1]], ctrl)
+    assert len(need_b) == len(zero.samples) and not any(need_b)
+    need_b.clear()
+    integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    assert need_b and all(need_b)
 
 
 def test_flow_rejects_diagonal_legs():
