@@ -18,7 +18,7 @@ import numpy as np
 from . import flow as _flow
 from .curves import BranchConfig, validate_config
 from .errors import DegenerateConfig, LatticePoint, OrderingViolation
-from .periods import normalized_basis, wavevector_U
+from .periods import PeriodData, normalized_basis, wavevector_U
 from . import cycles as _cycles
 
 
@@ -86,18 +86,20 @@ class WeierstrassData:
     _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_roots(cls, e2, e3, tol: float = 1e-11) -> "WeierstrassData":
+    def from_roots(cls, e2, e3, tol: float = 1e-11, pd: PeriodData | None = None):
+        """Half-periods from ``pd``, the period data of a shifted curve with
+        roots e2, e3 (a flow sample's), or else of weierstrass_to_config(e2, e3)."""
         e2, e3 = complex(e2), complex(e3)
         e1 = -e2 - e3
-        cfg = weierstrass_to_config(e2, e3)
-        pd = normalized_basis(cfg, tol=tol)
+        if pd is None:
+            pd = normalized_basis(weierstrass_to_config(e2, e3), tol=tol)
         # w^2 = 4 mu^2 on the shifted curve, so periods of dl/w are half ours
         two_w1 = complex(pd.A_raw[0, 0]) / 2.0
         two_w2 = complex(pd.B[0, 0] * pd.A_raw[0, 0]) / 2.0
         return cls(e2=e2, e3=e3, e1=e1,
                    g2=4.0 * (e2 ** 2 + e3 ** 2 + e2 * e3),
                    g3=-4.0 * e2 * e3 * (e2 + e3),
-                   w1=two_w1 / 2.0, w2=two_w2 / 2.0, cfg=cfg)
+                   w1=two_w1 / 2.0, w2=two_w2 / 2.0, cfg=pd.cfg)
 
     def lattice(self):
         return 2.0 * self.w1, 2.0 * self.w2
@@ -186,12 +188,12 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     wave = None
     for s in traj.samples:
         cfg = cfg0.replace(x=s.x, u=s.u)
-        pd = normalized_basis(cfg, tol=quad_tol, need_b=False)
+        pd = normalized_basis(cfg, tol=quad_tol)
         two_w1 = complex(pd.A_raw[0, 0]) / 2.0
         if two_w1_0 is None:
             two_w1_0 = two_w1
         ee2, ee3 = config_to_weierstrass(cfg)
-        wd = WeierstrassData.from_roots(ee2, ee3, tol=quad_tol)
+        wd = WeierstrassData.from_roots(ee2, ee3, pd=pd)
         L = abs(2.0 * wd.w2)       # real period of the wave
         X = (np.arange(n_grid) + 0.5) * (2.0 * L / n_grid)
         v = np.array([2.0 * wp_function(wd, xx)[0] for xx in X])
@@ -286,11 +288,11 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     U_band_rows = []
     for s in trajectory.samples:
         c = cfg.replace(x=s.x, u=s.u)
-        pd = normalized_basis(c, tol=quad_tol, need_b=False)
+        pd = normalized_basis(c, tol=quad_tol)
         U_rows.append(wavevector_U(c, pd))
         if c.real:
             bb = _cycles.band_basis(c.points)
-            pdb = normalized_basis(c, basis=bb, tol=quad_tol, need_b=False)
+            pdb = normalized_basis(c, basis=bb, tol=quad_tol)
             U_band_rows.append(pdb.omega_at[:, -1])
     U = np.array(U_rows)
     drift = float(np.max(np.abs(U - U[0])))

@@ -194,8 +194,8 @@ def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
 
     def make_comb(x, u):
         c = cfg.replace(x=x, u=u)
-        pd = normalized_basis(c, tol=quad_tol, need_b=False)
-        om = build_omega(c, pd, need_beta=False, tol=quad_tol)
+        pd = normalized_basis(c, tol=quad_tol)
+        om = build_omega(c, pd, tol=quad_tol)
         return comb_map(c, pd, om, tol=quad_tol)
 
     combs = [make_comb(s.x, s.u) for s in trajectory.samples]

@@ -11,8 +11,8 @@ modes are provided:
   the constant-b-period manifold (unless ``correct`` is off).
 * ``rational``: the second-order system with rational coefficients is
   integrated directly; no period computations happen inside the stepper.
-  Each sample's period check integrates the a-cycles only, unless alpha is
-  nonzero (the drift then reads the b-periods B).
+  Each sample's drift is read from evaluations, 2 pi i omega(P_inf) + alpha B,
+  so the b-cycles are integrated (for B) only when alpha is nonzero.
 
 Multi-dimensional paths are integrated coordinate-by-coordinate along
 axis-aligned legs.
@@ -196,14 +196,12 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
     OmegaDifferential: (cfg, residual, updates, pd, om)."""
     alpha = np.asarray(alpha, dtype=complex)
     beta_target = np.asarray(beta_target, dtype=complex)
-    # beta_from_evaluations reads B, the only use of the b-contours, when alpha != 0
-    need_b = bool(np.any(alpha != 0))
     u = np.asarray(cfg.u, dtype=complex)
     res_prev = None
     for it in range(max_iter + 1):
         work = cfg.replace(u=u)
-        pd = normalized_basis(work, basis=basis, tol=quad_tol, need_b=need_b)
-        om = build_omega(work, pd, alpha, need_beta=False)
+        pd = normalized_basis(work, basis=basis, tol=quad_tol)
+        om = build_omega(work, pd, alpha)
         r = beta_from_evaluations(pd, alpha) - beta_target
         res = float(np.max(np.abs(r)))
         # an update that still cut the residual by more than 1e3 stopped short of
@@ -215,8 +213,8 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
             raise NoProgress(f"Newton correction stopped at residual {res:.3e} after {it} updates")
         res_prev = res
         J = period_jacobian(work, pd, om)
-        if np.linalg.cond(J) > 1e13:
-            raise SingularJacobian(f"period Jacobian condition {np.linalg.cond(J):.2e}")
+        if (cond := np.linalg.cond(J)) > 1e13:
+            raise SingularJacobian(f"period Jacobian condition {cond:.2e}")
         u = u - np.linalg.solve(J.T, r)
 
 
@@ -233,7 +231,6 @@ class FlowControl:
     correct: bool = True                # implicit mode: Newton after the Taylor predictor
     newton_tol: float = 1e-11
     drift_tol: float | None = None      # raise DriftExceeded beyond this
-    verify_beta: bool = True            # report |2 pi i omega(inf) + alpha B - beta_target|
     max_halvings: int = 40              # per macro step, on a failed step
 
 
@@ -331,10 +328,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
 
-    # B is read (by the drift) only when alpha != 0
-    need_b = bool(np.any(state.alpha != 0))
-    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol, need_b=need_b)
-    om0 = build_omega(cfg0, pd0, state.alpha, need_beta=False)
+    pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol)
+    om0 = build_omega(cfg0, pd0, state.alpha)
     beta0 = beta_from_evaluations(pd0, state.alpha)
     beta_target = beta0 if state.beta_target is None else np.asarray(state.beta_target, dtype=complex)
     du0 = first_derivatives(cfg0, pd0, om0)
@@ -404,13 +399,11 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                 info.update(newton_iters=iters, halvings=halvings)
             else:
                 cfg_now = state.cfg.replace(x=x_now, u=u)
-                pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol,
-                                      need_b=control.verify_beta and need_b)
-                om = build_omega(cfg_now, pd, state.alpha, need_beta=False)
+                pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol)
+                om = build_omega(cfg_now, pd, state.alpha)
                 du_fresh = first_derivatives(cfg_now, pd, om)
                 info["du_consistency"] = float(np.max(np.abs(du_fresh - du)))
-            drift = (np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
-                     if control.verify_beta else np.full(g, np.nan))
+            drift = np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
             if control.drift_tol is not None and np.max(drift) > control.drift_tol:
                 raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x_now}")
             samples.append(FlowSample(x=x_now.copy(), u=u.copy(), du=du.copy(),

@@ -83,9 +83,9 @@ class PeriodData:
     the coefficients of omega_j = sum_k C[j, k] lambda^(k-1) phi; ``B`` the
     Riemann matrix.  ``omega_at[j, q]`` evaluates omega_j at ramification
     point q (columns follow the package point indexing; the final column is
-    the point at infinity).  The dual-basis tables ``v_coeffs`` and
-    ``v_poly_at`` are built on first read, so a :class:`PointCurve` (no u) or
-    a caller that never reads them does not pay for them.
+    the point at infinity).  ``B``, its b-contours ``contours_b`` and the
+    dual-basis tables ``v_coeffs`` and ``v_poly_at`` are built on first read,
+    so a caller that never reads them does not pay for them.
     """
 
     cfg: BranchConfig
@@ -93,17 +93,33 @@ class PeriodData:
     A_raw: np.ndarray
     A_ext: np.ndarray
     C: np.ndarray
-    B: np.ndarray
     omega_at: np.ndarray
     phi_at: np.ndarray
     tol: float
     quad_report: dict
     _contours_a: list = field(repr=False, default=None)
-    _contours_b: list = field(repr=False, default=None)    # None without need_b
 
     @property
     def genus(self) -> int:
         return self.cfg.genus
+
+    @cached_property
+    def contours_b(self) -> list:
+        """The realized b-contours, shared by ``B`` and every ``OmegaDifferential.beta``."""
+        return [_cycles.realize(s, self.cfg.points) for s in self.basis.b]
+
+    @cached_property
+    def B(self) -> np.ndarray:
+        """Riemann matrix B_raw A_raw^-1, B_raw[j, k] the b_j-period of lambda^(k-1) * phi."""
+        g = self.genus
+        mons = [monomial(k) for k in range(g)]
+        B_raw = np.empty((g, g), dtype=complex)
+        for j, contour in enumerate(self.contours_b):
+            vals, n, err = integrate_contour(contour, mons, self.tol)
+            B_raw[j] = vals
+            self.quad_report["b_nodes"].append(n)
+            self.quad_report["b_err"].append(err)
+        return B_raw @ np.linalg.inv(self.A_raw)
 
     @cached_property
     def v_coeffs(self) -> np.ndarray:
@@ -117,14 +133,13 @@ class PeriodData:
 
 
 def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
-                     tol: float = 1e-10, need_b: bool = True) -> PeriodData:
+                     tol: float = 1e-10) -> PeriodData:
     """Normalize the holomorphic differentials and assemble period data.
 
     Solves sum_k C[j, k] * A_raw[., k] = identity so that the a-periods of
-    omega_j are delta_jk, fills the Riemann matrix from b-periods (skipped,
-    b-contours unrealized, when ``need_b`` is false, for inner deformation steps
-    that only require a-normalization), and tabulates evaluations at all
-    ramification points.
+    omega_j are delta_jk and tabulates evaluations at all ramification
+    points.  Only the a-contours are integrated here; the Riemann matrix
+    ``B`` is integrated over the b-contours on first read.
     """
     require_valid(cfg)
     g = cfg.genus
@@ -132,8 +147,6 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     if basis is None:
         basis = _cycles.gap_basis(points)
     ca = [_cycles.realize(s, points) for s in basis.a]
-    # realizing a contour tracks mu on a 512-node table; skip b-contours never integrated
-    cb = [_cycles.realize(s, points) for s in basis.b] if need_b else None
 
     mons = [monomial(k) for k in range(g + 1)]
     A_ext = np.empty((g, g + 1), dtype=complex)
@@ -144,20 +157,11 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
         report["a_nodes"].append(n)
         report["a_err"].append(err)
     A_raw = A_ext[:, :g]
-    if not np.all(np.isfinite(A_raw)) or np.linalg.cond(A_raw) > 1e12:
-        raise SingularPeriodMatrix(f"a-period matrix condition {np.linalg.cond(A_raw):.2e}")
+    cond = float(np.linalg.cond(A_raw)) if np.all(np.isfinite(A_raw)) else math.inf
+    if cond > 1e12:
+        raise SingularPeriodMatrix(f"a-period matrix condition {cond:.2e}")
     C = np.linalg.inv(A_raw).T
-    report["cond_A"] = float(np.linalg.cond(A_raw))
-
-    B = np.full((g, g), np.nan, dtype=complex)
-    if need_b:
-        B_raw = np.empty((g, g), dtype=complex)
-        for j, contour in enumerate(cb):
-            vals, n, err = integrate_contour(contour, mons[:g], tol)
-            B_raw[j] = vals
-            report["b_nodes"].append(n)
-            report["b_err"].append(err)
-        B = B_raw @ np.linalg.inv(A_raw)
+    report["cond_A"] = cond
 
     phis = phi_values(points)
     lam = points
@@ -167,9 +171,9 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
         omega_at[j, :-1] = np.polyval(poly[::-1], lam) * phis
         # at infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
         omega_at[j, -1] = -2.0 * poly[g - 1]
-    return PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C, B=B,
+    return PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
                       omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
-                      _contours_a=ca, _contours_b=cb)
+                      _contours_a=ca)
 
 
 @dataclass
@@ -185,9 +189,9 @@ class OmegaDifferential:
     cfg: BranchConfig
     alpha: np.ndarray
     c: np.ndarray                 # ascending coefficients c_0..c_{g-1}
-    beta: np.ndarray              # b-periods
     values_at: np.ndarray         # evaluations at finite ramification points
-    beta_residual: float          # |beta - (2 pi i omega(inf) + alpha B)|
+    pd: PeriodData = field(repr=False, compare=False)
+    tol: float                    # quadrature tolerance of beta
 
     @property
     def poly(self) -> np.ndarray:
@@ -200,15 +204,28 @@ class OmegaDifferential:
             coeffs[: len(self.c)] += self.alpha @ pd.C
         return DifferentialOverMu(poly=tuple(coeffs))
 
+    @cached_property
+    def beta(self) -> np.ndarray:
+        """b-periods, by quadrature over the b-contours of ``pd`` on first read."""
+        diff = self.differential(self.pd)
+        return np.array([integrate_contour(contour, diff, self.tol)[0]
+                         for contour in self.pd.contours_b])
+
+    @cached_property
+    def beta_residual(self) -> float:
+        """|beta - (2 pi i omega(inf) + alpha B)|; B is read only when alpha != 0."""
+        return float(np.max(np.abs(self.beta - beta_from_evaluations(self.pd, self.alpha))))
+
 
 def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
-                tol: float = 1e-10, need_beta: bool = True) -> OmegaDifferential:
+                tol: float = 1e-10) -> OmegaDifferential:
     """Construct the second-kind differential with prescribed a-periods.
 
     The polynomial coefficients solve the g x g linear system that kills the
     a-periods of -(lambda^g + ...) phi / 2; adding alpha . omega then sets
-    a-period j to alpha_j.  b-periods are computed by quadrature and checked
-    against 2 pi i omega(infinity) + alpha B.
+    a-period j to alpha_j.  The b-periods ``beta`` (quadrature to ``tol``) and
+    ``beta_residual``, their distance to 2 pi i omega(infinity) + alpha B, are
+    computed on first read.
     """
     g = cfg.genus
     alpha = np.zeros(g, dtype=complex) if alpha is None else np.asarray(alpha, dtype=complex)
@@ -221,20 +238,7 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
     lam = cfg.points
     base_vals = -0.5 * np.polyval(poly_full[::-1], lam) * pd.phi_at
     values = base_vals + alpha @ pd.omega_at[:, :-1]
-
-    om = OmegaDifferential(cfg=cfg, alpha=alpha, c=c, beta=np.full(g, np.nan, dtype=complex),
-                           values_at=values, beta_residual=float("nan"))
-    if need_beta:
-        contours_b = pd._contours_b or [_cycles.realize(s, pd.cfg.points) for s in pd.basis.b]
-        diff = om.differential(pd)
-        beta = np.empty(g, dtype=complex)
-        for k, contour in enumerate(contours_b):
-            val, _, _ = integrate_contour(contour, diff, tol)
-            beta[k] = val
-        expected = 2j * math.pi * pd.omega_at[:, -1] + alpha @ pd.B
-        om.beta = beta
-        om.beta_residual = float(np.max(np.abs(beta - expected)))
-    return om
+    return OmegaDifferential(cfg=cfg, alpha=alpha, c=c, values_at=values, pd=pd, tol=tol)
 
 
 def beta_from_evaluations(pd: PeriodData, alpha=None) -> np.ndarray:

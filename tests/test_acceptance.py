@@ -153,7 +153,7 @@ def test_criterion_07_second_derivative_consistency():
 
     # genus 2: diagonal and mixed second differences via corrected corner states
     pd = normalized_basis(G2, tol=1e-13)
-    om = build_omega(G2, pd, need_beta=False, tol=1e-13)
+    om = build_omega(G2, pd, tol=1e-13)
     du0 = first_derivatives(G2, pd, om)
     beta0 = beta_from_evaluations(pd)
     T = rhs_genus_g(G2.x, G2.u, du0)
@@ -178,7 +178,7 @@ def test_criterion_07_second_derivative_consistency():
 def test_criterion_08_jacobian_and_newton():
     t0 = time.perf_counter()
     pd = normalized_basis(G2, tol=TOL)
-    om = build_omega(G2, pd, need_beta=False, tol=TOL)
+    om = build_omega(G2, pd, tol=TOL)
     J = period_jacobian(G2, pd, om)
     h = 1e-6
     worst = 0.0

@@ -146,6 +146,40 @@ def test_cnoidal_series_coefficients_once_per_sample(monkeypatch):
     assert "_series" not in repr(wd)
 
 
+def test_cnoidal_one_period_evaluation_per_sample(monkeypatch):
+    # the report reuses each sample's period data for its Weierstrass half-periods
+    import isoperiod.apps as apps
+
+    calls = []
+    original = apps.normalized_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(apps, "normalized_basis", counting)
+    rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
+    assert len(calls) == len(rep["samples"])
+
+
+def test_weierstrass_from_sample_periods_matches_from_roots():
+    # referee: half-periods and wave from a flow sample's own periods against
+    # those of the curve rebuilt from its roots
+    rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
+    s = rep["trajectory"].samples[-1]
+    cfg = weierstrass_to_config(0.0, 1.0).replace(x=s.x, u=s.u)
+    e2, e3 = config_to_weierstrass(cfg)
+    ref = WeierstrassData.from_roots(e2, e3, tol=1e-11)
+    wd = WeierstrassData.from_roots(e2, e3, pd=normalized_basis(cfg, tol=1e-11))
+    assert (wd.e2, wd.e3, wd.g2, wd.g3) == (ref.e2, ref.e3, ref.g2, ref.g3)
+    assert abs(wd.w1 - ref.w1) <= 1e-13 * abs(ref.w1)
+    assert abs(wd.w2 - ref.w2) <= 1e-13 * abs(ref.w2)
+    v = np.array([wp_function(wd, X)[0] for X in rep["wave_X"]])
+    v_ref = np.array([wp_function(ref, X)[0] for X in rep["wave_X"]])
+    assert np.max(np.abs(v - v_ref)) <= 1e-13 * np.max(np.abs(v_ref))
+    assert np.array_equal(2.0 * v, rep["wave_v"])
+
+
 def test_cnoidal_zero_length_path():
     rep = cnoidal_period_report(0.0, 1.0, 2.0, n_grid=64)
     assert len(rep["samples"]) == 1

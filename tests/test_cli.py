@@ -178,6 +178,16 @@ def test_comb_subcommand(tmp_path):
     assert (out / "comb_trace.csv").exists()
 
 
+def test_comb_on_narrow_gap_needs_no_b_periods(tmp_path):
+    # the b-quadrature does not converge on a 1e-4 gap; the comb never reads it
+    cfg = _write_config(tmp_path, {"genus": 2, "x": [1.0001, 3.0], "u": [1.0, 2.0],
+                                   "real": True})
+    out = tmp_path / "c"
+    assert main(["comb", str(cfg), "--out", str(out)]) == 0
+    data = json.loads((out / "comb.json").read_text())
+    assert data["base_residual"] < 1e-9 and min(data["h"]) > 0
+
+
 def test_comb_rejects_unordered_exit_3(tmp_path):
     cfg = _write_config(tmp_path, {"genus": 2, "x": [3.0, 1.0], "u": [2.0, 4.0],
                                    "real": True})

@@ -305,8 +305,7 @@ def test_flow_stops_at_singular_locus_with_location():
     with pytest.raises(SingularLocus, match="x\\[0\\]"):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL),
                        [[2.0], [1.02]],
-                       FlowControl(quad_tol=TOL, macro_step=0.05,
-                                   verify_beta=False, max_halvings=10))
+                       FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
 
 
 def test_implicit_flow_stops_at_singular_locus_with_location():
@@ -314,8 +313,7 @@ def test_implicit_flow_stops_at_singular_locus_with_location():
     with pytest.raises(SingularLocus, match="x\\[0\\] = \\(1\\.435"):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                        [[2.0], [1.02]],
-                       FlowControl(quad_tol=TOL, macro_step=0.05,
-                                   verify_beta=False, max_halvings=10))
+                       FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
 
 
 def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
@@ -346,23 +344,45 @@ def test_deformation_state_rejects_misshapen_du():
         DeformationState(G2, np.zeros(2), mode=RATIONAL, du=np.zeros(2))
 
 
-def test_rational_samples_integrate_b_periods_only_for_nonzero_alpha(monkeypatch):
+def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch):
     # the drift reads B only when alpha != 0, and first_derivatives never does
-    need_b = []
-    original = flow_module.normalized_basis
+    import isoperiod.cycles as cycles_module
 
-    def recording(*args, **kwargs):
-        need_b.append(kwargs.get("need_b", True))
-        return original(*args, **kwargs)
+    b_specs = cycles_module.gap_basis(G1.points).b
+    realized_b = []
+    original = cycles_module.realize
 
-    monkeypatch.setattr(flow_module, "normalized_basis", recording)
+    def recording(spec, points):
+        realized_b.append(spec in b_specs)
+        return original(spec, points)
+
+    monkeypatch.setattr(cycles_module, "realize", recording)
     ctrl = FlowControl(quad_tol=TOL, macro_step=0.05)
-    zero = integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL),
-                          [[2.0], [2.1]], ctrl)
-    assert len(need_b) == len(zero.samples) and not any(need_b)
-    need_b.clear()
+    integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    assert realized_b and sum(realized_b) == 0
+    realized_b.clear()
     integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL), [[2.0], [2.1]], ctrl)
-    assert need_b and all(need_b)
+    assert sum(realized_b) > 0
+
+
+def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
+    # beta_consistency integrates Omega over the b-contours but never reads B
+    import isoperiod.periods as periods_module
+
+    pd, om = _setup(G2)
+    calls = []
+    original = periods_module.integrate_contour
+
+    def recording(contour, diffs, *args, **kwargs):
+        calls.append((contour, diffs))
+        return original(contour, diffs, *args, **kwargs)
+
+    monkeypatch.setattr(periods_module, "integrate_contour", recording)
+    rep = verify_identities(G2, pd, om, tol=TOL)
+    assert rep["beta_consistency"] < 1e-9
+    on_b = [d for c, d in calls if any(c is cb for cb in pd.contours_b)]
+    assert on_b == [om.differential(pd)] * G2.genus
+    assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
 
 
 def test_flow_rejects_diagonal_legs():

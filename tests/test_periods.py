@@ -171,6 +171,29 @@ def test_residue_sum_omega_weighted(pd1):
     assert abs(total) < 1e-9
 
 
+def test_b_contours_realized_once_on_first_read(monkeypatch):
+    # normalized_basis realizes the a-contours only; B and beta share the b-contours
+    import isoperiod.cycles as cycles_module
+
+    realized = []
+    original = cycles_module.realize
+
+    def counting(spec, points):
+        realized.append(spec)
+        return original(spec, points)
+
+    monkeypatch.setattr(cycles_module, "realize", counting)
+    pd = normalized_basis(G2, tol=TOL)
+    assert len(realized) == G2.genus and pd.quad_report["b_nodes"] == []
+    B = pd.B
+    assert len(pd.quad_report["b_nodes"]) == G2.genus
+    om = build_omega(G2, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
+    assert om.beta_residual < 10 * TOL
+    assert len(realized) == 2 * G2.genus
+    assert pd.B is B and om.beta is om.beta
+    assert realized[G2.genus:] == list(pd.basis.b)
+
+
 # -- Rauch variation and translation invariance ---------------------------------
 
 def _B_of(points):
@@ -198,8 +221,8 @@ def test_translation_invariance_sum_of_derivatives(pd2):
 
     def omega_values(points):
         pc = PointCurve(tuple(points), real=True)
-        pd = normalized_basis(pc, tol=1e-12, need_b=False)
-        om = build_omega(pc, pd, tol=1e-12, need_beta=False)
+        pd = normalized_basis(pc, tol=1e-12)
+        om = build_omega(pc, pd, tol=1e-12)
         return om.values_at
 
     terms = []
@@ -221,15 +244,15 @@ def test_W_links_omega_variation(pd2):
     from isoperiod.curves import idx_u, idx_x
     from isoperiod.periods import w_constants, w_value
 
-    om = build_omega(G2, pd2, need_beta=False, tol=TOL)
+    om = build_omega(G2, pd2, tol=TOL)
     I_u2 = w_constants(G2, pd2, idx_u(2), tol=TOL)
     predicted = 0.5 * om.values_at[idx_u(2)] * w_value(G2, pd2, idx_x(2, 1), idx_u(2), I_u2)
     h = 1e-6
 
     def omega_at_x1(u2):
         cfg = G2.replace(u=(1.0, u2))
-        pd = normalized_basis(cfg, tol=1e-12, need_b=False)
-        return build_omega(cfg, pd, need_beta=False, tol=1e-12).values_at[idx_x(2, 1)]
+        pd = normalized_basis(cfg, tol=1e-12)
+        return build_omega(cfg, pd, tol=1e-12).values_at[idx_x(2, 1)]
 
     fd = (omega_at_x1(4.0 + h) - omega_at_x1(4.0 - h)) / (2.0 * h)
     assert abs(fd - predicted) < 1e-5 * abs(predicted)
@@ -255,7 +278,7 @@ def test_dual_basis_table_matches_closed_form(g):
 
     cfg = BranchConfig(x=[3.0 * j + 2.0 for j in range(g)],
                        u=[3.0 * j + 1.0 for j in range(g)], real=True)
-    pd = normalized_basis(cfg, tol=TOL, need_b=False)
+    pd = normalized_basis(cfg, tol=TOL)
     assert "v_coeffs" not in vars(pd) and "v_poly_at" not in vars(pd)   # built on first read
     table = pd.v_poly_at * pd.phi_at
     assert pd.v_poly_at is pd.v_poly_at
@@ -296,6 +319,6 @@ def test_wavevector_genus1_half_period_relation(pd1):
 
 
 def test_wavevector_real_in_band_marking(pd2):
-    pdb = normalized_basis(G2, basis=band_basis(G2.points), tol=TOL, need_b=False)
+    pdb = normalized_basis(G2, basis=band_basis(G2.points), tol=TOL)
     U = pdb.omega_at[:, -1]
     assert np.max(np.abs(U.imag)) < 1e-10
