@@ -12,20 +12,24 @@ with g vertical slits: bands map onto the real base, gap [u_j, x_j] walks up
 and down the j-th slit.  The base marks q_j = Theta(u_j) are real and are
 proportional to the b-periods of the differential; the slit heights are
 h_j = Im Theta(xi_j) at the zeros xi_j of Q (one zero per gap).
+
+Theta at the branch points is a cumulative sum of the period data's segment
+table (:class:`isoperiod.periods.SegmentTable`) times Q, so the full
+segments cost no quadrature here; the partial integrals from a branch point
+to an interior point use the same tanh-sinh kernel, with one singular
+endpoint.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .curves import BranchConfig, validate_config
-from .errors import NoConvergence, OrderingViolation, RootLocalizationFailed
-from .periods import OmegaDifferential, PeriodData, beta_from_evaluations
-
-_MAX_SEG_NODES = 1 << 16
+from .errors import OrderingViolation, RootLocalizationFailed
+from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
+                      tanh_sinh)
 
 
 @dataclass
@@ -69,90 +73,42 @@ def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     return roots
 
 
-def _angle_phases(points_sorted: np.ndarray):
-    """i^(number of branch points above t) for each inter-point segment."""
-    n = len(points_sorted)
-    return [1j ** (n - (s + 1)) for s in range(n)]
-
-
-def _segment_full(points_sorted, s, poly, n):
-    """Gauss-Chebyshev value of int over [p_s, p_{s+1}] of Q(t)/|mu(t)| dt.
-
-    The inverse square-root endpoint factors are absorbed into the weight;
-    returns the integral of Q(t)/sqrt(prod_{i not in {s, s+1}} |t - p_i|).
-    """
-    a, b = points_sorted[s], points_sorted[s + 1]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    theta = (2.0 * np.arange(1, n + 1) - 1.0) * math.pi / (2.0 * n)
-    t = mid + half * np.cos(theta)
-    others = np.concatenate((points_sorted[:s], points_sorted[s + 2:]))
-    rest = np.sqrt(np.prod(np.abs(t[:, None] - others[None, :]), axis=1))
-    qv = np.polynomial.polynomial.polyval(t, poly)
-    return (math.pi / n) * np.sum(qv / rest)
-
-
-def _segment_partial(points_sorted, s, target, poly, n):
-    """int over [p_s, target] (target inside segment s) of Q(t)/|mu(t)| dt.
-
-    Substituting t = p_s + (target - p_s) w^2 removes the left-endpoint
-    inverse square root; Gauss-Legendre handles the smooth remainder.
-    """
-    a = points_sorted[s]
-    w, wt = np.polynomial.legendre.leggauss(n)
-    w = 0.5 * (w + 1.0)
-    wt = 0.5 * wt
-    t = a + (target - a) * w ** 2
-    others = np.concatenate((points_sorted[:s], points_sorted[s + 1:]))
-    rest = np.sqrt(np.prod(np.abs(t[:, None] - others[None, :]), axis=1))
-    qv = np.polynomial.polynomial.polyval(t, poly)
-    return 2.0 * math.sqrt(abs(target - a)) * np.sum(wt * qv / rest)
-
-
-def _adaptive(fn, tol):
-    n = 48
-    prev = None
-    while n <= _MAX_SEG_NODES:
-        val = fn(n)
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
-        prev = val
-        n *= 2
-    raise NoConvergence("segment quadrature did not converge")
+def _table(cfg: BranchConfig, pd: PeriodData) -> SegmentTable:
+    """The segment table of ``pd``, or a fresh one when ``pd`` took the ellipse path."""
+    return pd.segments if pd.segments is not None else SegmentTable.of(cfg.points, pd.tol)
 
 
 def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
              tol: float = 1e-10) -> CombRegion:
-    """Base marks q_j, slit heights h_j, and the q/beta ratio vector."""
+    """Base marks q_j, slit heights h_j, and the q/beta ratio vector.
+
+    The full segments are the segment table of ``pd`` (to ``pd.tol``) times
+    the polynomial; only the g partial integrals up to the zeros are new
+    quadratures (to ``tol``).
+    """
     if validate_config(cfg, ordered=True):
         raise OrderingViolation("comb construction requires 0 < u_1 < x_1 < ... < x_g")
     if np.any(np.abs(om.alpha) > 0):
         raise ValueError("comb construction uses the zero-a-period differential")
     g = cfg.genus
-    pts = np.sort(cfg.points.real)
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    phases = _angle_phases(pts)
+    table = _table(cfg, pd)
     zeros = np.sort(omega_zeros(om).real)
 
-    seg_vals = [_adaptive(lambda n, s=s: _segment_full(pts, s, poly, n), tol)
-                for s in range(2 * g)]
-    theta_nodes = 0.5 * np.cumsum([v / ph for v, ph in zip(seg_vals, phases)])
-
-    q = np.empty(g)
-    h = np.empty(g)
-    base_residual = 0.0
-    for j in range(1, g + 1):
-        th_u = theta_nodes[2 * j - 2]           # Theta at u_j = sorted point 2j-1
-        q[j - 1] = th_u.real
-        base_residual = max(base_residual, abs(th_u.imag))
-        part = _adaptive(
-            lambda n, j=j: _segment_partial(pts, 2 * j - 1, zeros[j - 1], poly, n), tol)
-        h[j - 1] = (th_u + 0.5 * part / phases[2 * j - 1]).imag
+    seg_vals = table.rows(np.arange(2 * g)) @ poly          # phase included
+    theta_nodes = 0.5 * np.cumsum(seg_vals)
+    th_u = theta_nodes[0:2 * g:2]                           # Theta at u_j = sorted point 2j-1
+    gaps = np.arange(1, 2 * g, 2)
+    part = tanh_sinh(table.q[gaps], zeros, table.q, tol)[0] @ poly     # int_{u_j}^{xi_j} Q / |mu|
+    q = th_u.real
+    h = (th_u + 0.5 * part / table.phase[gaps]).imag
+    base_residual = float(np.max(np.abs(th_u.imag)))
 
     beta = beta_from_evaluations(pd, None)
     ratio = q / beta
     return CombRegion(q=q, h=h, zeros=zeros, base_residual=base_residual,
                       beta_ratio=ratio,
-                      diagnostics={"segment_values": seg_vals, "tol": tol})
+                      diagnostics={"segment_values": list(seg_vals * table.phase), "tol": tol})
 
 
 def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
@@ -165,18 +121,18 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     if validate_config(cfg, ordered=True):
         raise OrderingViolation("boundary trace requires an ordered real configuration")
     g = cfg.genus
-    pts = np.sort(cfg.points.real)
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    phases = _angle_phases(pts)
+    table = _table(cfg, pd)
+    pts = table.q
+    seg_vals = table.rows(np.arange(2 * g)) @ poly
     rows = []
     theta_base = 0.0 + 0.0j
+    frac = np.linspace(0.0, 1.0, n_per_segment, endpoint=False)[1:]
     for s in range(2 * g):
-        for w in np.linspace(0.0, 1.0, n_per_segment, endpoint=False)[1:]:
-            target = pts[s] + (pts[s + 1] - pts[s]) * w
-            part = _adaptive(lambda n: _segment_partial(pts, s, target, poly, n), tol)
-            rows.append((target, theta_base + 0.5 * part / phases[s]))
-        seg = _adaptive(lambda n: _segment_full(pts, s, poly, n), tol)
-        theta_base = theta_base + 0.5 * seg / phases[s]
+        targets = pts[s] + (pts[s + 1] - pts[s]) * frac
+        part = tanh_sinh(np.full(len(targets), pts[s]), targets, pts, tol)[0] @ poly
+        rows.extend(zip(targets, theta_base + 0.5 * part / table.phase[s]))
+        theta_base = theta_base + 0.5 * seg_vals[s]
         rows.append((pts[s + 1], theta_base))
     return np.array(rows, dtype=complex)
 

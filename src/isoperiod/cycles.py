@@ -2,9 +2,14 @@
 
 A cycle is described by the set of finite branch points it encircles (an even
 count, so the lift to the two-sheeted covering closes) plus an orientation.
-Contours are realized as ellipses in the lambda plane; integration lifts them
-to the covering by continuous branch tracking started from the principal
-branch at the contour's rightmost point.
+On a real configuration a cycle around a contiguous run of the sorted points,
+given without center/radius hints, needs no contour: its periods are signed
+sums of integrals between consecutive branch points
+(:class:`isoperiod.periods.SegmentTable`).  The other cycles (complex
+configurations, hinted or non-contiguous specs) and the pole differentials of
+``periods.w_constants`` are realized as ellipses in the lambda plane;
+integration lifts them to the covering by continuous branch tracking started
+from the principal branch at the contour's rightmost point.
 
 Default basis for real interleaved configurations 0 < u_1 < x_1 < ... < x_g
 (sorted points q_0 < q_1 < ... < q_2g):
@@ -154,7 +159,8 @@ class EllipseContour:
     """Closed analytic contour lambda(t) = c + A cos t + i * B sin t (t in [0, 2pi)).
 
     ``orientation`` +1 traverses counterclockwise.  Node tables (lambda,
-    weighted derivative, tracked mu) are cached per resolution.
+    weighted derivative, tracked mu) are cached per resolution, and the
+    clearance from the branch points once computed.
     """
 
     center: complex
@@ -163,14 +169,19 @@ class EllipseContour:
     orientation: int
     points: np.ndarray
     _cache: dict = field(default_factory=dict, repr=False)
+    _clearance: float | None = field(default=None, repr=False)
+
+    def _lam(self, n: int):
+        """(s t, lambda) at the n equispaced parameters t, s the orientation."""
+        st = self.orientation * (2.0 * math.pi * np.arange(n) / n)
+        return st, self.center + self.semi_major * np.cos(st) + 1j * self.semi_minor * np.sin(st)
 
     def nodes(self, n: int):
         tab = self._cache.get(n)
         if tab is None:
-            s = self.orientation
-            t = 2.0 * math.pi * np.arange(n) / n
-            lam = self.center + self.semi_major * np.cos(s * t) + 1j * self.semi_minor * np.sin(s * t)
-            dlam = s * (-self.semi_major * np.sin(s * t) + 1j * self.semi_minor * np.cos(s * t))
+            st, lam = self._lam(n)
+            dlam = self.orientation * (-self.semi_major * np.sin(st)
+                                       + 1j * self.semi_minor * np.cos(st))
             w = dlam * (2.0 * math.pi / n)
             mu = self._track_mu(lam)
             tab = (lam, w, mu)
@@ -194,8 +205,11 @@ class EllipseContour:
         return np.exp(0.5 * (log_abs + 1j * args_total))
 
     def min_clearance(self) -> float:
-        lam, _, _ = self.nodes(512)
-        return float(np.min(np.abs(lam[:, None] - self.points[None, :])))
+        """Least distance from the 512 equispaced contour points to a branch point."""
+        if self._clearance is None:
+            lam = self._lam(512)[1]
+            self._clearance = float(np.min(np.abs(lam[:, None] - self.points[None, :])))
+        return self._clearance
 
 
 def realize(spec: CycleSpec, points: np.ndarray) -> EllipseContour:

@@ -197,6 +197,9 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
     alpha = np.asarray(alpha, dtype=complex)
     beta_target = np.asarray(beta_target, dtype=complex)
     u = np.asarray(cfg.u, dtype=complex)
+    # residuals this close to the rounding of beta are at the floor, however
+    # much the last update cut them
+    rounding = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(beta_target))))
     res_prev = None
     for it in range(max_iter + 1):
         work = cfg.replace(u=u)
@@ -206,7 +209,7 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
         res = float(np.max(np.abs(r)))
         # an update that still cut the residual by more than 1e3 stopped short of
         # the quadrature floor; one more reaches it at quadratic convergence
-        floor = res_prev is None or 1e3 * res >= res_prev
+        floor = res_prev is None or 1e3 * res >= res_prev or res <= rounding
         if res <= tol and (floor or it == max_iter):
             return work, res, it, pd, om
         if it == max_iter or (res_prev is not None and res > res_prev and it >= 3):
@@ -320,6 +323,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     step whose final Newton iterate gives the sample's du and drift; in rational
     mode the state (u, du) evolves through the second-order rational system and
     periods are only recomputed for drift reporting.  Failed steps are halved.
+    On a real curve the prescribed a-periods must keep the differential real
+    (alpha . C real); other alpha raise DegenerateConfig before the first step.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
@@ -329,6 +334,12 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
         raise ValueError("path must start at the configuration's x")
 
     pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol)
+    # alpha sets alpha . C in Omega's polynomial; unless that is real, a real
+    # curve leaves the real locus at the first step
+    alpha_c = state.alpha @ pd0.C
+    if cfg0.real and np.max(np.abs(alpha_c.imag)) > 1e-9 * np.max(np.abs(alpha_c)):
+        raise DegenerateConfig(f"alpha violates the reality condition of a real curve: "
+                               f"alpha . C = {alpha_c} is not real")
     om0 = build_omega(cfg0, pd0, state.alpha)
     beta0 = beta_from_evaluations(pd0, state.alpha)
     beta_target = beta0 if state.beta_target is None else np.asarray(state.beta_target, dtype=complex)

@@ -14,7 +14,9 @@ machinery:
 * ``rhs_genus2_example``: hand-derived genus-two closed forms of the second
   derivatives, against the general ``rhs_genus_g``;
 * ``rhs_genus_g_loops``: the second-order system entry by entry in scalar
-  loops, against the array form of ``rhs_genus_g``.
+  loops, against the array form of ``rhs_genus_g``;
+* ``hinted_basis``: a real marking with circle hints on every cycle, which
+  keeps its periods on lifted ellipses, against the segment quadrature.
 """
 
 import cmath
@@ -279,3 +281,21 @@ def rhs_genus_g_loops(x, u, du) -> np.ndarray:
                 T[m, k, n] = val
                 T[m, n, k] = val
     return T
+
+
+def hinted_basis(basis, points):
+    """The same cycles with center/radius hints: circles around each encircled
+    run reaching halfway to the nearest excluded point."""
+    from isoperiod.cycles import CanonicalBasis, CycleSpec
+
+    pts = np.real(np.asarray(points))
+
+    def hint(spec):
+        inside = sorted(spec.encircled)
+        lo, hi = pts[inside].min(), pts[inside].max()
+        others = np.delete(pts, inside)
+        margin = 0.5 * np.min(np.where(others > hi, others - hi, lo - others))
+        return CycleSpec(spec.encircled, spec.orientation, center=complex(0.5 * (lo + hi)),
+                         radius=0.5 * (hi - lo) + margin)
+
+    return CanonicalBasis(tuple(map(hint, basis.a)), tuple(map(hint, basis.b)))

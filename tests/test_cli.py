@@ -101,6 +101,14 @@ def test_deform_rational_mode(tmp_path):
     assert json.loads((out / "trajectory.json").read_text())["max_drift"] < 1e-5
 
 
+def test_deform_alpha_breaking_reality_exit_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, G2)
+    rc = main(["deform", str(cfg), "--path", "[[3.0,5.0],[3.1,5.0]]", "--alpha", "[0.01, 0.02]",
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert "reality condition" in capsys.readouterr().err
+
+
 def test_deform_drift_gate_exit_5(tmp_path):
     cfg = _write_config(tmp_path, G1)
     rc = main(["deform", str(cfg), "--path", "[[2.0],[2.1]]", "--tol-flow", "1e-20",

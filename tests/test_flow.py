@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import rhs_genus2_example, rhs_genus_g_loops, second_difference
+from _oracles import hinted_basis, rhs_genus2_example, rhs_genus_g_loops, second_difference
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 import isoperiod.flow as flow_module
-from isoperiod.errors import NoProgress, SingularLocus, VanishingOmegaAtU
+from isoperiod.errors import DegenerateConfig, NoProgress, SingularLocus, VanishingOmegaAtU
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
                             newton_correct, period_jacobian, rhs_genus1,
@@ -292,6 +292,24 @@ def test_flow_with_prescribed_a_periods():
     assert np.max(np.abs(traj.grid()[1] - rat.grid()[1])) < 1e-8
 
 
+@pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
+def test_real_alpha_on_gap_marking_rejected_before_first_step(mode, monkeypatch):
+    # real alpha makes alpha . C imaginary on the gap marking: the flow would
+    # leave the real locus, so it stops before any step with the reason
+    calls = []
+    original = flow_module.normalized_basis
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "normalized_basis", counting)
+    with pytest.raises(DegenerateConfig, match="reality condition"):
+        integrate_flow(DeformationState(G2, np.array([0.01, 0.02]), mode=mode),
+                       [[3.0, 5.0], [3.1, 5.0]], FlowControl(quad_tol=TOL))
+    assert len(calls) == 1
+
+
 def test_flow_zero_length_path():
     traj = integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                           [[2.0], [2.0]], FlowControl(quad_tol=TOL))
@@ -346,30 +364,47 @@ def test_deformation_state_rejects_misshapen_du():
 
 def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch):
     # the drift reads B only when alpha != 0, and first_derivatives never does
+    # (ellipse path: hinted cycles)
     import isoperiod.cycles as cycles_module
 
-    b_specs = cycles_module.gap_basis(G1.points).b
+    basis = hinted_basis(cycles_module.gap_basis(G1.points), G1.points)
     realized_b = []
     original = cycles_module.realize
 
     def recording(spec, points):
-        realized_b.append(spec in b_specs)
+        realized_b.append(spec in basis.b)
         return original(spec, points)
 
     monkeypatch.setattr(cycles_module, "realize", recording)
     ctrl = FlowControl(quad_tol=TOL, macro_step=0.05)
-    integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL, basis=basis),
+                   [[2.0], [2.1]], ctrl)
     assert realized_b and sum(realized_b) == 0
     realized_b.clear()
-    integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL, basis=basis),
+                   [[2.0], [2.1]], ctrl)
     assert sum(realized_b) > 0
+
+
+def test_rational_samples_integrate_b_segments_only_for_nonzero_alpha(segment_calls):
+    # segment path: the b-cycle of G1 is the band [0, u_1], a-periods need only [u_1, x_1]
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.05)
+    integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    assert segment_calls and all(lo > 0.0 for call in segment_calls for lo, _ in call)
+    segment_calls.clear()
+    integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL), [[2.0], [2.1]], ctrl)
+    assert any(lo == 0.0 for call in segment_calls for lo, _ in call)
 
 
 def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
     # beta_consistency integrates Omega over the b-contours but never reads B
+    # (ellipse path: hinted cycles)
+    import isoperiod.cycles as cycles_module
     import isoperiod.periods as periods_module
 
-    pd, om = _setup(G2)
+    pd = normalized_basis(G2, basis=hinted_basis(cycles_module.gap_basis(G2.points), G2.points),
+                          tol=TOL)
+    om = build_omega(G2, pd, tol=TOL)
     calls = []
     original = periods_module.integrate_contour
 
@@ -383,6 +418,18 @@ def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
     on_b = [d for c, d in calls if any(c is cb for cb in pd.contours_b)]
     assert on_b == [om.differential(pd)] * G2.genus
     assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
+
+
+def test_zero_alpha_identities_integrate_b_segments_once(segment_calls):
+    # segment path: beta_consistency integrates the bands once, in one kernel
+    # call, and reads them with Omega's coefficients; B is never read
+    pd, om = _setup(G2)
+    assert segment_calls == [[(1.0, 3.0), (4.0, 5.0)]]
+    rep = verify_identities(G2, pd, om, tol=TOL)
+    assert rep["beta_consistency"] < 1e-9
+    assert segment_calls[1:] == [[(0.0, 1.0), (3.0, 4.0)]]
+    assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
+    assert "contours_b" not in vars(pd)
 
 
 def test_flow_rejects_diagonal_legs():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import BranchOfMu, ellipk_agm, eval_at_infinity, gap_period_integral
+from _oracles import (BranchOfMu, ellipk_agm, eval_at_infinity, gap_period_integral,
+                      hinted_basis)
 
 from isoperiod.curves import BranchConfig, PointCurve
 from isoperiod.cycles import (CycleSpec, band_basis, gap_basis,
@@ -62,6 +63,14 @@ def test_dlambda_closes_on_lifted_contour():
     contour = realize(gap_basis(G1.points).a[0], G1.points)
     lam, w, mu = contour.nodes(512)
     assert abs(np.sum(w)) < 1e-12
+
+
+def test_realize_builds_no_node_table():
+    # the separation check reads lambda only; mu is tracked when a quadrature asks
+    contour = realize(gap_basis(G2.points).b[1], G2.points)
+    assert contour._cache == {}
+    clearance = contour.min_clearance()
+    assert clearance > 0.0 and contour.min_clearance() == clearance and contour._cache == {}
 
 
 def test_contour_tracking_agrees_with_pathwise_continuation():
@@ -172,9 +181,11 @@ def test_residue_sum_omega_weighted(pd1):
 
 
 def test_b_contours_realized_once_on_first_read(monkeypatch):
-    # normalized_basis realizes the a-contours only; B and beta share the b-contours
+    # on the ellipse path (hinted cycles) normalized_basis realizes the
+    # a-contours only; B and beta share the b-contours
     import isoperiod.cycles as cycles_module
 
+    basis = hinted_basis(gap_basis(G2.points), G2.points)
     realized = []
     original = cycles_module.realize
 
@@ -183,7 +194,8 @@ def test_b_contours_realized_once_on_first_read(monkeypatch):
         return original(spec, points)
 
     monkeypatch.setattr(cycles_module, "realize", counting)
-    pd = normalized_basis(G2, tol=TOL)
+    pd = normalized_basis(G2, basis=basis, tol=TOL)
+    assert pd.segments is None
     assert len(realized) == G2.genus and pd.quad_report["b_nodes"] == []
     B = pd.B
     assert len(pd.quad_report["b_nodes"]) == G2.genus
@@ -192,6 +204,27 @@ def test_b_contours_realized_once_on_first_read(monkeypatch):
     assert len(realized) == 2 * G2.genus
     assert pd.B is B and om.beta is om.beta
     assert realized[G2.genus:] == list(pd.basis.b)
+
+
+def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
+    # normalized_basis integrates the gaps only; B, beta and the comb share the bands
+    import isoperiod.cycles as cycles_module
+    from isoperiod.comb import comb_map
+
+    realized = []
+    monkeypatch.setattr(cycles_module, "realize", lambda spec, pts: realized.append(spec))
+    pd = normalized_basis(G2, tol=TOL)
+    assert segment_calls == [[(1.0, 3.0), (4.0, 5.0)]] and pd.quad_report["b_nodes"] == []
+    B = pd.B
+    assert segment_calls[1:] == [[(0.0, 1.0), (3.0, 4.0)]]
+    assert len(pd.quad_report["b_nodes"]) == G2.genus
+    om = build_omega(G2, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
+    assert om.beta_residual < 10 * TOL
+    comb_map(G2, pd, build_omega(G2, pd, tol=TOL), tol=TOL)
+    # the comb reads the table; its partial integrals are calls from comb.py
+    assert len(segment_calls) == 2
+    assert pd.B is B and om.beta is om.beta
+    assert realized == [] and "contours_b" not in vars(pd)
 
 
 # -- Rauch variation and translation invariance ---------------------------------
