@@ -16,8 +16,8 @@ from .periods import (DifferentialOverMu, OmegaDifferential, PeriodData,
                       beta_from_evaluations, build_omega, normalized_basis,
                       wavevector_U)
 from .flow import (DeformationState, FlowControl, Trajectory, first_derivatives,
-                   hill_check, integrate_flow, newton_correct, rhs_genus1,
-                   rhs_genus_g, verify_identities)
+                   hill_check, integrate_flow, newton_correct, rhs_genus_g,
+                   verify_identities)
 from .comb import CombRegion, comb_invariance_check, comb_map, omega_zeros
 from .apps import (GapSpectrum, WeierstrassData, cnoidal_period_report,
                    config_to_weierstrass, kdv_wavevector_report,
@@ -31,7 +31,7 @@ __all__ = [
     "DifferentialOverMu", "OmegaDifferential", "PeriodData", "beta_from_evaluations",
     "build_omega", "normalized_basis", "wavevector_U",
     "DeformationState", "FlowControl", "Trajectory", "first_derivatives", "hill_check",
-    "integrate_flow", "newton_correct", "rhs_genus1", "rhs_genus_g", "verify_identities",
+    "integrate_flow", "newton_correct", "rhs_genus_g", "verify_identities",
     "CombRegion", "comb_invariance_check", "comb_map", "omega_zeros",
     "GapSpectrum", "WeierstrassData", "cnoidal_period_report", "config_to_weierstrass",
     "kdv_wavevector_report", "lame_two_gap_config", "neumann_config",

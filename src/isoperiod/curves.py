@@ -191,15 +191,13 @@ def phi_values(points: np.ndarray) -> np.ndarray:
     derived from these values, so sign conventions stay mutually consistent.
     """
     pts = effective_points(points)
-    n = len(pts)
-    out = np.empty(n, dtype=complex)
-    for j in range(n):
-        diff = pts[j] - np.delete(pts, j)
-        prod = complex(np.prod(diff))
-        if prod == 0:
-            raise DegenerateConfig(f"coinciding branch points at {pts[j]}")
-        out[j] = 2.0 / cmath.sqrt(prod)
-    return out
+    diff = pts[:, None] - pts[None, :]
+    np.fill_diagonal(diff, 1.0)
+    prods = diff.prod(axis=1)
+    if not np.all(prods):
+        j = np.flatnonzero(prods == 0)[0]
+        raise DegenerateConfig(f"coinciding branch points at {pts[j]}")
+    return np.array([2.0 / cmath.sqrt(p) for p in prods.tolist()])
 
 
 def v_polynomial(cfg: BranchConfig, m: int, phis: np.ndarray) -> np.ndarray:

@@ -34,6 +34,8 @@ from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
 
 IMPLICIT = "implicit"
 RATIONAL = "rational"
+RK_RTOL, RK_ATOL = 1e-9, 1e-12         # RK45 tolerances, rational mode
+NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 
 
 # ---------------------------------------------------------------------------
@@ -66,12 +68,18 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 # rational second-order system
 # ---------------------------------------------------------------------------
 
+def _differences(x, u) -> np.ndarray:
+    """The pairwise table D[a, b] = p_a - p_b over p = (0, x, u)."""
+    pts = np.concatenate(([0.0], np.asarray(x, dtype=complex), np.asarray(u, dtype=complex)))
+    return pts[:, None] - pts[None, :]
+
+
 def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray:
     """Raise SingularLocus at the first pair (row-major, i < j) of p = (0, x, u)
-    closer than ``threshold`` relative; return the table D[a, b] = p_a - p_b."""
-    pts = np.concatenate(([0.0], np.asarray(x, dtype=complex), np.asarray(u, dtype=complex)))
+    closer than ``threshold`` relative; return the table D of :func:`_differences`."""
+    D = _differences(x, u)
+    pts = D[:, 0]
     scale = max(1.0, float(np.max(np.abs(pts))))
-    D = pts[:, None] - pts[None, :]
     close = np.abs(D) < threshold * scale
     if np.count_nonzero(close) > len(pts):         # more than the diagonal
         i, j = np.argwhere(np.triu(close, 1))[0]
@@ -79,54 +87,18 @@ def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray
     return D
 
 
-def rhs_genus1(x: complex, u: complex, du: complex) -> complex:
-    """Second derivative u'' of the genus-one isoperiodic deformation."""
-    _check_regular(np.array([x]), np.array([u]), 1e-8)
-    return (0.5 * (1.0 / x + 1.0 / (u - x))
-            - 0.5 * du * (2.0 / x + 1.0 / (u - x))
-            + 0.5 * du ** 2 * (2.0 / u + 1.0 / (x - u))
-            - 0.5 * du ** 3 * (1.0 / u + 1.0 / (x - u)))
-
-
-def rhs_genus_g(x, u, du) -> np.ndarray:
-    """Full second-derivative tensor T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
-
-    Rational in (x, u, du) and valid for every genus >= 1 (the genus-one
-    diagonal entry reduces to :func:`rhs_genus1`).
-
-    Array form: the singular-locus check returns the pairwise table
-    D[a, b] = p_a - p_b over p = (0, x, u), whose blocks are x_a - x_b,
-    x_a - u_b and u_a - u_b, and one division gives all their reciprocals
-    (0 on the diagonal).  Every factor is built from them once per call:
-
-    * lag[j] = prod_{s != j} u_s / (u_s - u_j), P[m] = prod_{s != m} (u_s - u_m) / u_s
-      = 1 / lag[m], den[i] = prod_{s != i} (u_i - u_s) and R[m, i] = den[m] / den[i];
-    * G[m] = 1/u_m - sum_{j != m} lag[j] / (u_m - u_j), Gx[k] = 1/x_k - sum_j lag[j] / (x_k - u_j);
-    * Px[m, k] = prod_{s != m} (u_s - x_k) / u_s,
-      pref[k, i] = prod_{s != i} (x_k - u_s) / (u_i - u_s);
-    * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k);
-    * H[m] = sum_j du[m, j] (1/(x_j - u_m) prod_{s != m} (u_m - u_s)/(x_j - u_s)
-      + sum_{i != m} (x_j - u_m) R[m, i] / ((x_j - u_i)(u_m - u_i))).
-
-    The s != m and j != m products and sums are masked with the identity.
-    Mixed values are evaluated over all (k, n) and the k < n value is written
-    to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
-    The terms are grouped and summed in another order than in the
-    entry-by-entry loop form of the system, so the two agree to rounding
-    (about 1e-14 relative for g <= 6), not bit for bit.
-    """
-    x = np.asarray(x, dtype=complex)
-    u = np.asarray(u, dtype=complex)
-    du = np.asarray(du, dtype=complex)
-    g = len(x)
-    D = _check_regular(x, u, 1e-8)                      # p_a - p_b over p = (0, x, u)
+def _coefficients(D: np.ndarray, du: np.ndarray):
+    """The tables (R, S1, lag, G, Gx, Px, H, line6, line7) of :func:`rhs_genus_g`
+    from du and the table D of :func:`_differences`; R = 1 / D, 0 on the diagonal.
+    :func:`verify_identities` checks the W residue sums against the same tables."""
+    g = len(du)
     E = np.eye(2 * g + 1, dtype=bool)
     D1 = np.where(E, 1.0, D)                            # safe diagonal
     R = np.where(E, 0.0, 1.0 / D1)                      # reciprocals, 0 on the diagonal
     X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
+    u = D[U, 0]
     xu, ux, uu, uu1 = D[X, U], D[U, X], D[U, U], D1[U, U]
-    r_x, r_u = R[X, 0], R[U, 0]
-    r_xx, r_xu, r_ux, r_uu = R[X, X], R[X, U], R[U, X], R[U, U]
+    r_x, r_u, r_xx, r_xu, r_uu = R[X, 0], R[U, 0], R[X, X], R[X, U], R[U, U]
     ar = np.arange(g)
     eye = ar[:, None] == ar
     e_m = eye[:, None, :]                               # s == m over (m, ., s)
@@ -137,12 +109,56 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     Gx = r_x - r_xu @ lag
     Px = np.where(e_m, 1.0, (ux.T / u)[None]).prod(axis=-1)
     pref = np.where(eye[None], 1.0, xu[:, None, :] / uu1[None]).prod(axis=-1)
-    C = np.where(e_m, 0.0, r_uu[:, None, :] - r_xu[None]) @ du
-
     term = r_xu.T * np.where(e_m, 1.0, uu[:, None, :] / xu[None]).prod(axis=-1)
     inner = xu.T * ((r_uu * den[:, None] / den[None, :]) @ r_xu.T)
     H = (du * (term + inner)).sum(axis=1)
     S1 = du.sum(axis=1) - 1.0
+    ratio = np.where(eye[:, None, None, :], 1.0, (xu[:, None, :] / xu[None])[None]).prod(axis=-1)
+    line6 = (ratio * r_xx.T[None] * du[:, None, :]).sum(axis=-1)
+    line7 = r_xu.T * ((du * xu.T) @ (r_xu @ pref.T))
+    return R, S1, lag, G, Gx, Px, H, line6, line7
+
+
+def rhs_genus_g(x, u, du) -> np.ndarray:
+    """Full second-derivative tensor T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
+
+    Rational in (x, u, du) and valid for every genus >= 1.
+
+    Array form: the singular-locus check returns the pairwise table
+    D[a, b] = p_a - p_b over p = (0, x, u), whose blocks are x_a - x_b,
+    x_a - u_b and u_a - u_b, and one division gives all their reciprocals
+    (0 on the diagonal).  Every factor is built from them once per call, all
+    but C by :func:`_coefficients`:
+
+    * lag[j] = prod_{s != j} u_s / (u_s - u_j), P[m] = prod_{s != m} (u_s - u_m) / u_s
+      = 1 / lag[m], den[i] = prod_{s != i} (u_i - u_s) and R[m, i] = den[m] / den[i];
+    * G[m] = 1/u_m - sum_{j != m} lag[j] / (u_m - u_j), Gx[k] = 1/x_k - sum_j lag[j] / (x_k - u_j);
+    * Px[m, k] = prod_{s != m} (u_s - x_k) / u_s,
+      pref[k, i] = prod_{s != i} (x_k - u_s) / (u_i - u_s);
+    * H[m] = sum_j du[m, j] (1/(x_j - u_m) prod_{s != m} (u_m - u_s)/(x_j - u_s)
+      + sum_{i != m} (x_j - u_m) R[m, i] / ((x_j - u_i)(u_m - u_i)));
+    * line6[m, k] = sum_{j != k} du[m, j] / (x_j - x_k) prod_{s != m} (x_k - u_s) / (x_j - u_s),
+      line7[m, k] = sum_{i, j} du[m, j] pref[k, i] (x_j - u_m) / ((x_j - u_i)(x_k - u_m));
+    * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k).
+
+    The s != m and j != m products and sums are masked with the identity.
+    Mixed values are evaluated over all (k, n) and the k < n value is written
+    to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
+    The terms are grouped and summed in another order than in the
+    entry-by-entry loop form of the system, so the two agree to rounding
+    (about 1e-14 relative for g <= 6), not bit for bit.
+    """
+    du = np.asarray(du, dtype=complex)
+    g = len(du)
+    R, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_check_regular(x, u, 1e-8), du)
+    X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
+    r_x, r_u = R[X, 0], R[U, 0]
+    r_xx, r_xu, r_ux, r_uu = R[X, X], R[X, U], R[U, X], R[U, U]
+    ar = np.arange(g)
+    eye = ar[:, None] == ar
+    e_m = eye[:, None, :]                               # s == m over (m, ., s)
+
+    C = np.where(e_m, 0.0, r_uu[:, None, :] - r_xu[None]) @ du
     # P_m = 1 / lag[m]; base collects the m-only part of the du^2 coefficients
     base = r_u - 2.0 * r_uu.sum(axis=1) - S1 * G / lag - H
     kn = ~eye[:, None, :] & ~eye[None]                  # i not in (k, n)
@@ -152,9 +168,6 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     line1 = ((-r_x - r_xx.sum(axis=1))[None]
              + 2.0 * np.where(e_m, 0.0, r_xu[None]).sum(axis=-1) + r_xu.T)
     line2 = base[:, None] + UX[:, ar, ar] + r_xu.T
-    ratio = np.where(eye[:, None, None, :], 1.0, (xu[:, None, :] / xu[None])[None]).prod(axis=-1)
-    line6 = (ratio * r_xx.T[None] * du[:, None, :]).sum(axis=-1)
-    line7 = r_xu.T * ((du * xu.T) @ (r_xu @ pref.T))
     diag = 0.5 * (du * (line1 + C[:, ar, ar]) + du ** 2 * line2
                   - S1[:, None] * Px * Gx - line6 - line7)
 
@@ -228,11 +241,8 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
 @dataclass
 class FlowControl:
     quad_tol: float = 1e-11
-    rk_rtol: float = 1e-9               # RK45 tolerances, rational mode only
-    rk_atol: float = 1e-12
     macro_step: float = 0.01
     correct: bool = True                # implicit mode: Newton after the Taylor predictor
-    newton_tol: float = 1e-11
     drift_tol: float | None = None      # raise DriftExceeded beyond this
     max_halvings: int = 40              # per macro step, on a failed step
 
@@ -251,6 +261,8 @@ class DeformationState:
         if self.mode not in (IMPLICIT, RATIONAL):
             raise ValueError(f"mode must be {IMPLICIT!r} or {RATIONAL!r}, not {self.mode!r}")
         g = self.cfg.genus
+        if self.alpha.shape != (g,):
+            raise ValueError(f"alpha must be of shape ({g},), not {self.alpha.shape}")
         if self.du is not None and np.shape(self.du) != (g, g):
             raise ValueError(f"du must be {g}x{g}, not of shape {np.shape(self.du)}")
 
@@ -305,7 +317,7 @@ def _continuation_step(state, control, beta_target, x0, x1, u, du, coord):
     T = rhs_genus_g(x0, u, du)
     u_pred = u + h * du[:, coord] + 0.5 * h * h * T[:, coord, coord]
     _check_regular(x1, u_pred, 1e-8)
-    tol, max_iter = (control.newton_tol, 3) if control.correct else (math.inf, 0)
+    tol, max_iter = (NEWTON_TOL, 3) if control.correct else (math.inf, 0)
     cfg, _, iters, pd, om = _project(state.cfg.replace(x=x1, u=u_pred), state.alpha,
                                      beta_target, state.basis, tol, control.quad_tol,
                                      max_iter)
@@ -385,7 +397,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                     else:
                         y = np.concatenate((u, du.reshape(-1)))
                         sol = solve_ivp(rhs, (sub_from, target), y, method="RK45",
-                                        rtol=control.rk_rtol, atol=control.rk_atol)
+                                        rtol=RK_RTOL, atol=RK_ATOL)
                         if not sol.success:
                             raise SingularLocus(f"integrator failed on leg [{sub_from}, {target}]: "
                                                 f"{sol.message}")
@@ -460,9 +472,14 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
                       tol: float = 1e-10) -> dict:
     """Evaluate both sides of the structural identities; report max mismatches.
 
-    Covers the vanishing-residue sums, the coordinate expressions for the
-    bidifferential at ramification-point pairs, and the genus-one relations
-    between the bidifferential normalization constants.
+    Omega's values at the branch points are checked against the dual basis v_m
+    (dual_weighted_residue_sum) and, at genus one, against omega
+    (omega_squares_sum, second_kind_residue_sum).  The table W[a, b] = W(P_a, P_b)
+    of w_value is checked for symmetry, against the w_constants at genus one and
+    against its dual-basis expansion (w_dual_expansion_*) from genus two.  The
+    sum rule of first_derivatives and the Omega-weighted row sums of W
+    (w_residue_sum_at_u, _at_x) are checked against the coefficient tables of
+    rhs_genus_g.  beta_consistency is ``om.beta_residual``.
     """
     g = cfg.genus
     x = np.asarray(cfg.x)
@@ -470,29 +487,23 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     report = {}
     om_at = om.values_at
     w_at = pd.omega_at
-
+    n_pts = 2 * g + 1
+    U, X = slice(1, g + 1), slice(g + 1, n_pts)
     v_at_tab = pd.v_poly_at * pd.phi_at
 
     if g == 1:
         report["omega_squares_sum"] = float(abs(np.sum(w_at[0, :-1] ** 2)))
         report["second_kind_residue_sum"] = float(abs(np.sum(w_at[0, :-1] * om_at)))
 
-    # vanishing residue sum of the dual-basis-weighted second-kind values
-    dual_residue = []
-    slope_sum = []
     du = first_derivatives(cfg, pd, om)
-    for m in range(1, g + 1):
-        s = (om_at[idx_zero()] * v_at_tab[m - 1, idx_zero()]
-             + sum(om_at[idx_x(g, i)] * v_at_tab[m - 1, idx_x(g, i)] for i in range(1, g + 1))
-             + om_at[idx_u(m)])
-        dual_residue.append(abs(s))
-        lhs = om_at[idx_zero()] * v_at_tab[m - 1, idx_zero()] / om_at[idx_u(m)]
-        slope_sum.append(abs(lhs - (np.sum(du[m - 1]) - 1.0)))
-    report["dual_weighted_residue_sum"] = float(max(dual_residue))
-    report["derivative_sum_rule"] = float(max(slope_sum))
+    _, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_differences(x, u), du)
+    # vanishing residue sum of the dual-basis-weighted second-kind values
+    v0 = om_at[idx_zero()] * v_at_tab[:, idx_zero()]
+    report["dual_weighted_residue_sum"] = float(np.max(np.abs(
+        v0 + v_at_tab[:, X] @ om_at[X] + om_at[U])))
+    report["derivative_sum_rule"] = float(np.max(np.abs(v0 / om_at[U] - S1)))
 
-    n_pts = 2 * g + 1
-    I_tab = [w_constants(cfg, pd, k, tol) for k in range(n_pts)]
+    I_tab = np.array([w_constants(cfg, pd, k, tol) for k in range(n_pts)])
     # W[a, b] = W(P_a, P_b); the diagonal is a double pole and is never read
     W = np.array([[w_value(cfg, pd, a, b, I_tab[b]) if a != b else np.nan
                    for b in range(n_pts)] for a in range(n_pts)])
@@ -550,83 +561,11 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
             t3.append(abs(lhs - rhs))
         report["w_dual_expansion_diag"] = float(max(t3))
 
-    report["w_residue_sum_at_u"] = float(max(_w_residue_u_defect(cfg, pd, om, du, I_tab, W, m)
-                                           for m in range(1, g + 1)))
-    report["w_residue_sum_at_x"] = float(max(
-        _w_residue_x_defect(cfg, pd, om, du, I_tab, W, v_at_tab, m, k)
-        for m in range(1, g + 1) for k in range(1, g + 1)))
+    # the vanishing sums of W(P_a, q) Omega(q) / Omega(P_a) over q != P_a
+    W_sum = np.where(np.eye(n_pts, dtype=bool), 0.0, W) @ om_at / om_at
+    Iv_x = (I_tab[X] * v_at_tab[:, X].T).sum(axis=1)
+    report["w_residue_sum_at_u"] = float(np.max(np.abs(
+        W_sum[U] + S1 * G / lag + H + I_tab[U].diagonal())))
+    report["w_residue_sum_at_x"] = float(np.max(np.abs(
+        du * W_sum[X] - (S1[:, None] * Px * Gx + line6 + line7) + du * Iv_x)))
     return report
-
-
-def _w_residue_u_defect(cfg, pd, om, du, I_tab, W, m):
-    g = cfg.genus
-    x = np.asarray(cfg.x)
-    u = np.asarray(cfg.u)
-    um = u[m - 1]
-    u_others = np.delete(u, m - 1)
-    O_um = om.values_at[idx_u(m)]
-    lhs = (W[idx_u(m), idx_zero()] * om.values_at[idx_zero()] / O_um
-           + sum(W[idx_u(m), idx_x(g, i)] * om.values_at[idx_x(g, i)] / O_um
-                 for i in range(1, g + 1))
-           + sum(W[idx_u(m), idx_u(j)] * om.values_at[idx_u(j)] / O_um
-                 for j in range(1, g + 1) if j != m))
-    S = np.sum(du[m - 1])
-    prod_m = np.prod(um - u_others) if g > 1 else 1.0 + 0.0j
-    term1 = prod_m / np.prod(-u)
-    term2 = 0.0 + 0.0j
-    for j in range(1, g + 1):
-        if j == m:
-            continue
-        oth = np.delete(u, sorted({m - 1, j - 1}))
-        num = um * (np.prod(um - oth) if len(oth) else 1.0)
-        term2 += num / (u[j - 1] * np.prod(u[j - 1] - np.delete(u, j - 1)))
-    rhs = (S - 1.0) * (term1 + term2)
-    rhs -= sum(prod_m / np.prod(x[j - 1] - u) * du[m - 1, j - 1] for j in range(1, g + 1))
-    for j in range(1, g + 1):
-        if j == m:
-            continue
-        oth = np.delete(u, sorted({m - 1, j - 1}))
-        for i in range(1, g + 1):
-            num = (x[i - 1] - um) * (np.prod(um - oth) if len(oth) else 1.0)
-            den = (x[i - 1] - u[j - 1]) * np.prod(u[j - 1] - np.delete(u, j - 1))
-            rhs -= num / den * du[m - 1, i - 1]
-    rhs -= I_tab[idx_u(m)][m - 1]
-    return abs(lhs - rhs)
-
-
-def _w_residue_x_defect(cfg, pd, om, du, I_tab, W, v_at_tab, m, k):
-    g = cfg.genus
-    x = np.asarray(cfg.x)
-    u = np.asarray(cfg.u)
-    um = u[m - 1]
-    xk = x[k - 1]
-    Oxk = om.values_at[idx_x(g, k)]
-    T = (W[idx_x(g, k), idx_zero()] * om.values_at[idx_zero()] / Oxk
-         + sum(W[idx_x(g, k), idx_x(g, j)] * om.values_at[idx_x(g, j)] / Oxk
-               for j in range(1, g + 1) if j != k)
-         + sum(W[idx_x(g, k), idx_u(j)] * om.values_at[idx_u(j)] / Oxk
-               for j in range(1, g + 1)))
-    lhs = du[m - 1, k - 1] * T
-    S = np.sum(du[m - 1])
-    u_others = np.delete(u, m - 1)
-    term1 = np.prod(xk - u_others) / (xk * np.prod(-u_others))
-    # uniform second group, valid including j = m (where the factored form
-    # would otherwise drop its 1/(x_k - u_m))
-    term2 = 0.0 + 0.0j
-    for j in range(1, g + 1):
-        term2 += ((um / u[j - 1]) * np.prod(xk - u_others)
-                  / ((u[j - 1] - xk) * np.prod(u[j - 1] - np.delete(u, j - 1))))
-    rhs = (S - 1.0) * (term1 + term2)
-    rhs -= du[m - 1, k - 1] * sum(I_tab[idx_x(g, k)][j - 1] * v_at_tab[j - 1, idx_x(g, k)]
-                                  for j in range(1, g + 1))
-    for j in range(1, g + 1):
-        if j == k:
-            continue
-        ratio = np.prod(xk - u_others) / np.prod(x[j - 1] - u_others)
-        rhs += ratio / (x[j - 1] - xk) * du[m - 1, j - 1]
-    for i in range(1, g + 1):
-        for j in range(1, g + 1):
-            num = (x[i - 1] - um) * np.prod(xk - u_others)
-            den = (u[j - 1] - xk) * (x[i - 1] - u[j - 1]) * np.prod(u[j - 1] - np.delete(u, j - 1))
-            rhs -= du[m - 1, i - 1] * num / den
-    return abs(lhs - rhs)

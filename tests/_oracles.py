@@ -11,8 +11,9 @@ machinery:
   factor arguments, against the contour branch tracking of ``cycles``;
 * ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
   against the closed-form evaluations of ``periods``;
-* ``rhs_genus2_example``: hand-derived genus-two closed forms of the second
-  derivatives, against the general ``rhs_genus_g``;
+* ``rhs_genus1`` and ``rhs_genus2_example``: hand-derived genus-one and
+  genus-two closed forms of the second derivatives, against the general
+  ``rhs_genus_g`` and finite differences of the flows;
 * ``rhs_genus_g_loops``: the second-order system entry by entry in scalar
   loops, against the array form of ``rhs_genus_g``;
 * ``hinted_basis``: a real marking with circle hints on every cycle, which
@@ -149,6 +150,14 @@ def eval_at_infinity(points, rational_part, radius_factor: float = 10.0, n: int 
     c2 = fit(2.0 * R)
     resid = max(abs(c1[k] - c2[k]) for k in (-2, -1, 0))
     return c2, c2[0], c2[-2], resid
+
+
+def rhs_genus1(x: complex, u: complex, du: complex) -> complex:
+    """Second derivative u'' of the genus-one isoperiodic deformation."""
+    return (0.5 * (1.0 / x + 1.0 / (u - x))
+            - 0.5 * du * (2.0 / x + 1.0 / (u - x))
+            + 0.5 * du ** 2 * (2.0 / u + 1.0 / (x - u))
+            - 0.5 * du ** 3 * (1.0 / u + 1.0 / (x - u)))
 
 
 def rhs_genus2_example(x, u, du) -> np.ndarray:

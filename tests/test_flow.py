@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import hinted_basis, rhs_genus2_example, rhs_genus_g_loops, second_difference
+from _oracles import (hinted_basis, rhs_genus1, rhs_genus2_example, rhs_genus_g_loops,
+                      second_difference)
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 import isoperiod.flow as flow_module
 from isoperiod.errors import DegenerateConfig, NoProgress, SingularLocus, VanishingOmegaAtU
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
-                            newton_correct, period_jacobian, rhs_genus1,
-                            rhs_genus_g, verify_identities)
+                            newton_correct, period_jacobian, rhs_genus_g,
+                            verify_identities)
 from isoperiod.periods import (beta_from_evaluations, build_omega,
                                normalized_basis)
 
@@ -92,7 +93,7 @@ def test_rhs_mixed_symmetry():
 
 def test_rhs_singular_locus_rejected():
     with pytest.raises(SingularLocus):
-        rhs_genus1(2.0, 2.0 + 1e-12, 0.3)
+        rhs_genus_g([2.0], [2.0 + 1e-12], [[0.3]])
     # two close pairs among (0, x, u): the first in row-major (i < j) order is named
     with pytest.raises(SingularLocus) as exc:
         rhs_genus_g([2.0, 5.0, 8.0], [1.0, 5.0 + 1e-10, 2.0 + 1e-10], np.zeros((3, 3)))
@@ -362,6 +363,12 @@ def test_deformation_state_rejects_misshapen_du():
         DeformationState(G2, np.zeros(2), mode=RATIONAL, du=np.zeros(2))
 
 
+@pytest.mark.parametrize("alpha", [0, np.zeros(3), np.zeros((2, 1))])
+def test_deformation_state_rejects_misshapen_alpha(alpha):
+    with pytest.raises(ValueError, match=r"alpha must be of shape \(2,\)"):
+        DeformationState(G2, alpha, mode=IMPLICIT)
+
+
 def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch):
     # the drift reads B only when alpha != 0, and first_derivatives never does
     # (ellipse path: hinted cycles)
@@ -522,6 +529,27 @@ def test_identity_suite_nonzero_alpha():
     rep = verify_identities(G2, pd, om, tol=TOL)
     for name, val in rep.items():
         assert val < 1e-9, f"{name}: {val}"
+
+
+IDENTITY_KEYS = {"dual_weighted_residue_sum", "derivative_sum_rule", "W_symmetry",
+                 "beta_consistency", "w_residue_sum_at_u", "w_residue_sum_at_x"}
+GENUS1_KEYS = {"omega_squares_sum", "second_kind_residue_sum",
+               "normalization_constant_relation", "W_xu_two_forms"}
+EXPANSION_KEYS = {"w_dual_expansion_xx", "w_dual_expansion_xu", "w_dual_expansion_diag"}
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_identity_suite_keys_and_bounds_by_genus(g):
+    # the residue identities read rhs_genus_g's coefficient tables at every genus
+    rng = np.random.default_rng(300 + g)
+    for _ in range(3):
+        x, u = _interleaved(rng, g, complex_perturbed=False)
+        cfg = BranchConfig(x=x, u=u, real=True)
+        pd, om = _setup(cfg)
+        rep = verify_identities(cfg, pd, om, tol=TOL)
+        assert set(rep) == IDENTITY_KEYS | (GENUS1_KEYS if g == 1 else EXPANSION_KEYS)
+        for name, val in rep.items():
+            assert val < 1e-9, f"{name}: {val}"
 
 
 def test_verify_identities_builds_tables_once(monkeypatch):
