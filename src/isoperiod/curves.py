@@ -68,9 +68,6 @@ class BranchConfig:
         """Finite branch points in index order (0, u_1..u_g, x_1..x_g)."""
         return np.concatenate(([0.0 + 0.0j], np.asarray(self.u), np.asarray(self.x)))
 
-    def point(self, index: int) -> complex:
-        return complex(self.points[index])
-
     def replace(self, x=None, u=None) -> "BranchConfig":
         return BranchConfig(
             x=tuple(x) if x is not None else self.x,
@@ -107,9 +104,6 @@ class PointCurve:
     @property
     def points(self) -> np.ndarray:
         return np.asarray(self.pts)
-
-    def point(self, index: int) -> complex:
-        return self.pts[index]
 
     def scale(self) -> float:
         return float(np.max(np.abs(self.points)))
@@ -231,7 +225,7 @@ def v_at(cfg: BranchConfig, m: int, q: int) -> complex:
     if 1 <= q <= cfg.genus:
         return 0.0 + 0.0j
     phis = phi_values(cfg.points)
-    lam = cfg.point(q)
+    lam = cfg.points[q]
     u = np.asarray(cfg.u)
     others = np.delete(u, m - 1)
     num = complex(phis[q]) * complex(np.prod(lam - others))

@@ -9,7 +9,8 @@ sums of integrals between consecutive branch points
 configurations, hinted or non-contiguous specs) and the pole differentials of
 ``periods.w_constants`` are realized as ellipses in the lambda plane;
 integration lifts them to the covering by continuous branch tracking started
-from the principal branch at the contour's rightmost point.
+at the contour's rightmost point, where a branch point to its right has the
+upper-edge argument (the sheet of the nearby real configuration).
 
 Default basis for real interleaved configurations 0 < u_1 < x_1 < ... < x_g
 (sorted points q_0 < q_1 < ... < q_2g):
@@ -189,16 +190,17 @@ class EllipseContour:
         return tab
 
     def _track_mu(self, lam: np.ndarray) -> np.ndarray:
-        """mu at the node sequence, continued from the principal branch at node 0.
+        """mu at the node sequence, continued from node 0, where each factor
+        lambda - p takes its argument in (-pi/2, 3pi/2].
 
-        Factors sitting exactly on the negative real axis at the start node
-        take the upper-edge argument +pi, so the convention is independent of
-        the sign of a zero imaginary part.
+        A branch point right of node 0 gives the upper-edge argument +pi
+        whether it lies on the real axis (either sign of zero) or slightly
+        off it, so a complex configuration near a real one gets the sheets
+        of the real one.
         """
         d = lam[:, None] - self.points[None, :]
         start = np.angle(d[0])
-        edge = (d[0].real < 0) & (np.abs(d[0].imag) == 0.0)
-        start[edge] = math.pi
+        start[start <= -0.5 * math.pi] += 2.0 * math.pi
         steps = np.angle(d[1:] / d[:-1])
         args_total = np.sum(start) + np.concatenate(([0.0], np.cumsum(np.sum(steps, axis=1))))
         log_abs = np.sum(np.log(np.abs(d)), axis=1)

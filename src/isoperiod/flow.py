@@ -474,10 +474,12 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
     Omega's values at the branch points are checked against the dual basis v_m
     (dual_weighted_residue_sum) and, at genus one, against omega
-    (omega_squares_sum, second_kind_residue_sum).  The table W[a, b] = W(P_a, P_b)
-    of w_value is checked for symmetry, against the w_constants at genus one and
-    against its dual-basis expansion (w_dual_expansion_*) from genus two.  The
-    sum rule of first_derivatives and the Omega-weighted row sums of W
+    (omega_squares_sum, second_kind_residue_sum).  W is the one table
+    W[a, b] = W(P_a, P_b) of w_value, built from one w_constants call; it is
+    checked for symmetry, against the constants at genus one and against its
+    dual-basis expansion (w_dual_expansion_*, array expressions over W, the v
+    table and the reciprocal table R of rhs_genus_g) from genus two.  The sum
+    rule of first_derivatives and the Omega-weighted row sums of W
     (w_residue_sum_at_u, _at_x) are checked against the coefficient tables of
     rhs_genus_g.  beta_consistency is ``om.beta_residual``.
     """
@@ -496,27 +498,22 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         report["second_kind_residue_sum"] = float(abs(np.sum(w_at[0, :-1] * om_at)))
 
     du = first_derivatives(cfg, pd, om)
-    _, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_differences(x, u), du)
+    R, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_differences(x, u), du)
     # vanishing residue sum of the dual-basis-weighted second-kind values
     v0 = om_at[idx_zero()] * v_at_tab[:, idx_zero()]
     report["dual_weighted_residue_sum"] = float(np.max(np.abs(
         v0 + v_at_tab[:, X] @ om_at[X] + om_at[U])))
     report["derivative_sum_rule"] = float(np.max(np.abs(v0 / om_at[U] - S1)))
 
-    I_tab = np.array([w_constants(cfg, pd, k, tol) for k in range(n_pts)])
-    # W[a, b] = W(P_a, P_b); the diagonal is a double pole and is never read
-    W = np.array([[w_value(cfg, pd, a, b, I_tab[b]) if a != b else np.nan
-                   for b in range(n_pts)] for a in range(n_pts)])
-
-    sym = max(abs(W[a, b] - W[b, a]) for a in range(n_pts) for b in range(a + 1, n_pts))
-    report["W_symmetry"] = float(sym)
+    I = w_constants(cfg, pd, tol)
+    W = w_value(cfg, pd, I)                 # NaN on the diagonal
+    report["W_symmetry"] = float(np.nanmax(np.abs(W - W.T)))
     report["beta_consistency"] = float(om.beta_residual)
 
     if g == 1:
         # genus-one normalization constants relative to omega
         w0, wu, wx = w_at[0, idx_zero()], w_at[0, idx_u(1)], w_at[0, idx_x(1, 1)]
-        Iw = {k: I_tab[k][0] / wu for k in range(3)}
-        I0, Iu, Ix = Iw[idx_zero()], Iw[idx_u(1)], Iw[idx_x(1, 1)]
+        I0, Iu, Ix = I[[idx_zero(), idx_u(1), idx_x(1, 1)], 0] / wu
         x1, u1 = x[0], u[0]
         rel0 = I0 - (-1.0 / (w0 * x1) + (Ix - 1.0 / (x1 * wx)) * w0 / wx)
         relu = Iu - ((1.0 / ((u1 - x1) * wx) + Ix) * wu / wx - 1.0 / ((x1 - u1) * wu))
@@ -526,46 +523,27 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         e2 = (1.0 / ((u1 - x1) * wx) + Ix) * wu
         report["W_xu_two_forms"] = float(abs(e1 - e2))
 
+    Iv_x = (I[X] * v_at_tab[:, X].T).sum(axis=1)
     if g >= 2:
-        t1 = []
-        for k in range(1, g + 1):
-            for n in range(1, g + 1):
-                if n == k:
-                    continue
-                lhs = sum(W[idx_u(j), idx_x(g, k)] * v_at_tab[j - 1, idx_x(g, n)]
-                          for j in range(1, g + 1))
-                rational = (pd.phi_at[idx_x(g, n)] / pd.phi_at[idx_x(g, k)]
-                            / (x[k - 1] - x[n - 1])
-                            * np.prod(x[n - 1] - u) / np.prod(x[k - 1] - u))
-                t1.append(abs(lhs - W[idx_x(g, n), idx_x(g, k)] - rational))
-        report["w_dual_expansion_xx"] = float(max(t1))
-
-        t2 = []
-        for m in range(1, g + 1):
-            for n in range(1, g + 1):
-                lhs = sum(W[idx_u(j), idx_u(m)] * v_at_tab[j - 1, idx_x(g, n)]
-                          for j in range(1, g + 1) if j != m)
-                vmx = v_at_tab[m - 1, idx_x(g, n)]
-                rhs = (W[idx_x(g, n), idx_u(m)] - vmx / (x[n - 1] - u[m - 1])
-                       + vmx * sum(1.0 / (u[m - 1] - u[i - 1]) for i in range(1, g + 1) if i != m)
-                       - vmx * I_tab[idx_u(m)][m - 1])
-                t2.append(abs(lhs - rhs))
-        report["w_dual_expansion_xu"] = float(max(t2))
-
-        t3 = []
-        for k in range(1, g + 1):
-            xk = idx_x(g, k)
-            lhs = sum(W[idx_u(j), xk] * v_at_tab[j - 1, xk] for j in range(1, g + 1))
-            rhs = (sum(I_tab[xk][j - 1] * v_at_tab[j - 1, xk] for j in range(1, g + 1))
-                   - np.sum(1.0 / (x[k - 1] - u)))
-            t3.append(abs(lhs - rhs))
-        report["w_dual_expansion_diag"] = float(max(t3))
+        # R is in the order (0, x, u): r_xx[k, n] = 1/(x_k - x_n), r_xu[n, m] = 1/(x_n - u_m)
+        r_xx, r_xu, r_uu = R[1:g + 1, 1:g + 1], R[1:g + 1, g + 1:], R[g + 1:, g + 1:]
+        vx = v_at_tab[:, X]                 # vx[j, n] = v_j(P_{x_n})
+        # lhs[n, k] = sum_j W(P_{u_j}, P_{x_k}) v_j(P_{x_n}); its diagonal serves _diag
+        lhs = vx.T @ W[U, X]
+        px = pd.phi_at[X] * np.prod(x[:, None] - u, axis=1)
+        rational = px[:, None] / px * r_xx.T
+        report["w_dual_expansion_xx"] = float(np.nanmax(np.abs(lhs - W[X, X] - rational)))
+        # [m, n]: sum_{j != m} W(P_{u_j}, P_{u_m}) v_j(P_{x_n}) against the expansion at x_n
+        lhs_u = np.where(np.eye(g, dtype=bool), 0.0, W[U, U]).T @ vx
+        rhs_u = W[X, U].T - vx * (r_xu.T - r_uu.sum(axis=1)[:, None] + I[U].diagonal()[:, None])
+        report["w_dual_expansion_xu"] = float(np.max(np.abs(lhs_u - rhs_u)))
+        report["w_dual_expansion_diag"] = float(np.max(np.abs(
+            lhs.diagonal() - Iv_x + r_xu.sum(axis=1))))
 
     # the vanishing sums of W(P_a, q) Omega(q) / Omega(P_a) over q != P_a
     W_sum = np.where(np.eye(n_pts, dtype=bool), 0.0, W) @ om_at / om_at
-    Iv_x = (I_tab[X] * v_at_tab[:, X].T).sum(axis=1)
     report["w_residue_sum_at_u"] = float(np.max(np.abs(
-        W_sum[U] + S1 * G / lag + H + I_tab[U].diagonal())))
+        W_sum[U] + S1 * G / lag + H + I[U].diagonal())))
     report["w_residue_sum_at_x"] = float(np.max(np.abs(
         du * W_sum[X] - (S1[:, None] * Px * Gx + line6 + line7) + du * Iv_x)))
     return report

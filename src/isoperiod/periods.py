@@ -432,44 +432,31 @@ def beta_from_evaluations(pd: PeriodData, alpha=None) -> np.ndarray:
     return base + np.asarray(alpha, dtype=complex) @ pd.B
 
 
-def _v_period_matrix(pd: PeriodData) -> np.ndarray:
-    """a-periods of the dual basis v_i (columns i, rows cycles)."""
-    g = pd.genus
-    out = np.empty((g, g), dtype=complex)
-    for i, poly in enumerate(pd.v_coeffs):
-        out[:, i] = pd.A_ext[:, :g] @ poly
-    return out
+def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.ndarray:
+    """Normalization constants I of the bidifferential W in the dual-basis expansion.
 
-
-def w_constants(cfg: BranchConfig, pd: PeriodData, k: int, tol: float = 1e-10) -> np.ndarray:
-    """Normalization constants of W(., P_k) in the dual-basis expansion.
-
-    W(P, P_k) = phi(P) / (phi(P_k) (lambda(P) - lambda_k)) + sum_i I_i v_i(P),
-    with the I vector fixed by vanishing a-periods of W.
+    W(P, P_k) = phi(P) / (phi(P_k) (lambda(P) - lambda_k)) + sum_i I[k, i] v_i(P),
+    with row k fixed by the vanishing a-periods of W(., P_k).  The 2g+1 pole
+    differentials share one quadrature per a-contour and one linear solve.
     """
-    g = cfg.genus
-    lam_k = cfg.point(k)
-    pole = DifferentialOverMu(poles=((lam_k, 1.0 / pd.phi_at[k]),))
-    w = np.empty(g, dtype=complex)
-    for n, contour in enumerate(pd.contours_a):
-        val, _, _ = integrate_contour(contour, pole, tol)
-        w[n] = val
-    V = _v_period_matrix(pd)
-    return np.linalg.solve(V, -w)
+    poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
+             for lam, phi in zip(cfg.points, pd.phi_at)]
+    w = np.array([integrate_contour(contour, poles, tol)[0] for contour in pd.contours_a])
+    V = pd.A_raw @ pd.v_coeffs.T            # a-periods of v_i, columns i
+    return np.linalg.solve(V, -w).T
 
 
-def w_value(cfg: BranchConfig, pd: PeriodData, j: int, k: int, I_k: np.ndarray) -> complex:
-    """W(P_j, P_k) from the expansion based at point k, with I_k = w_constants(cfg, pd, k).
+def w_value(cfg: BranchConfig, pd: PeriodData, I: np.ndarray) -> np.ndarray:
+    """The table W[a, b] = W(P_a, P_b) over the finite points, with I = w_constants(cfg, pd).
 
-    W has a double pole on the diagonal: j == k raises ValueError."""
-    if j == k:
-        raise ValueError(f"W(P_j, P_k) has a double pole at j = k = {j}")
-    lam_j, lam_k = cfg.point(j), cfg.point(k)
-    phi, pv = pd.phi_at, pd.v_poly_at
-    val = phi[j] / (phi[k] * (lam_j - lam_k))
-    for i in range(1, cfg.genus + 1):
-        val += I_k[i - 1] * pv[i - 1, j] * phi[j]
-    return complex(val)
+    W[a, b] = phi_a / (phi_b (lambda_a - lambda_b)) + sum_i I[b, i] v_i(P_a); the
+    diagonal is a double pole and holds NaN.
+    """
+    lam, phi = cfg.points, pd.phi_at
+    E = np.eye(len(lam), dtype=bool)
+    W = phi[:, None] / (phi * np.where(E, 1.0, lam[:, None] - lam)) + (pd.v_poly_at * phi).T @ I.T
+    W[E] = np.nan
+    return W
 
 
 def wavevector_U(cfg: BranchConfig, pd: PeriodData) -> np.ndarray:

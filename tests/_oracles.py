@@ -16,6 +16,8 @@ machinery:
   ``rhs_genus_g`` and finite differences of the flows;
 * ``rhs_genus_g_loops``: the second-order system entry by entry in scalar
   loops, against the array form of ``rhs_genus_g``;
+* ``w_identity_loops``: the symmetry and dual-basis expansion checks of the
+  W table in scalar loops, against the array form of ``verify_identities``;
 * ``hinted_basis``: a real marking with circle hints on every cycle, which
   keeps its periods on lifted ellipses, against the segment quadrature.
 """
@@ -290,6 +292,56 @@ def rhs_genus_g_loops(x, u, du) -> np.ndarray:
                 T[m, k, n] = val
                 T[m, n, k] = val
     return T
+
+
+def w_identity_loops(cfg, pd, W, I) -> dict:
+    """Loop form of the W checks of ``verify_identities`` on a given table.
+
+    ``W[a, b]`` = W(P_a, P_b) and ``I`` (row k: the constants of W(., P_k))
+    over the points (0, u_1..u_g, x_1..x_g); returns ``W_symmetry`` and, from
+    genus two, the ``w_dual_expansion_*`` residuals, entry by entry.
+    """
+    g = cfg.genus
+    x, u = np.asarray(cfg.x), np.asarray(cfg.u)
+    n_pts = 2 * g + 1                      # u_j is point j and x_k is point g + k
+    phi = pd.phi_at
+    v = pd.v_poly_at * phi                 # v[j - 1, q] = v_j(P_q)
+    out = {"W_symmetry": max(abs(W[a, b] - W[b, a])
+                             for a in range(n_pts) for b in range(a + 1, n_pts))}
+    if g < 2:
+        return out
+
+    t1 = []
+    for k in range(1, g + 1):
+        for n in range(1, g + 1):
+            if n == k:
+                continue
+            lhs = sum(W[j, g + k] * v[j - 1, g + n] for j in range(1, g + 1))
+            rational = (phi[g + n] / phi[g + k] / (x[k - 1] - x[n - 1])
+                        * np.prod(x[n - 1] - u) / np.prod(x[k - 1] - u))
+            t1.append(abs(lhs - W[g + n, g + k] - rational))
+    out["w_dual_expansion_xx"] = max(t1)
+
+    t2 = []
+    for m in range(1, g + 1):
+        for n in range(1, g + 1):
+            lhs = sum(W[j, m] * v[j - 1, g + n] for j in range(1, g + 1) if j != m)
+            vmx = v[m - 1, g + n]
+            rhs = (W[g + n, m] - vmx / (x[n - 1] - u[m - 1])
+                   + vmx * sum(1.0 / (u[m - 1] - u[i - 1]) for i in range(1, g + 1) if i != m)
+                   - vmx * I[m][m - 1])
+            t2.append(abs(lhs - rhs))
+    out["w_dual_expansion_xu"] = max(t2)
+
+    t3 = []
+    for k in range(1, g + 1):
+        xk = g + k
+        lhs = sum(W[j, xk] * v[j - 1, xk] for j in range(1, g + 1))
+        rhs = (sum(I[xk][j - 1] * v[j - 1, xk] for j in range(1, g + 1))
+               - np.sum(1.0 / (x[k - 1] - u)))
+        t3.append(abs(lhs - rhs))
+    out["w_dual_expansion_diag"] = max(t3)
+    return out
 
 
 def hinted_basis(basis, points):

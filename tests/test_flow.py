@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from _oracles import (hinted_basis, rhs_genus1, rhs_genus2_example, rhs_genus_g_loops,
-                      second_difference)
+                      second_difference, w_identity_loops)
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
+from isoperiod.cycles import gap_basis
 import isoperiod.flow as flow_module
 from isoperiod.errors import DegenerateConfig, NoProgress, SingularLocus, VanishingOmegaAtU
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
@@ -540,12 +541,14 @@ EXPANSION_KEYS = {"w_dual_expansion_xx", "w_dual_expansion_xu", "w_dual_expansio
 
 @pytest.mark.parametrize("g", range(1, 7))
 def test_identity_suite_keys_and_bounds_by_genus(g):
-    # the residue identities read rhs_genus_g's coefficient tables at every genus
+    # the residue identities read rhs_genus_g's coefficient tables at every
+    # genus, on real configurations (segments) and a complex one (ellipses)
     rng = np.random.default_rng(300 + g)
-    for _ in range(3):
-        x, u = _interleaved(rng, g, complex_perturbed=False)
-        cfg = BranchConfig(x=x, u=u, real=True)
-        pd, om = _setup(cfg)
+    for trial in range(4):
+        x, u = _interleaved(rng, g, complex_perturbed=trial == 3)
+        cfg = BranchConfig(x=x, u=u, real=trial < 3)
+        pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=TOL)
+        om = build_omega(cfg, pd, tol=TOL)
         rep = verify_identities(cfg, pd, om, tol=TOL)
         assert set(rep) == IDENTITY_KEYS | (GENUS1_KEYS if g == 1 else EXPANSION_KEYS)
         for name, val in rep.items():
@@ -571,7 +574,9 @@ def test_verify_identities_builds_tables_once(monkeypatch):
     # patch every isoperiod module attribute that binds one of the counted functions
     for name, fn in [("phi_values", isoperiod.curves.phi_values),
                      ("v_polynomial", isoperiod.curves.v_polynomial),
-                     ("w_value", isoperiod.periods.w_value)]:
+                     ("w_constants", isoperiod.periods.w_constants),
+                     ("w_value", isoperiod.periods.w_value),
+                     ("integrate_contour", isoperiod.periods.integrate_contour)]:
         counts[name] = 0
         wrapped = counted(name, fn)
         for modname, mod in list(sys.modules.items()):
@@ -580,8 +585,40 @@ def test_verify_identities_builds_tables_once(monkeypatch):
     rep = verify_identities(cfg, pd, om, tol=TOL)
     assert counts["phi_values"] == 0
     assert counts["v_polynomial"] <= g
-    assert counts["w_value"] <= (2 * g + 1) * 2 * g
+    # one table, and one quadrature per a-contour serves all 2g+1 poles
+    assert counts["w_constants"] == 1
+    assert counts["w_value"] == 1
+    assert counts["integrate_contour"] == g
     assert rep["W_symmetry"] < 1e-8
+
+
+@pytest.mark.parametrize("g", [2, 3, 4, 5])
+def test_w_checks_match_loop_form_on_perturbed_table(g, monkeypatch):
+    # a perturbed table gives residuals near 1e-3, where a tautological array
+    # form could not agree with the loops to 1e-12
+    from isoperiod.periods import w_value
+
+    rng = np.random.default_rng(400 + g)
+    x, u = _interleaved(rng, g, complex_perturbed=False)
+    cfg = BranchConfig(x=x, u=u, real=True)
+    pd, om = _setup(cfg)
+    seen = {}
+
+    def perturbed(cfg, pd, I):
+        W = w_value(cfg, pd, I)
+        n = len(W)
+        P = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        W = W + np.where(np.eye(n, dtype=bool), 0.0, 1e-3 * np.nanmax(np.abs(W)) * P)
+        seen.update(W=W, I=I)
+        return W
+
+    monkeypatch.setattr(flow_module, "w_value", perturbed)
+    rep = verify_identities(cfg, pd, om, tol=TOL)
+    ref = w_identity_loops(cfg, pd, seen["W"], seen["I"])
+    assert set(ref) == {"W_symmetry"} | EXPANSION_KEYS
+    for name, val in ref.items():
+        assert val > 1e-6, name
+        assert abs(rep[name] - val) <= 1e-12 * val, name
 
 
 def test_genus3_identities_and_flow_smoke():

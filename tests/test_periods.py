@@ -123,6 +123,21 @@ def test_intersection_pairing_band_basis():
     assert np.array_equal(M[:2, 2:], np.eye(2, dtype=int))
 
 
+def test_near_real_complex_configuration_takes_the_real_sheets():
+    # moving the branch points off the axis by 1e-4, with either sign, keeps the
+    # lifted cycles on the sheets of the real configuration: B moves by O(1e-4)
+    # and Im B stays positive definite
+    cfg = BranchConfig(x=[2.5, 6.0, 9.5], u=[0.8, 4.2, 8.0], real=True)
+    B_real = normalized_basis(cfg, tol=TOL).B
+    rng = np.random.default_rng(17)
+    for _ in range(4):
+        shift = 1e-4j * rng.choice([-1.0, 1.0], size=6)
+        near = BranchConfig(x=np.add(cfg.x, shift[:3]), u=np.add(cfg.u, shift[3:]))
+        B = normalized_basis(near, basis=gap_basis(cfg.points.real), tol=TOL).B
+        assert np.max(np.abs(B - B_real)) < 1e-3
+        assert np.min(np.linalg.eigvalsh(B.imag)) > 0.0
+
+
 def test_singular_period_matrix_detected():
     # a nearly-degenerate gap makes the raw period matrix ill-conditioned
     cfg = BranchConfig(x=[1.0 + 1e-14, 5.0], u=[1.0, 4.0], real=True)
@@ -272,37 +287,43 @@ def test_translation_invariance_sum_of_derivatives(pd2):
 # -- bidifferential evaluations ------------------------------------------------
 
 def test_W_links_omega_variation(pd2):
-    # moving branch point u_2 at fixed evaluation point x_1:
-    # d Omega(P_{x_1}) / d u_2 = (1/2) Omega(P_{u_2}) W(P_{x_1}, P_{u_2})
-    from isoperiod.curves import idx_u, idx_x
+    # moving branch point P_b at every other point P_a:
+    # d Omega(P_a) / d lambda_b = (1/2) Omega(P_b) W(P_a, P_b)
     from isoperiod.periods import w_constants, w_value
 
     om = build_omega(G2, pd2, tol=TOL)
-    I_u2 = w_constants(G2, pd2, idx_u(2), tol=TOL)
-    predicted = 0.5 * om.values_at[idx_u(2)] * w_value(G2, pd2, idx_x(2, 1), idx_u(2), I_u2)
+    W = w_value(G2, pd2, w_constants(G2, pd2, tol=TOL))
     h = 1e-6
 
-    def omega_at_x1(u2):
-        cfg = G2.replace(u=(1.0, u2))
+    def omega_values(pts):
+        cfg = G2.replace(u=pts[1:3], x=pts[3:5])
         pd = normalized_basis(cfg, tol=1e-12)
-        return build_omega(cfg, pd, tol=1e-12).values_at[idx_x(2, 1)]
+        return build_omega(cfg, pd, tol=1e-12).values_at
 
-    fd = (omega_at_x1(4.0 + h) - omega_at_x1(4.0 - h)) / (2.0 * h)
-    assert abs(fd - predicted) < 1e-5 * abs(predicted)
+    for b in range(1, 5):                   # u_1, u_2, x_1, x_2
+        plus, minus = G2.points.copy(), G2.points.copy()
+        plus[b] += h
+        minus[b] -= h
+        fd = (omega_values(plus) - omega_values(minus)) / (2.0 * h)
+        predicted = 0.5 * om.values_at[b] * W[:, b]
+        a = np.arange(5) != b
+        assert np.all(np.abs(fd - predicted)[a] < 1e-6 * np.abs(predicted[a])), b
 
 
 def test_w_value_diagonal_raises(pd2):
-    # W has a double pole at P_j = P_k: reject it instead of returning nan-infj
+    # W has a double pole at P_a = P_b: the table holds NaN there, computed
+    # without a division by zero
     import warnings
-    from isoperiod.curves import idx_x
     from isoperiod.periods import w_constants, w_value
 
-    j = idx_x(2, 1)
-    I_j = w_constants(G2, pd2, j, tol=TOL)
+    I = w_constants(G2, pd2, tol=TOL)
+    assert I.shape == (5, 2)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="double pole"):
-            w_value(G2, pd2, j, j, I_j)
+        W = w_value(G2, pd2, I)
+    assert W.shape == (5, 5)
+    assert np.all(np.isnan(W.diagonal()))
+    assert np.all(np.isfinite(W[~np.eye(5, dtype=bool)]))
 
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
