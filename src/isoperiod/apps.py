@@ -11,7 +11,8 @@ x = e2 + 2 e3.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +21,8 @@ from .curves import BranchConfig, validate_config
 from .errors import DegenerateConfig, LatticePoint, OrderingViolation
 from .periods import PeriodData, normalized_basis, wavevector_U
 from . import cycles as _cycles
+
+WP_TERMS = 120        # Laurent terms of wp summed around the origin
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +86,6 @@ class WeierstrassData:
     w1: complex
     w2: complex
     cfg: BranchConfig
-    _series: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def from_roots(cls, e2, e3, tol: float = 1e-11, pd: PeriodData | None = None):
@@ -104,11 +106,10 @@ class WeierstrassData:
     def lattice(self):
         return 2.0 * self.w1, 2.0 * self.w2
 
-    def series_coeffs(self, nterms: int) -> np.ndarray:
-        """Laurent coefficients of wp (see _wp_series_coeffs), computed once per nterms."""
-        if nterms not in self._series:
-            self._series[nterms] = _wp_series_coeffs(self.g2, self.g3, nterms)
-        return self._series[nterms]
+    @functools.cached_property
+    def series(self) -> np.ndarray:
+        """Laurent coefficients of wp (see _wp_series_coeffs), computed on first read."""
+        return _wp_series_coeffs(self.g2, self.g3)
 
 
 def _gauss_reduce(w1: complex, w2: complex):
@@ -124,20 +125,18 @@ def _gauss_reduce(w1: complex, w2: complex):
     return a, b
 
 
-def _wp_series_coeffs(g2, g3, nterms):
-    # wp(z) = z^-2 + sum_{k>=1} c[k] z^(2k)
-    c = np.zeros(nterms + 1, dtype=complex)
-    if nterms >= 1:
-        c[1] = g2 / 20.0
-    if nterms >= 2:
-        c[2] = g3 / 28.0
-    for k in range(3, nterms + 1):
+def _wp_series_coeffs(g2, g3):
+    # wp(z) = z^-2 + sum_{k=1}^{WP_TERMS} c[k] z^(2k)
+    c = np.zeros(WP_TERMS + 1, dtype=complex)
+    c[1] = g2 / 20.0
+    c[2] = g3 / 28.0
+    for k in range(3, WP_TERMS + 1):
         c[k] = (3.0 / ((2.0 * k + 3.0) * (k - 2.0))) * sum(
             c[m] * c[k - 1 - m] for m in range(1, k - 1))
     return c
 
 
-def wp_function(wd: WeierstrassData, z, nterms: int = 120):
+def wp_function(wd: WeierstrassData, z):
     """Weierstrass elliptic function and its derivative at z.
 
     Reduces z modulo the period lattice to the Voronoi cell, then sums the
@@ -160,8 +159,8 @@ def wp_function(wd: WeierstrassData, z, nterms: int = 120):
     r_min = min(abs(g1), abs(gen2), abs(g1 + gen2), abs(g1 - gen2))
     if abs(zr) < 1e-12 * r_min:
         raise LatticePoint(f"wp evaluated at a lattice point: {z}")
-    c = wd.series_coeffs(nterms)
-    k = np.arange(1, nterms + 1)
+    c = wd.series
+    k = np.arange(1, WP_TERMS + 1)
     zk = zr ** (2 * k)
     wp = 1.0 / zr ** 2 + np.sum(c[1:] * zk)
     wp_prime = -2.0 / zr ** 3 + np.sum(c[1:] * 2 * k * zk / zr)
@@ -280,9 +279,11 @@ def neumann_config(A, z_even) -> BranchConfig:
 def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11) -> dict:
     """Wavevector omega(P_infinity) at every trajectory sample.
 
-    Reports the maximum componentwise drift in the trajectory's own marking
-    and, for real configurations, the imaginary part of the wavevector in the
-    involution-invariant band marking (where it is a real vector).
+    Each sample's periods are recomputed in the default gap marking, not in
+    the marking the trajectory was integrated in.  Reports the maximum
+    componentwise drift there and, for real configurations, the imaginary
+    part of the wavevector in the involution-invariant band marking (where
+    it is a real vector).
     """
     U_rows = []
     U_band_rows = []

@@ -272,7 +272,7 @@ def cmd_comb(args) -> int:
     outputs = [out]
     write_json(out, payload)
     if args.trace:
-        trace = comb.boundary_trace(cfg, pd, om)
+        trace = comb.boundary_trace(cfg, pd, om, tol=args.tol_quad)
         trace_path = outdir / "comb_trace.csv"
         with open(trace_path, "w", newline="", encoding="utf-8") as f:
             w = csv.writer(f)
@@ -445,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("deform", help="integrate an isoperiodic deformation")
     common(p)
     p.add_argument("--path", required=True,
-                   help="JSON polyline in x-space, axis-aligned legs")
+                   help="JSON polyline in x-space, integrated along straight legs")
     p.add_argument("--mode", choices=[flow.IMPLICIT, flow.RATIONAL],
                    default=flow.IMPLICIT)
     p.add_argument("--alpha", default=None)

@@ -209,25 +209,3 @@ def v_polynomial(cfg: BranchConfig, m: int, phis: np.ndarray) -> np.ndarray:
     for r in others:
         poly = np.convolve(poly, np.array([-r, 1.0 + 0.0j]))
     return poly / denom
-
-
-def v_at(cfg: BranchConfig, m: int, q: int) -> complex:
-    """Evaluate the dual-basis holomorphic differential v_m at ramification point q.
-
-    q is a point index into the finite ramification points; the defining
-    property v_m(P_{u_i}) = delta_{mi} holds exactly by construction.
-    """
-    require_valid(cfg)
-    if not 1 <= m <= cfg.genus:
-        raise ValueError(f"m must be in 1..{cfg.genus}")
-    if q == idx_u(m):
-        return 1.0 + 0.0j
-    if 1 <= q <= cfg.genus:
-        return 0.0 + 0.0j
-    phis = phi_values(cfg.points)
-    lam = cfg.points[q]
-    u = np.asarray(cfg.u)
-    others = np.delete(u, m - 1)
-    num = complex(phis[q]) * complex(np.prod(lam - others))
-    den = complex(phis[idx_u(m)]) * complex(np.prod(u[m - 1] - others))
-    return num / den

@@ -14,8 +14,10 @@ modes are provided:
   Each sample's drift is read from evaluations, 2 pi i omega(P_inf) + alpha B,
   so the b-cycles are integrated (for B) only when alpha is nonzero.
 
-Multi-dimensional paths are integrated coordinate-by-coordinate along
-axis-aligned legs.
+A path is a polyline in x-space, integrated leg by leg along the straight
+segments x(tau) = p + tau (q - p).  The second-order system is integrable
+(T[m, k, n] is symmetric in k, n), so every route between two points traces
+the same family.
 """
 
 from __future__ import annotations
@@ -36,14 +38,14 @@ IMPLICIT = "implicit"
 RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # RK45 tolerances, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
+OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
 # ---------------------------------------------------------------------------
 # first-order system
 # ---------------------------------------------------------------------------
 
-def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
-                      zero_tol: float = 1e-11) -> np.ndarray:
+def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) -> np.ndarray:
     """du[m-1, j-1] = du_m/dx_j for the isoperiodic family through cfg.
 
     Requires Omega(P_{u_m}) != 0 for every m; a vanishing value means the
@@ -52,7 +54,7 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     g = cfg.genus
     scale = float(np.max(np.abs(om.values_at))) or 1.0
     for m in range(1, g + 1):
-        if abs(om.values_at[idx_u(m)]) < zero_tol * scale:
+        if abs(om.values_at[idx_u(m)]) < OMEGA_ZERO_TOL * scale:
             raise VanishingOmegaAtU(m, om.values_at[idx_u(m)])
     pv = pd.v_poly_at
     du = np.empty((g, g), dtype=complex)
@@ -198,15 +200,10 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
                    max_iter: int = 5):
     """Newton-project u onto beta(x, u) = beta_target at fixed x.
 
-    Returns (corrected cfg, final residual, updates applied), at most
+    Returns (corrected cfg, final residual, updates applied, PeriodData,
+    OmegaDifferential), the last two of the final iterate, after at most
     ``max_iter`` updates.  Raises SingularJacobian / NoProgress on failure.
     """
-    return _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter)[:3]
-
-
-def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
-    """newton_correct, also returning the final iterate's PeriodData and
-    OmegaDifferential: (cfg, residual, updates, pd, om)."""
     alpha = np.asarray(alpha, dtype=complex)
     beta_target = np.asarray(beta_target, dtype=complex)
     u = np.asarray(cfg.u, dtype=complex)
@@ -241,19 +238,21 @@ def _project(cfg, alpha, beta_target, basis, tol, quad_tol, max_iter):
 @dataclass
 class FlowControl:
     quad_tol: float = 1e-11
-    macro_step: float = 0.01
+    macro_step: float = 0.01            # largest sample spacing along a leg
     correct: bool = True                # implicit mode: Newton after the Taylor predictor
     drift_tol: float | None = None      # raise DriftExceeded beyond this
     max_halvings: int = 40              # per macro step, on a failed step
+
+    def __post_init__(self):
+        if not (math.isfinite(self.macro_step) and self.macro_step > 0):
+            raise ValueError(f"macro_step must be finite and positive, not {self.macro_step!r}")
 
 
 @dataclass
 class DeformationState:
     cfg: BranchConfig
     alpha: np.ndarray
-    beta_target: np.ndarray | None = None
     mode: str = IMPLICIT
-    du: np.ndarray | None = None
     basis: object = None
 
     def __post_init__(self):
@@ -263,8 +262,6 @@ class DeformationState:
         g = self.cfg.genus
         if self.alpha.shape != (g,):
             raise ValueError(f"alpha must be of shape ({g},), not {self.alpha.shape}")
-        if self.du is not None and np.shape(self.du) != (g, g):
-            raise ValueError(f"du must be {g}x{g}, not of shape {np.shape(self.du)}")
 
 
 @dataclass
@@ -293,34 +290,20 @@ class Trajectory:
         return xs, us
 
 
-def _axis_legs(path):
-    """Split a polyline in x-space into (coordinate, start, stop) legs."""
-    path = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in path]
-    legs = []
-    for p, q in zip(path, path[1:]):
-        moved = np.nonzero(np.abs(q - p) > 0)[0]
-        if len(moved) == 0:
-            continue
-        if len(moved) != 1:
-            raise ValueError("flow paths must consist of axis-aligned legs; "
-                             "split diagonal moves into per-coordinate legs")
-        legs.append((int(moved[0]), p.copy(), q.copy()))
-    return path, legs
-
-
-def _continuation_step(state, control, beta_target, x0, x1, u, du, coord):
+def _continuation_step(state, control, beta_target, x0, x1, u, du):
     """One implicit-mode step from (x0, u, du) to x1: the Taylor predictor
-    u + h du + h^2 T / 2 with T = rhs_genus_g, then at most 3 Newton updates
-    (none without ``control.correct``).  Returns (cfg, pd, om, du, updates) at x1.
+    u + du dx + T(dx, dx) / 2 with dx = x1 - x0 and T = rhs_genus_g, then at
+    most 3 Newton updates (none without ``control.correct``).  Returns
+    (cfg, pd, om, du, updates) at x1.
     """
-    h = x1[coord] - x0[coord]
+    dx = x1 - x0
     T = rhs_genus_g(x0, u, du)
-    u_pred = u + h * du[:, coord] + 0.5 * h * h * T[:, coord, coord]
+    u_pred = u + du @ dx + 0.5 * np.einsum("mkn,kn->m", T, np.outer(dx, dx))
     _check_regular(x1, u_pred, 1e-8)
     tol, max_iter = (NEWTON_TOL, 3) if control.correct else (math.inf, 0)
-    cfg, _, iters, pd, om = _project(state.cfg.replace(x=x1, u=u_pred), state.alpha,
-                                     beta_target, state.basis, tol, control.quad_tol,
-                                     max_iter)
+    cfg, _, iters, pd, om = newton_correct(state.cfg.replace(x=x1, u=u_pred), state.alpha,
+                                           beta_target, state.basis, tol, control.quad_tol,
+                                           max_iter)
     # a real step that reorders the branch points has jumped through a collision
     if cfg.real and np.any(np.argsort(cfg.points.real) != np.argsort(state.cfg.points.real)):
         raise SingularLocus(f"branch points changed order between x = {x0} and {x1}")
@@ -328,10 +311,12 @@ def _continuation_step(state, control, beta_target, x0, x1, u, du, coord):
 
 
 def integrate_flow(state: DeformationState, path, control: FlowControl | None = None) -> Trajectory:
-    """Integrate an isoperiodic deformation along an axis-aligned x-path.
+    """Integrate an isoperiodic deformation along a polyline in x-space.
 
-    Samples are recorded at macro-step boundaries (spacing ``control.macro_step``
-    along each leg).  In implicit mode each macro step is one predictor-corrector
+    Each leg from path point p to the next distinct point q is the straight
+    segment x = p + tau (q - p), tau in [0, 1], cut into ceil(|q - p| /
+    ``control.macro_step``) equal macro steps; samples are recorded at their
+    boundaries.  In implicit mode each macro step is one predictor-corrector
     step whose final Newton iterate gives the sample's du and drift; in rational
     mode the state (u, du) evolves through the second-order rational system and
     periods are only recomputed for drift reporting.  Failed steps are halved.
@@ -341,9 +326,10 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     control = control or FlowControl()
     cfg0 = state.cfg
     g = cfg0.genus
-    path, legs = _axis_legs(path)
+    path = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in path]
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
+    legs = [(p, q - p) for p, q in zip(path, path[1:]) if np.any(q != p)]
 
     pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol)
     # alpha sets alpha . C in Omega's polynomial; unless that is real, a real
@@ -353,35 +339,22 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
         raise DegenerateConfig(f"alpha violates the reality condition of a real curve: "
                                f"alpha . C = {alpha_c} is not real")
     om0 = build_omega(cfg0, pd0, state.alpha)
-    beta0 = beta_from_evaluations(pd0, state.alpha)
-    beta_target = beta0 if state.beta_target is None else np.asarray(state.beta_target, dtype=complex)
-    du0 = first_derivatives(cfg0, pd0, om0)
-    if state.mode == RATIONAL and state.du is not None:
-        du0 = np.asarray(state.du, dtype=complex)
+    beta_target = beta_from_evaluations(pd0, state.alpha)
+    du = first_derivatives(cfg0, pd0, om0)
 
     samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
-                          du=du0.copy(), beta_drift=np.abs(beta0 - beta_target),
-                          info={"leg": -1})]
+                          du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1})]
     u = np.asarray(cfg0.u, dtype=complex)
-    du = du0.copy()
 
-    for leg_no, (coord, p, q) in enumerate(legs):
-        s0, s1 = complex(p[coord]), complex(q[coord])
-        step = s1 - s0
-        nmacro = max(1, int(math.ceil(abs(step) / control.macro_step)))
-        # real leg parameter tau in [0, 1]; s = s0 + tau * (s1 - s0)
+    for leg_no, (p, d) in enumerate(legs):
+        nmacro = max(1, int(math.ceil(np.linalg.norm(d) / control.macro_step)))
+        # real leg parameter tau in [0, 1]; x = p + tau * d
         sgrid = [i / nmacro for i in range(nmacro + 1)]
-        x_template = p.astype(complex).copy()
-
-        def x_at(tau):
-            x = x_template.copy()
-            x[coord] = s0 + tau * step
-            return x
 
         def rhs(tau, y):        # rational mode: y = (u, du) against tau
             du = y[g:].reshape(g, g)
-            T = rhs_genus_g(x_at(tau), y[:g], du)
-            return step * np.concatenate((du[:, coord], T[:, :, coord].reshape(-1)))
+            T = rhs_genus_g(p + tau * d, y[:g], du)
+            return np.concatenate((du @ d, (T @ d).reshape(-1)))
 
         for a, b in zip(sgrid, sgrid[1:]):
             sub_from, target = a, b
@@ -390,8 +363,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                 try:
                     if state.mode == IMPLICIT:
                         cfg_now, pd, om, du, n = _continuation_step(
-                            state, control, beta_target, x_at(sub_from), x_at(target),
-                            u, du, coord)
+                            state, control, beta_target, p + sub_from * d, p + target * d,
+                            u, du)
                         u = np.asarray(cfg_now.u, dtype=complex)
                         iters += n
                     else:
@@ -407,16 +380,15 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                     # any failed step is halved, as a collision is
                     halvings += 1
                     if halvings > control.max_halvings:
-                        raise SingularLocus(
-                            f"flow stopped near x[{coord}] = {s0 + sub_from * step}: "
-                            "singular locus") from exc
+                        raise SingularLocus(f"flow stopped near x = {p + sub_from * d}: "
+                                            "singular locus") from exc
                     target = sub_from + 0.5 * (target - sub_from)
                     continue
                 if target == b:
                     break
                 sub_from, target = target, b
 
-            x_now = x_at(b)
+            x_now = p + b * d
             info = {"leg": leg_no}
             if state.mode == IMPLICIT:
                 info.update(newton_iters=iters, halvings=halvings)
@@ -429,7 +401,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
             drift = np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
             if control.drift_tol is not None and np.max(drift) > control.drift_tol:
                 raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x_now}")
-            samples.append(FlowSample(x=x_now.copy(), u=u.copy(), du=du.copy(),
+            samples.append(FlowSample(x=x_now, u=u.copy(), du=du.copy(),
                                       beta_drift=drift, info=info))
         # next leg continues from the leg's endpoint
     return Trajectory(samples=samples, path=path, beta_target=beta_target,

@@ -40,6 +40,7 @@ from .cycles import CanonicalBasis, CycleSpec, EllipseContour
 from .errors import NoConvergence, SingularPeriodMatrix
 
 _MAX_NODES = 1 << 17
+_MIN_NODES = 64          # first node count of a contour quadrature
 # tanh-sinh nodes tau = j h, |tau| <= _TAU_MAX; the weights beyond the cut are
 # below 1e-29 and the endpoint distances below 1e-61 of the half-width
 _TAU_MAX = 4.5
@@ -67,8 +68,7 @@ def monomial(k: int) -> DifferentialOverMu:
     return DifferentialOverMu(poly=(0.0,) * k + (1.0,))
 
 
-def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10,
-                      n_start: int = 64):
+def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10):
     """Integrate one or more differentials over a lifted contour.
 
     Doubles the node count until two successive trapezoidal values agree
@@ -79,7 +79,7 @@ def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10,
     dlist = [diffs] if single else list(diffs)
     # make sure branch tracking resolves the closest approach to branch points
     ratio = (contour.semi_major + contour.semi_minor) / max(contour.min_clearance(), 1e-300)
-    n = max(n_start, 8 * int(ratio))
+    n = max(_MIN_NODES, 8 * int(ratio))
     n = 1 << int(math.ceil(math.log2(n)))
     prev = None
     while n <= _MAX_NODES:

@@ -11,6 +11,8 @@ machinery:
   factor arguments, against the contour branch tracking of ``cycles``;
 * ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
   against the closed-form evaluations of ``periods``;
+* ``v_at``: the dual-basis differential v_m at one ramification point from
+  its closed form, against the table ``PeriodData.v_poly_at``;
 * ``rhs_genus1`` and ``rhs_genus2_example``: hand-derived genus-one and
   genus-two closed forms of the second derivatives, against the general
   ``rhs_genus_g`` and finite differences of the flows;
@@ -152,6 +154,34 @@ def eval_at_infinity(points, rational_part, radius_factor: float = 10.0, n: int 
     c2 = fit(2.0 * R)
     resid = max(abs(c1[k] - c2[k]) for k in (-2, -1, 0))
     return c2, c2[0], c2[-2], resid
+
+
+def v_at(cfg, m: int, q: int) -> complex:
+    """v_m(P_q) for the finite ramification point q of (0, u_1..u_g, x_1..x_g).
+
+    v_m = phi prod_{i != m}(lambda - u_i) / (phi(P_{u_m}) prod_{i != m}(u_m - u_i)),
+    phi(P_j) = 2 / sqrt(prod_{i != j}(p_j - p_i)) with the principal root of
+    the full product; v_m(P_{u_i}) = delta_{mi} holds exactly by construction.
+    """
+    pts = [complex(p) for p in cfg.points]
+    if q == m:
+        return 1.0 + 0.0j
+    if 1 <= q <= cfg.genus:
+        return 0.0 + 0.0j
+
+    def phi(j):
+        prod = 1.0 + 0.0j
+        for i, p in enumerate(pts):
+            if i != j:
+                prod *= pts[j] - p
+        return 2.0 / cmath.sqrt(prod)
+
+    others = [complex(v) for i, v in enumerate(cfg.u, start=1) if i != m]
+    num, den = phi(q), phi(m)
+    for r in others:
+        num *= pts[q] - r
+        den *= pts[m] - r
+    return num / den
 
 
 def rhs_genus1(x: complex, u: complex, du: complex) -> complex:

@@ -132,8 +132,8 @@ def test_criterion_06_mode_cross_check():
 
 def _corner_u(beta_target, x1, x2, guess):
     cfg = G2.replace(x=(x1, x2), u=tuple(guess))
-    fixed, _, _ = newton_correct(cfg, np.zeros(2), beta_target, tol=1e-12,
-                                 quad_tol=1e-13, max_iter=8)
+    fixed, *_ = newton_correct(cfg, np.zeros(2), beta_target, tol=1e-12,
+                               quad_tol=1e-13, max_iter=8)
     return np.asarray(fixed.u)
 
 
@@ -191,8 +191,8 @@ def test_criterion_08_jacobian_and_newton():
         worst = max(worst, float(np.max(np.abs(fd - J[j])) / np.max(np.abs(J[j]))))
     target = beta_from_evaluations(pd)
     perturbed = G2.replace(u=(1.0 + 1e-6, 4.0 - 1e-6))
-    _, res, iters = newton_correct(perturbed, np.zeros(2), target, tol=1e-10,
-                                   quad_tol=1e-12)
+    _, res, iters, _, _ = newton_correct(perturbed, np.zeros(2), target, tol=1e-10,
+                                         quad_tol=1e-12)
     ok = worst < 1e-4 and res < 1e-10 and iters <= 3
     _report(8, "implicit-function Jacobian", ok,
             f"FD rel err {worst:.2e} (tol 1e-4), Newton residual {res:.2e} "

@@ -128,9 +128,9 @@ def test_cnoidal_series_coefficients_once_per_sample(monkeypatch):
     calls = []
     fresh = apps._wp_series_coeffs
 
-    def counted(g2, g3, nterms):
-        calls.append(nterms)
-        return fresh(g2, g3, nterms)
+    def counted(g2, g3):
+        calls.append((g2, g3))
+        return fresh(g2, g3)
 
     monkeypatch.setattr(apps, "_wp_series_coeffs", counted)
     rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
@@ -140,10 +140,11 @@ def test_cnoidal_series_coefficients_once_per_sample(monkeypatch):
     wp_function(wd, 0.3)
     wp_function(wd, 0.7)
     assert len(calls) == len(rep["samples"]) + 1
-    assert np.array_equal(wd.series_coeffs(120), fresh(wd.g2, wd.g3, 120))
+    assert wd.series.shape == (apps.WP_TERMS + 1,)
+    assert np.array_equal(wd.series, fresh(wd.g2, wd.g3))
     # the cache is neither a constructor argument nor part of repr or equality
     assert wd == WeierstrassData.from_roots(0.0, 1.0)
-    assert "_series" not in repr(wd)
+    assert "series" not in repr(wd)
 
 
 def test_cnoidal_one_period_evaluation_per_sample(monkeypatch):
@@ -221,8 +222,8 @@ def test_neumann_flow_preserves_hill_condition():
     # (the starting ratio beta_2 / beta_1 is near 4/3, so the move is small)
     T = complex(2j * np.pi * 3.0 / om.beta[0])
     target = 2j * np.pi * np.array([3.0, 4.0]) / T
-    hill_cfg, _, _ = newton_correct(cfg, np.zeros(2), target, tol=1e-11,
-                                    quad_tol=1e-12, max_iter=10)
+    hill_cfg, *_ = newton_correct(cfg, np.zeros(2), target, tol=1e-11,
+                                  quad_tol=1e-12, max_iter=10)
     out0 = hill_check(hill_cfg, normalized_basis(hill_cfg, tol=1e-11), T)
     assert out0["is_hill"]
     x0 = [complex(v) for v in hill_cfg.x]

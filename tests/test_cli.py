@@ -101,6 +101,24 @@ def test_deform_rational_mode(tmp_path):
     assert json.loads((out / "trajectory.json").read_text())["max_drift"] < 1e-5
 
 
+def test_deform_diagonal_path(tmp_path):
+    cfg = _write_config(tmp_path, G2)
+    out = tmp_path / "run"
+    assert main(["deform", str(cfg), "--path", "[[3.0,5.0],[3.1,5.1]]", "--out", str(out),
+                 "--macro-step", "0.05"]) == 0
+    lines = (out / "trajectory.csv").read_text().strip().splitlines()
+    assert len(lines) == 1 + 1 + 3                  # header, start, ceil(0.141 / 0.05) steps
+    assert json.loads((out / "trajectory.json").read_text())["max_drift"] < 1e-10
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01"])
+def test_deform_non_positive_macro_step_exit_2(tmp_path, capsys, step):
+    cfg = _write_config(tmp_path, G1)
+    assert main(["deform", str(cfg), "--path", "[[2.0],[2.1]]", "--macro-step", step,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "macro_step must be finite and positive" in capsys.readouterr().err
+
+
 def test_deform_alpha_breaking_reality_exit_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, G2)
     rc = main(["deform", str(cfg), "--path", "[[3.0,5.0],[3.1,5.0]]", "--alpha", "[0.01, 0.02]",
@@ -184,6 +202,23 @@ def test_comb_subcommand(tmp_path):
     data = json.loads((out / "comb.json").read_text())
     assert data["q"][0] > 0 and data["h"][0] > 0
     assert (out / "comb_trace.csv").exists()
+
+
+def test_comb_trace_integrates_at_tol_quad(tmp_path, monkeypatch):
+    import isoperiod.comb as comb
+
+    tols = []
+    original = comb.boundary_trace
+
+    def recording(*args, **kwargs):
+        tols.append(kwargs.get("tol"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(comb, "boundary_trace", recording)
+    cfg = _write_config(tmp_path, G1)
+    assert main(["comb", str(cfg), "--out", str(tmp_path / "c"), "--trace",
+                 "--tol-quad", "1e-12"]) == 0
+    assert tols == [1e-12]
 
 
 def test_comb_on_narrow_gap_needs_no_b_periods(tmp_path):

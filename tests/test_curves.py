@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import BranchOfMu, mu_along_path
+from _oracles import BranchOfMu, mu_along_path, v_at
 
 from isoperiod.curves import (BranchConfig, PointCurve, idx_u, idx_x, idx_zero,
-                              phi_values, require_valid, v_at, validate_config)
+                              phi_values, require_valid, validate_config)
 from isoperiod.errors import DegenerateConfig
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)

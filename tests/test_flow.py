@@ -172,8 +172,8 @@ def test_first_derivative_implicit_function_oracle():
 
     def solved_u(xval):
         cfg = G1.replace(x=(xval,))
-        fixed, _, _ = newton_correct(cfg, np.zeros(1), beta0, tol=1e-12,
-                                     quad_tol=1e-13, max_iter=8)
+        fixed, *_ = newton_correct(cfg, np.zeros(1), beta0, tol=1e-12,
+                                   quad_tol=1e-13, max_iter=8)
         return complex(fixed.u[0])
 
     slope = (solved_u(2.0 + h) - solved_u(2.0 - h)) / (2.0 * h)
@@ -208,8 +208,8 @@ def test_newton_quadratic_convergence():
     pd, _ = _setup(G2)
     target = beta_from_evaluations(pd)
     perturbed = G2.replace(u=(1.0 + 1e-6, 4.0 - 1e-6))
-    fixed, res, iters = newton_correct(perturbed, np.zeros(2), target,
-                                       tol=1e-10, quad_tol=1e-12)
+    fixed, res, iters, _, _ = newton_correct(perturbed, np.zeros(2), target,
+                                             tol=1e-10, quad_tol=1e-12)
     assert res < 1e-10
     assert iters <= 3
 
@@ -221,8 +221,8 @@ def test_newton_max_iter_bounds_updates():
     with pytest.raises(NoProgress):
         newton_correct(perturbed, np.zeros(2), target, tol=1e-10, quad_tol=1e-12,
                        max_iter=0)
-    _, res, iters = newton_correct(perturbed, np.zeros(2), target, tol=1e-10,
-                                   quad_tol=1e-12, max_iter=1)
+    _, res, iters, _, _ = newton_correct(perturbed, np.zeros(2), target, tol=1e-10,
+                                         quad_tol=1e-12, max_iter=1)
     assert res < 1e-10
     assert iters == 1
 
@@ -230,8 +230,8 @@ def test_newton_max_iter_bounds_updates():
 def test_newton_already_feasible_is_identity():
     pd, _ = _setup(G1)
     target = beta_from_evaluations(pd)
-    fixed, res, iters = newton_correct(G1, np.zeros(1), target, tol=1e-10,
-                                       quad_tol=1e-12)
+    fixed, res, iters, _, _ = newton_correct(G1, np.zeros(1), target, tol=1e-10,
+                                             quad_tol=1e-12)
     assert abs(fixed.u[0] - 1.0) < 1e-12
     assert iters == 0
 
@@ -322,7 +322,7 @@ def test_flow_zero_length_path():
 
 def test_flow_stops_at_singular_locus_with_location():
     # driving x down makes u(x) rise to meet it; the flow must stop and say where
-    with pytest.raises(SingularLocus, match="x\\[0\\]"):
+    with pytest.raises(SingularLocus, match="x = \\["):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL),
                        [[2.0], [1.02]],
                        FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
@@ -330,7 +330,7 @@ def test_flow_stops_at_singular_locus_with_location():
 
 def test_implicit_flow_stops_at_singular_locus_with_location():
     # the implicit twin: a corrected step may not jump u_1 across x_1 (about x = 1.4357)
-    with pytest.raises(SingularLocus, match="x\\[0\\] = \\(1\\.435"):
+    with pytest.raises(SingularLocus, match="x = \\[1\\.435"):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                        [[2.0], [1.02]],
                        FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
@@ -354,14 +354,35 @@ def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
         assert s.info["newton_iters"] >= 0 and s.info["halvings"] >= 0
 
 
+def test_implicit_flow_corrects_through_newton_correct(monkeypatch):
+    # each step calls the public newton_correct once (no halvings on this
+    # regular path), and its update counts are the samples' newton_iters
+    updates = []
+    original = flow_module.newton_correct
+
+    def counting(*args, **kwargs):
+        out = original(*args, **kwargs)
+        updates.append(out[2])
+        return out
+
+    monkeypatch.setattr(flow_module, "newton_correct", counting)
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
+                          [[3.0, 5.0], [3.1, 5.0], [3.05, 5.04]],
+                          FlowControl(quad_tol=TOL, macro_step=0.02))
+    assert all(s.info["halvings"] == 0 for s in traj.samples[1:])
+    assert len(updates) == len(traj.samples) - 1
+    assert sum(updates) == sum(s.info["newton_iters"] for s in traj.samples[1:]) > 0
+
+
+@pytest.mark.parametrize("macro_step", [0.0, -0.01, math.inf, math.nan])
+def test_flow_control_rejects_non_positive_macro_step(macro_step):
+    with pytest.raises(ValueError, match="macro_step must be finite and positive"):
+        FlowControl(macro_step=macro_step)
+
+
 def test_deformation_state_rejects_unknown_mode():
     with pytest.raises(ValueError, match="implict"):
         DeformationState(G2, np.zeros(2), mode="implict")
-
-
-def test_deformation_state_rejects_misshapen_du():
-    with pytest.raises(ValueError, match="2x2"):
-        DeformationState(G2, np.zeros(2), mode=RATIONAL, du=np.zeros(2))
 
 
 @pytest.mark.parametrize("alpha", [0, np.zeros(3), np.zeros((2, 1))])
@@ -440,10 +461,25 @@ def test_zero_alpha_identities_integrate_b_segments_once(segment_calls):
     assert "contours_b" not in vars(pd)
 
 
-def test_flow_rejects_diagonal_legs():
-    with pytest.raises(ValueError):
-        integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
-                       [[3.0, 5.0], [3.1, 5.1]], FlowControl(quad_tol=TOL))
+@pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
+def test_diagonal_leg_matches_both_axis_orders(mode):
+    # the second-order system is integrable, so every route to (3.1, 5.1) ends
+    # on the same u; the straight leg takes ceil(|dx| / macro_step) steps
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.01)
+
+    def run(path):
+        return integrate_flow(DeformationState(G2, np.zeros(2), mode=mode), path, ctrl)
+
+    diag = run([[3.0, 5.0], [3.1, 5.1]])
+    assert len(diag.samples) == 1 + math.ceil(0.1 * math.sqrt(2.0) / 0.01)
+    mid = diag.samples[len(diag.samples) // 2 - 1]
+    assert abs(mid.x[0] - 3.0 - (mid.x[1] - 5.0)) < 1e-15          # on the diagonal
+    assert diag.max_drift() < 1e-12
+    for corner in ([3.1, 5.0], [3.0, 5.1]):
+        axis = run([[3.0, 5.0], corner, [3.1, 5.1]])
+        assert np.array_equal(axis.samples[-1].x, diag.samples[-1].x)
+        assert np.max(np.abs(axis.samples[-1].u - diag.samples[-1].u)) < 1e-12
+        assert axis.max_drift() < 1e-12
 
 
 def test_flow_second_difference_matches_ode(g1_flows):
@@ -497,8 +533,8 @@ def test_hill_point_preserved_along_flow():
     pd, om = _setup(G2)
     T = complex(2j * math.pi / om.beta[0])
     target = 2j * math.pi * np.array([1.0, 2.0]) / T
-    hill_cfg, res, _ = newton_correct(G2, np.zeros(2), target, tol=1e-11,
-                                      quad_tol=1e-12, max_iter=10)
+    hill_cfg, res, *_ = newton_correct(G2, np.zeros(2), target, tol=1e-11,
+                                       quad_tol=1e-12, max_iter=10)
     pdh = normalized_basis(hill_cfg, tol=TOL)
     out0 = hill_check(hill_cfg, pdh, T)
     assert out0["is_hill"] and list(out0["n"]) == [1, 2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import (BranchOfMu, ellipk_agm, eval_at_infinity, gap_period_integral,
-                      hinted_basis)
+                      hinted_basis, v_at)
 
 from isoperiod.curves import BranchConfig, PointCurve
 from isoperiod.cycles import (CycleSpec, band_basis, gap_basis,
@@ -328,8 +328,6 @@ def test_w_value_diagonal_raises(pd2):
 
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_dual_basis_table_matches_closed_form(g):
-    from isoperiod.curves import v_at
-
     cfg = BranchConfig(x=[3.0 * j + 2.0 for j in range(g)],
                        u=[3.0 * j + 1.0 for j in range(g)], real=True)
     pd = normalized_basis(cfg, tol=TOL)
