@@ -5,13 +5,13 @@ finite-gap data.
 The elliptic-curve applications live on the shifted family with branch points
 {0, u, x, infinity}: for root ordering e1 < e2 < e3 of 4 t^3 - g2 t - g3 (with
 e1 = -e2 - e3), shifting by -e1 sends the curve to u = 2 e2 + e3,
-x = e2 + 2 e3.
+x = e2 + 2 e3.  The Weierstrass function is evaluated on whole arrays of
+arguments from the q-series of its theta quotients on the reduced lattice.
 """
 
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +21,6 @@ from .curves import BranchConfig, validate_config
 from .errors import DegenerateConfig, LatticePoint, OrderingViolation
 from .periods import PeriodData, normalized_basis, wavevector_U
 from . import cycles as _cycles
-
-WP_TERMS = 120        # Laurent terms of wp summed around the origin
 
 
 # ---------------------------------------------------------------------------
@@ -106,11 +104,6 @@ class WeierstrassData:
     def lattice(self):
         return 2.0 * self.w1, 2.0 * self.w2
 
-    @functools.cached_property
-    def series(self) -> np.ndarray:
-        """Laurent coefficients of wp (see _wp_series_coeffs), computed on first read."""
-        return _wp_series_coeffs(self.g2, self.g3)
-
 
 def _gauss_reduce(w1: complex, w2: complex):
     """Lagrange-reduced generators of the lattice spanned by w1, w2."""
@@ -125,46 +118,40 @@ def _gauss_reduce(w1: complex, w2: complex):
     return a, b
 
 
-def _wp_series_coeffs(g2, g3):
-    # wp(z) = z^-2 + sum_{k=1}^{WP_TERMS} c[k] z^(2k)
-    c = np.zeros(WP_TERMS + 1, dtype=complex)
-    c[1] = g2 / 20.0
-    c[2] = g3 / 28.0
-    for k in range(3, WP_TERMS + 1):
-        c[k] = (3.0 / ((2.0 * k + 3.0) * (k - 2.0))) * sum(
-            c[m] * c[k - 1 - m] for m in range(1, k - 1))
-    return c
-
-
 def wp_function(wd: WeierstrassData, z):
-    """Weierstrass elliptic function and its derivative at z.
+    """Weierstrass elliptic function and its derivative at z, a scalar or an array.
 
-    Reduces z modulo the period lattice to the Voronoi cell, then sums the
-    Laurent series around the origin (radius = shortest lattice vector, so
-    the reduced argument is well inside).  Raises LatticePoint at or too
-    close to a pole.
+    The lattice is reduced once to a shortest vector b and a second vector a
+    with tau = a / b, Im tau >= sqrt(3)/2, so |q| = |exp(i pi tau)| <= 0.066.
+    Each z is moved by lattice vectors to b (s + t tau), |s|, |t| <= 1/2, and
+    with v = pi (s + t tau), c_n = n q^2n / (1 - q^2n) the q-series of the
+    theta quotients (DLMF 23.8) give
+        wp  = (pi / b)^2 [csc^2 v - 1/3 + 8 sum_n c_n (1 - cos 2nv)],
+        wp' = (pi / b)^3 [-2 csc^2 v cot v + 16 sum_n n c_n sin 2nv].
+    Returns (wp, wp') shaped like z; a scalar takes the same array code, so it
+    equals the matching entry of an array call bit for bit.  Raises
+    LatticePoint if some z lies within 1e-12 |b| of a pole.
     """
-    z = complex(z)
-    g1, gen2 = _gauss_reduce(*wd.lattice())
-    # integer least squares via the reduced basis
-    M = np.array([[g1.real, gen2.real], [g1.imag, gen2.imag]])
-    mn = np.linalg.solve(M, np.array([z.real, z.imag]))
-    best = None
-    for dm in (-1, 0, 1):
-        for dn in (-1, 0, 1):
-            cand = z - (round(mn[0]) + dm) * g1 - (round(mn[1]) + dn) * gen2
-            if best is None or abs(cand) < abs(best):
-                best = cand
-    zr = best
-    r_min = min(abs(g1), abs(gen2), abs(g1 + gen2), abs(g1 - gen2))
-    if abs(zr) < 1e-12 * r_min:
-        raise LatticePoint(f"wp evaluated at a lattice point: {z}")
-    c = wd.series
-    k = np.arange(1, WP_TERMS + 1)
-    zk = zr ** (2 * k)
-    wp = 1.0 / zr ** 2 + np.sum(c[1:] * zk)
-    wp_prime = -2.0 / zr ** 3 + np.sum(c[1:] * 2 * k * zk / zr)
-    return complex(wp), complex(wp_prime)
+    zz = np.asarray(z, dtype=complex).ravel()
+    a, b = _gauss_reduce(*wd.lattice())
+    if (a / b).imag < 0.0:
+        a = -a
+    tau = a / b
+    t = np.round((zz / b).imag / tau.imag)
+    s = np.round((zz / b).real - t * tau.real)
+    r = (zz - s * b - t * a) / b                 # s + t tau in the reduced cell
+    if (near := np.abs(r) < 1e-12).any():
+        raise LatticePoint(f"wp evaluated at a lattice point: {zz[np.argmax(near)]}")
+    n = np.arange(1, 15)           # term n is O(n |q|^n) on the reduced cell; |q|^14 < 3e-17
+    q2n = np.exp(2j * np.pi * tau * n)
+    c = n * q2n / (1.0 - q2n)
+    v = np.pi * r
+    nv = 2.0 * n * v[:, None]
+    csc2 = 1.0 / np.sin(v) ** 2
+    wp = (np.pi / b) ** 2 * (csc2 - 1.0 / 3.0 + 8.0 * np.sum(c * (1.0 - np.cos(nv)), axis=-1))
+    wp_prime = (np.pi / b) ** 3 * (-2.0 * csc2 / np.tan(v)
+                                   + 16.0 * np.sum(n * c * np.sin(nv), axis=-1))
+    return wp.reshape(np.shape(z))[()], wp_prime.reshape(np.shape(z))[()]
 
 
 def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
@@ -173,37 +160,34 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     and verify the sampled wave stays periodic with the starting period.
 
     The wave v(X) = 2 wp(X) (phase and speed constants set to zero; the
-    periodicity defect is independent of both) is sampled on a uniform grid
-    over two real periods at every flow sample, and shifted by the flow-start
-    half-period pair.
+    periodicity defect is independent of both) is sampled at every flow
+    sample on X_i = (i + 1/2) 2L / n_grid over two real periods 2L, and on
+    that grid shifted by the flow-start period 2 w1.  ``n_grid`` must be
+    positive and even: an odd grid puts its middle node on the pole X = L.
     """
+    if not (n_grid > 0 and n_grid % 2 == 0):
+        raise ValueError(f"n_grid must be a positive even integer, got {n_grid!r}")
     cfg0 = weierstrass_to_config(e2, e3)
     state = _flow.DeformationState(cfg=cfg0, alpha=np.zeros(1), mode=_flow.IMPLICIT)
     ctrl = _flow.FlowControl(quad_tol=quad_tol, macro_step=macro_step)
     traj = _flow.integrate_flow(state, [list(cfg0.x), [complex(x_end)]], ctrl)
 
-    two_w1_0 = None
     rows = []
-    wave = None
     for s in traj.samples:
         cfg = cfg0.replace(x=s.x, u=s.u)
-        pd = normalized_basis(cfg, tol=quad_tol)
-        two_w1 = complex(pd.A_raw[0, 0]) / 2.0
-        if two_w1_0 is None:
-            two_w1_0 = two_w1
-        ee2, ee3 = config_to_weierstrass(cfg)
-        wd = WeierstrassData.from_roots(ee2, ee3, pd=pd)
+        wd = WeierstrassData.from_roots(*config_to_weierstrass(cfg),
+                                        pd=normalized_basis(cfg, tol=quad_tol))
+        two_w1 = 2.0 * wd.w1
+        two_w1_0 = rows[0]["two_w1"] if rows else two_w1
         L = abs(2.0 * wd.w2)       # real period of the wave
         X = (np.arange(n_grid) + 0.5) * (2.0 * L / n_grid)
-        v = np.array([2.0 * wp_function(wd, xx)[0] for xx in X])
-        v_shift = np.array([2.0 * wp_function(wd, xx + two_w1_0)[0] for xx in X])
-        defect = float(np.max(np.abs(v_shift - v)) / np.max(np.abs(v)))
-        wave = (X, v)
+        v = 2.0 * wp_function(wd, X)[0]
+        v_shift = 2.0 * wp_function(wd, X + two_w1_0)[0]
         rows.append({
             "x": complex(s.x[0]), "u": complex(s.u[0]),
             "two_w1": two_w1,
             "two_w1_drift": abs(two_w1 - two_w1_0) / abs(two_w1_0),
-            "wave_period_defect": defect,
+            "wave_period_defect": float(np.max(np.abs(v_shift - v)) / np.max(np.abs(v))),
         })
     return {
         "samples": rows,
@@ -211,8 +195,8 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
         "max_wave_defect": max(r["wave_period_defect"] for r in rows),
         "beta_drift": traj.max_drift(),
         "trajectory": traj,
-        "wave_X": wave[0],
-        "wave_v": wave[1],
+        "wave_X": X,
+        "wave_v": v,
     }
 
 

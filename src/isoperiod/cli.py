@@ -478,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=_EXAMPLES)
     common(p, config=False)
     p.add_argument("--macro-step", type=float, default=0.02)
-    p.add_argument("--grid", type=int, default=512)
+    p.add_argument("--grid", type=int, default=512, help="lame-one-gap wave samples, even")
     p.set_defaults(func=cmd_examples)
     return ap
 

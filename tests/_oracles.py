@@ -21,7 +21,10 @@ machinery:
 * ``w_identity_loops``: the symmetry and dual-basis expansion checks of the
   W table in scalar loops, against the array form of ``verify_identities``;
 * ``hinted_basis``: a real marking with circle hints on every cycle, which
-  keeps its periods on lifted ellipses, against the segment quadrature.
+  keeps its periods on lifted ellipses, against the segment quadrature;
+* ``wp_laurent``: the Weierstrass function from its Laurent series at the
+  nearest lattice point, against the theta-quotient series of
+  ``wp_function``.
 """
 
 import cmath
@@ -390,3 +393,42 @@ def hinted_basis(basis, points):
                          radius=0.5 * (hi - lo) + margin)
 
     return CanonicalBasis(tuple(map(hint, basis.a)), tuple(map(hint, basis.b)))
+
+
+def wp_laurent(wd, z):
+    """Weierstrass wp and wp' at each z, point by point, from the Laurent series.
+
+    wp(z) = z^-2 + sum_{k>=1} c_k z^2k with c_1 = g2/20, c_2 = g3/28 and the
+    classical recursion for the rest, summed around the lattice point nearest
+    to z (found among the 3 x 3 neighbours of the least-squares lattice
+    coordinates in a Lagrange-reduced basis).  Valid while the Voronoi cell
+    lies inside the disc of convergence, of radius the shortest lattice vector.
+    """
+    terms = 120
+    c = np.zeros(terms + 1, dtype=complex)
+    c[1] = wd.g2 / 20.0
+    c[2] = wd.g3 / 28.0
+    for k in range(3, terms + 1):
+        c[k] = (3.0 / ((2.0 * k + 3.0) * (k - 2.0))) * sum(
+            c[m] * c[k - 1 - m] for m in range(1, k - 1))
+    a, b = 2.0 * complex(wd.w1), 2.0 * complex(wd.w2)
+    for _ in range(64):                  # Lagrange reduction
+        if abs(a) < abs(b):
+            a, b = b, a
+        n = round((a * b.conjugate()).real / abs(b) ** 2)
+        if n == 0:
+            break
+        a = a - n * b
+    M = np.array([[a.real, b.real], [a.imag, b.imag]])
+    k = np.arange(1, terms + 1)
+    out = []
+    for zi in np.ravel(z):
+        zi = complex(zi)
+        mn = np.linalg.solve(M, np.array([zi.real, zi.imag]))
+        zr = min((zi - (round(mn[0]) + dm) * a - (round(mn[1]) + dn) * b
+                  for dm in (-1, 0, 1) for dn in (-1, 0, 1)), key=abs)
+        zk = zr ** (2 * k)
+        out.append((1.0 / zr ** 2 + np.sum(c[1:] * zk),
+                    -2.0 / zr ** 3 + np.sum(c[1:] * 2 * k * zk / zr)))
+    wp, wp_prime = np.array(out).T
+    return wp.reshape(np.shape(z)), wp_prime.reshape(np.shape(z))

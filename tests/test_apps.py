@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
 from isoperiod.flow import IMPLICIT, DeformationState, FlowControl, integrate_flow
 from isoperiod.periods import normalized_basis
+
+from _oracles import wp_laurent
 
 
 # -- root shifts ---------------------------------------------------------------
@@ -113,6 +116,68 @@ def test_wp_lattice_point_rejected(wd):
         wp_function(wd, 0.0)
 
 
+def test_wp_array_with_a_lattice_point_rejected(wd):
+    z = np.linspace(0.1, 3.0, 16).astype(complex)
+    z[5], z[9] = wd.lattice()[1], 2.0 * wd.lattice()[0]
+    with pytest.raises(LatticePoint, match=re.escape(str(z[5]))):
+        wp_function(wd, z)
+
+
+def test_wp_scalar_equals_array_entries_bitwise(wd):
+    z = (np.arange(64) + 0.5) * (4.0 * wd.w2 / 64) + 0.37 * wd.w1
+    p, dp = wp_function(wd, z)
+    assert p.shape == dp.shape == (64,)
+    pairs = [wp_function(wd, zi) for zi in z]
+    assert all(np.shape(a) == np.shape(b) == () for a, b in pairs)
+    assert np.array_equal([a for a, _ in pairs], p)
+    assert np.array_equal([b for _, b in pairs], dp)
+    p2, dp2 = wp_function(wd, z.reshape(8, 8))
+    assert np.array_equal(p2, p.reshape(8, 8)) and np.array_equal(dp2, dp.reshape(8, 8))
+
+
+def _assert_matches_laurent(wd, z):
+    p, dp = wp_function(wd, z)
+    p_ref, dp_ref = wp_laurent(wd, z)
+    assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
+    assert np.max(np.abs(dp - dp_ref)) <= 1e-13 * np.max(np.abs(dp_ref))
+
+
+def test_wp_matches_laurent_oracle_on_real_root_grids():
+    # the cnoidal report's grids and their shift by the a-period 2 w1, on
+    # seeded roots from the cnoidal benchmark's range
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        e2 = rng.uniform(-0.1, 0.3)
+        wd = WeierstrassData.from_roots(e2, e2 + rng.uniform(0.7, 1.3), tol=1e-11)
+        for n in (8, 64):
+            X = (np.arange(n) + 0.5) * (2.0 * abs(2.0 * wd.w2) / n)
+            _assert_matches_laurent(wd, X)
+            _assert_matches_laurent(wd, X + 2.0 * wd.w1)
+
+
+def test_wp_matches_laurent_oracle_on_rhombic_lattice():
+    # complex-conjugate roots e2 = conj(e3): a rhombic lattice, whose reduced
+    # tau has a real part, so both lattice coordinates are reduced
+    mpm = pytest.importorskip("mpmath")
+    from isoperiod.apps import _gauss_reduce
+
+    e2 = 0.3 + 1.0j
+    e3 = e2.conjugate()
+    e1 = -e2 - e3
+    w1 = complex(mpm.elliprf(0, e1 - e2, e1 - e3))     # wp(w1) = e1
+    w2 = complex(mpm.elliprf(0, e2 - e1, e2 - e3))     # wp(w2) = e2
+    wd = WeierstrassData(e2=e2, e3=e3, e1=e1, g2=4.0 * (e2 ** 2 + e3 ** 2 + e2 * e3),
+                         g3=-4.0 * e2 * e3 * (e2 + e3), w1=w1, w2=w2,
+                         cfg=weierstrass_to_config(e2, e3))
+    a, b = _gauss_reduce(*wd.lattice())
+    assert abs((a / b).real) > 0.1
+    s = (np.arange(12) + 0.5) / 6.0 - 1.0
+    z = (s[:, None] * 2.0 * w1 + s[None, :] * 2.0 * w2 + 0.05).ravel()
+    _assert_matches_laurent(wd, z)
+    vals = wp_function(wd, np.array([w1, w2, w1 + w2]))[0]
+    assert np.allclose(vals, [e1, e2, e3], atol=1e-13)
+
+
 # -- cnoidal report ------------------------------------------------------------------
 
 def test_cnoidal_period_preservation_small():
@@ -122,29 +187,28 @@ def test_cnoidal_period_preservation_small():
     assert rep["beta_drift"] < 1e-7
 
 
-def test_cnoidal_series_coefficients_once_per_sample(monkeypatch):
+def test_cnoidal_two_wp_calls_per_sample(monkeypatch):
+    # the grid and the shifted grid are one array call each
     import isoperiod.apps as apps
 
-    calls = []
-    fresh = apps._wp_series_coeffs
+    shapes = []
+    original = apps.wp_function
 
-    def counted(g2, g3):
-        calls.append((g2, g3))
-        return fresh(g2, g3)
+    def counting(wd, z):
+        shapes.append(np.shape(z))
+        return original(wd, z)
 
-    monkeypatch.setattr(apps, "_wp_series_coeffs", counted)
+    monkeypatch.setattr(apps, "wp_function", counting)
     rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
-    assert len(calls) == len(rep["samples"])
+    assert len(shapes) <= 2 * len(rep["samples"])
+    assert set(shapes) == {(8,)}
 
-    wd = WeierstrassData.from_roots(0.0, 1.0)
-    wp_function(wd, 0.3)
-    wp_function(wd, 0.7)
-    assert len(calls) == len(rep["samples"]) + 1
-    assert wd.series.shape == (apps.WP_TERMS + 1,)
-    assert np.array_equal(wd.series, fresh(wd.g2, wd.g3))
-    # the cache is neither a constructor argument nor part of repr or equality
-    assert wd == WeierstrassData.from_roots(0.0, 1.0)
-    assert "series" not in repr(wd)
+
+@pytest.mark.parametrize("n_grid", [0, -2, 3])
+def test_cnoidal_rejects_odd_or_non_positive_grid(n_grid):
+    # an odd grid puts its middle node X = L on a pole
+    with pytest.raises(ValueError, match="n_grid"):
+        cnoidal_period_report(0.0, 1.0, 2.04, n_grid=n_grid)
 
 
 def test_cnoidal_one_period_evaluation_per_sample(monkeypatch):

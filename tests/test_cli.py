@@ -256,6 +256,14 @@ def test_examples_lame_one_gap_small_grid(tmp_path):
     assert data["max_wave_defect"] < 1e-6
 
 
+@pytest.mark.parametrize("grid", ["3", "0"])
+def test_examples_lame_one_gap_odd_or_zero_grid_exit_2(tmp_path, capsys, grid):
+    # an odd grid puts its middle node on the pole X = L; 0 divided by zero
+    out = tmp_path / "lame1"
+    assert main(["examples", "lame-one-gap", "--out", str(out), "--grid", grid]) == 2
+    assert "n_grid must be a positive even integer" in capsys.readouterr().err
+
+
 def test_examples_unknown_name_exit_2(tmp_path):
     assert main(["examples", "genus1-reference", "--out", str(tmp_path / "o")]) == 0
     assert main(["examples", "nope", "--out", str(tmp_path / "o")]) == 2
