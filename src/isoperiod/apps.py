@@ -128,6 +128,10 @@ def wp_function(wd: WeierstrassData, z):
     theta quotients (DLMF 23.8) give
         wp  = (pi / b)^2 [csc^2 v - 1/3 + 8 sum_n c_n (1 - cos 2nv)],
         wp' = (pi / b)^3 [-2 csc^2 v cot v + 16 sum_n n c_n sin 2nv].
+    The terms c_n cos 2nv and i c_n sin 2nv are formed as n (E+ +- E-) / (2 (1 - q^2n))
+    from E+- = exp(2in (pi tau +- v)), whose moduli are at most |q|^n on the
+    reduced cell (|Im v| <= pi Im tau / 2): no term overflows, however
+    elongated the lattice.
     Returns (wp, wp') shaped like z; a scalar takes the same array code, so it
     equals the matching entry of an array call bit for bit.  Raises
     LatticePoint if some z lies within 1e-12 |b| of a pole.
@@ -143,14 +147,17 @@ def wp_function(wd: WeierstrassData, z):
     if (near := np.abs(r) < 1e-12).any():
         raise LatticePoint(f"wp evaluated at a lattice point: {zz[np.argmax(near)]}")
     n = np.arange(1, 15)           # term n is O(n |q|^n) on the reduced cell; |q|^14 < 3e-17
-    q2n = np.exp(2j * np.pi * tau * n)
-    c = n * q2n / (1.0 - q2n)
+    log_q2n = 2j * np.pi * tau * n
+    q2n = np.exp(log_q2n)
+    k = n / (1.0 - q2n)
     v = np.pi * r
-    nv = 2.0 * n * v[:, None]
+    nv = 2j * n * v[:, None]
+    e_plus, e_minus = np.exp(log_q2n + nv), np.exp(log_q2n - nv)
     csc2 = 1.0 / np.sin(v) ** 2
-    wp = (np.pi / b) ** 2 * (csc2 - 1.0 / 3.0 + 8.0 * np.sum(c * (1.0 - np.cos(nv)), axis=-1))
+    wp = (np.pi / b) ** 2 * (csc2 - 1.0 / 3.0 + 8.0 * np.sum(k * q2n)
+                             - 4.0 * np.sum(k * (e_plus + e_minus), axis=-1))
     wp_prime = (np.pi / b) ** 3 * (-2.0 * csc2 / np.tan(v)
-                                   + 16.0 * np.sum(n * c * np.sin(nv), axis=-1))
+                                   - 8j * np.sum(n * k * (e_plus - e_minus), axis=-1))
     return wp.reshape(np.shape(z))[()], wp_prime.reshape(np.shape(z))[()]
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
-                      tanh_sinh)
+                      power_rows, tanh_sinh)
 
 
 @dataclass
@@ -99,7 +99,8 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     theta_nodes = 0.5 * np.cumsum(seg_vals)
     th_u = theta_nodes[0:2 * g:2]                           # Theta at u_j = sorted point 2j-1
     gaps = np.arange(1, 2 * g, 2)
-    part = tanh_sinh(table.q[gaps], zeros, table.q, tol)[0] @ poly     # int_{u_j}^{xi_j} Q / |mu|
+    # int_{u_j}^{xi_j} Q / |mu|
+    part = tanh_sinh(table.q[gaps], zeros, table.q, tol, power_rows(g + 1))[0] @ poly
     q = th_u.real
     h = (th_u + 0.5 * part / table.phase[gaps]).imag
     base_residual = float(np.max(np.abs(th_u.imag)))
@@ -130,7 +131,8 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     frac = np.linspace(0.0, 1.0, n_per_segment, endpoint=False)[1:]
     for s in range(2 * g):
         targets = pts[s] + (pts[s + 1] - pts[s]) * frac
-        part = tanh_sinh(np.full(len(targets), pts[s]), targets, pts, tol)[0] @ poly
+        part = tanh_sinh(np.full(len(targets), pts[s]), targets, pts, tol,
+                         power_rows(g + 1))[0] @ poly
         rows.extend(zip(targets, theta_base + 0.5 * part / table.phase[s]))
         theta_base = theta_base + 0.5 * seg_vals[s]
         rows.append((pts[s + 1], theta_base))

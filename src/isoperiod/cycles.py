@@ -6,11 +6,11 @@ On a real configuration a cycle around a contiguous run of the sorted points,
 given without center/radius hints, needs no contour: its periods are signed
 sums of integrals between consecutive branch points
 (:class:`isoperiod.periods.SegmentTable`).  The other cycles (complex
-configurations, hinted or non-contiguous specs) and the pole differentials of
-``periods.w_constants`` are realized as ellipses in the lambda plane;
-integration lifts them to the covering by continuous branch tracking started
-at the contour's rightmost point, where a branch point to its right has the
-upper-edge argument (the sheet of the nearby real configuration).
+configurations, hinted or non-contiguous specs) are realized as ellipses in
+the lambda plane; integration lifts them to the covering by continuous
+branch tracking started at the contour's rightmost point, where a branch
+point to its right has the upper-edge argument (the sheet of the nearby real
+configuration).
 
 Default basis for real interleaved configurations 0 < u_1 < x_1 < ... < x_g
 (sorted points q_0 < q_1 < ... < q_2g):

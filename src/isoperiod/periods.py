@@ -13,15 +13,16 @@ Two quadratures compute the periods, and the input picks one:
 
 * Segment quadrature, for real configurations whose cycles are contiguous
   runs of the sorted branch points given without center/radius hints (every
-  default marking).  Each period of a polynomial differential is a signed
-  sum of the integrals between consecutive branch points (``SegmentTable``),
-  computed by double-exponential (tanh-sinh) quadrature that absorbs the
-  inverse square roots at both endpoints into its weights (``tanh_sinh``).
+  default marking).  Each period is a signed sum of the integrals between
+  consecutive branch points, computed by double-exponential (tanh-sinh)
+  quadrature that absorbs the inverse square roots at both endpoints into
+  its weights (``tanh_sinh``, which integrates any rows of smooth
+  integrands).  The monomial integrals are kept in one ``SegmentTable`` per
+  curve; the pole differentials of ``w_constants`` are first reduced by an
+  exact form to polynomial differentials evaluated in product form.
 * Lifted ellipses with spectrally convergent trapezoidal quadrature and
   adaptive node doubling (``integrate_contour``), for complex
-  configurations, hinted or non-contiguous cycles, and the pole
-  differentials of ``w_constants``, whose singularity at a branch point is
-  not integrable at a segment endpoint.
+  configurations and hinted or non-contiguous cycles.
 """
 
 from __future__ import annotations
@@ -121,13 +122,22 @@ def _tanh_sinh_level(level: int):
     return (h,) + out
 
 
-def tanh_sinh(lo, hi, q, tol: float):
-    """Monomial integrals of 1/|mu| over intervals of the real axis.
+def power_rows(n: int):
+    """The ``tanh_sinh`` row function of the monomials t^0..t^(n-1)."""
+    powers = np.arange(n)
+    return lambda t, D: t[..., None] ** powers
 
-    Returns (values, nodes, err): ``values[r, k]`` = int t^k dt / sqrt(prod_i
-    |t - q_i|) over [lo_r, hi_r] for k = 0..g (g = (len(q) - 1) // 2), the
-    node count and the error estimate of each interval.  No branch point q_i
-    may lie inside an interval; an endpoint may be a branch point or not.
+
+def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
+    """Integrals of integrand rows over 1/|mu| on intervals of the real axis.
+
+    ``rows(t, D)`` returns the integrand rows f_k at the nodes t (shape
+    (intervals, nodes)) as an array of shape (intervals, nodes, K); D is
+    None, or with ``diffs`` the exact node differences D[..., i] = t - q_i.
+    Returns (values, nodes, err): ``values[r, k]`` = int f_k(t) dt /
+    sqrt(prod_i |t - q_i|) over [lo_r, hi_r], the node count and the error
+    estimate of each interval.  No branch point q_i may lie inside an
+    interval; an endpoint may be a branch point or not.
 
     Tanh-sinh quadrature, t = (lo + hi)/2 + (hi - lo)/2 tanh((pi/2) sinh tau).
     The distances d_lo = t - lo and d_hi = hi - t are carried separately, so
@@ -140,39 +150,65 @@ def tanh_sinh(lo, hi, q, tol: float):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    powers = np.arange((len(q) - 1) // 2 + 1)
     below = q <= lo[:, None]
     gap = np.where(below, lo[:, None] - q, q - hi[:, None])
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
 
-    def level_sum(rows, level):
+    def level_sum(live, level):
         h, w, e_lo, e_hi, x = _tanh_sinh_level(level)
-        c = half[rows, None]
+        c = half[live, None]
         d_lo, d_hi = c * e_lo, c * e_hi
-        t = mid[rows, None] + c * x             # read only by the smooth factors t^k
-        dist = np.where(below[rows, None, :], d_lo[..., None], d_hi[..., None])
-        dist += gap[rows, None, :]
+        t = mid[live, None] + c * x
+        dist = np.where(below[live, None, :], d_lo[..., None], d_hi[..., None])
+        dist += gap[live, None, :]
         f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=-1))
-        return h * np.einsum("rn,rnk->rk", f, t[..., None] ** powers)
+        D = np.where(below[live, None, :], dist, -dist) if diffs else None
+        return h * np.einsum("rn,rnk->rk", f, rows(t, D))
 
-    rows = np.arange(len(lo))
-    values = level_sum(rows, 0)
+    live = np.arange(len(lo))
+    values = level_sum(live, 0)
     nodes = np.zeros(len(lo), dtype=int)
     err = np.zeros(len(lo))
     n, level = len(_tanh_sinh_level(0)[1]), 0
-    while rows.size:
+    while live.size:
         level += 1
         n = 2 * n - 1
         if n > _MAX_NODES:
             raise NoConvergence(f"segment quadrature did not converge within {_MAX_NODES} nodes")
-        new = 0.5 * values[rows] + level_sum(rows, level)
-        delta = np.abs(new - values[rows]).max(axis=1)
+        new = 0.5 * values[live] + level_sum(live, level)
+        delta = np.abs(new - values[live]).max(axis=1)
         done = delta <= tol * np.maximum(1.0, np.abs(new).max(axis=1))
-        values[rows] = new
-        nodes[rows[done]] = n
-        err[rows[done]] = delta[done]
-        rows = rows[~done]
+        values[live] = new
+        nodes[live[done]] = n
+        err[live[done]] = delta[done]
+        live = live[~done]
     return values, nodes, err
+
+
+def _reduced_poles(q: np.ndarray):
+    """The ``tanh_sinh`` rows (with ``diffs``) of the reduced pole polynomials
+    N_k of ``w_constants``, one for each point q_k.
+
+    Over the points p_0 < p_1 < ... other than q_k, P_k' = sum_i prod_{j<i} (t - p_j)
+    prod_{j>i} (t - p_j) and the divided difference of P_k telescopes to
+    sum_i prod_{j<i} (q_k - p_j) prod_{j>i} (t - p_j), so N_k is the sum over
+    i >= 1 of (prod_{j<i} (t - p_j) - prod_{j<i} (q_k - p_j)) prod_{j>i} (t - p_j):
+    products of exact node differences, with no monomial expansion.
+    """
+    n = len(q)
+    i = np.arange(n - 1)[:, None]
+    others = i + (i >= np.arange(n))                   # others[i, k]: the i-th point other than q_k
+    lead = np.cumprod(q - q[others[:-1]], axis=0)      # prod_{j<i} (q_k - p_j), i = 1..n-2
+
+    def rows(t, D):
+        d = np.moveaxis(D, -1, 0)[others]              # d[i, k] = t - p_i, p the others of q_k
+        pre = np.cumprod(d[:-1], axis=0)               # prod_{j<i} (t - p_j), i = 1..n-2
+        post = np.cumprod(d[:1:-1], axis=0)[::-1]      # prod_{j>i} (t - p_j), i = 1..n-3
+        terms = pre - lead[..., None, None]
+        terms[:-1] *= post
+        return np.moveaxis(terms.sum(axis=0), 0, -1)
+
+    return rows
 
 
 class SegmentTable:
@@ -219,7 +255,7 @@ class SegmentTable:
         todo = np.unique(segs[self.nodes[segs] == 0])
         if todo.size:
             vals, self.nodes[todo], self.err[todo] = tanh_sinh(
-                self.q[todo], self.q[todo + 1], self.q, self.tol)
+                self.q[todo], self.q[todo + 1], self.q, self.tol, power_rows(self.values.shape[1]))
             self.values[todo] = vals / self.phase[todo, None]
         return self.values[segs]
 
@@ -231,6 +267,16 @@ class SegmentTable:
         nodes = [int(self.nodes[segs].sum()) for segs, _ in cyc]
         err = [2.0 * float(self.err[segs].sum()) for segs, _ in cyc]
         return vals, nodes, err
+
+    def integrate(self, specs, rows, tol: float) -> np.ndarray:
+        """The periods of the integrand rows ``rows`` (a ``tanh_sinh`` row
+        function that reads the node differences), one row per cycle, from one
+        kernel call over the cycles' segments to ``tol``; nothing is kept."""
+        cyc = [self.cycle(s) for s in specs]
+        segs = np.unique([s for segs, _ in cyc for s in segs])
+        vals = tanh_sinh(self.q[segs], self.q[segs + 1], self.q, tol, rows, diffs=True)[0]
+        vals = vals / self.phase[segs, None]
+        return np.array([f * vals[np.searchsorted(segs, ss)].sum(axis=0) for ss, f in cyc])
 
 
 def _contour_periods(contours, n_monomials: int, tol: float):
@@ -250,12 +296,13 @@ class PeriodData:
     Riemann matrix.  ``omega_at[j, q]`` evaluates omega_j at ramification
     point q (columns follow the package point indexing; the final column is
     the point at infinity).  ``segments`` is the segment table when it serves
-    the whole marking (None on the ellipse path).  ``B``, the contours
-    ``contours_a`` and ``contours_b`` and the dual-basis tables ``v_coeffs``
-    and ``v_poly_at`` are built on first read, so a caller that never reads
-    them does not pay for them; on the segment path the b-cycles' segments
-    are integrated on the first read of ``B``, an ``OmegaDifferential.beta``
-    or the comb map, and shared by all of them.
+    the whole marking; otherwise it is None and ``contours_a`` holds the
+    realized a-contours of the ellipse path.  ``B``, the b-contours
+    ``contours_b`` and the dual-basis tables ``v_coeffs`` and ``v_poly_at``
+    are built on first read, so a caller that never reads them does not pay
+    for them; on the segment path the b-cycles' segments are integrated on
+    the first read of ``B``, an ``OmegaDifferential.beta`` or the comb map,
+    and shared by all of them.
     """
 
     cfg: BranchConfig
@@ -268,15 +315,11 @@ class PeriodData:
     tol: float
     quad_report: dict
     segments: SegmentTable | None = field(repr=False, default=None)
+    contours_a: list | None = field(repr=False, default=None)
 
     @property
     def genus(self) -> int:
         return self.cfg.genus
-
-    @cached_property
-    def contours_a(self) -> list:
-        """The realized a-contours (the pole differentials of ``w_constants``)."""
-        return [_cycles.realize(s, self.cfg.points) for s in self.basis.a]
 
     @cached_property
     def contours_b(self) -> list:
@@ -349,9 +392,7 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
         omega_at[j, -1] = -2.0 * poly[g - 1]
     pd = PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
                     omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
-                    segments=segments)
-    if ca is not None:
-        pd.contours_a = ca          # seeds the cached property
+                    segments=segments, contours_a=ca)
     return pd
 
 
@@ -436,12 +477,32 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
     """Normalization constants I of the bidifferential W in the dual-basis expansion.
 
     W(P, P_k) = phi(P) / (phi(P_k) (lambda(P) - lambda_k)) + sum_i I[k, i] v_i(P),
-    with row k fixed by the vanishing a-periods of W(., P_k).  The 2g+1 pole
-    differentials share one quadrature per a-contour and one linear solve.
+    with row k fixed by the vanishing a-periods of W(., P_k), and one linear
+    solve for all 2g+1 rows.
+
+    The pole differential dlambda / ((lambda - lambda_k) mu) is not
+    integrable at a segment endpoint, so on the segment path it is reduced by
+    an exact form: with P_k = prod_{j != k} (lambda - lambda_j),
+
+        P_k(lambda_k) dlambda / ((lambda - lambda_k) mu)
+            = N_k dlambda / mu - 2 d(mu / (lambda - lambda_k)),
+        N_k = P_k' - (P_k - P_k(lambda_k)) / (lambda - lambda_k),
+
+    and since phi_k = 2 / sqrt(P_k(lambda_k)), the a-period of the k-th pole
+    differential phi / (phi_k (lambda - lambda_k)) is (phi_k / 4) times the
+    a-period of the polynomial differential N_k dlambda / mu.  The 2g+1
+    polynomials N_k are evaluated at the nodes in product form
+    (``_reduced_poles``) and share one kernel call.  On the ellipse path the
+    pole differentials themselves share one quadrature per a-contour.
     """
-    poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
-             for lam, phi in zip(cfg.points, pd.phi_at)]
-    w = np.array([integrate_contour(contour, poles, tol)[0] for contour in pd.contours_a])
+    if pd.segments is not None:
+        table = pd.segments
+        N = table.integrate(pd.basis.a, _reduced_poles(table.q), tol)
+        w = N[:, table.rank] * (0.25 * pd.phi_at)
+    else:
+        poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
+                 for lam, phi in zip(cfg.points, pd.phi_at)]
+        w = np.array([integrate_contour(contour, poles, tol)[0] for contour in pd.contours_a])
     V = pd.A_raw @ pd.v_coeffs.T            # a-periods of v_i, columns i
     return np.linalg.solve(V, -w).T
 

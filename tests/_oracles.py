@@ -21,7 +21,9 @@ machinery:
 * ``w_identity_loops``: the symmetry and dual-basis expansion checks of the
   W table in scalar loops, against the array form of ``verify_identities``;
 * ``hinted_basis``: a real marking with circle hints on every cycle, which
-  keeps its periods on lifted ellipses, against the segment quadrature;
+  keeps its periods and the bidifferential constants of ``w_constants`` on
+  lifted ellipses, against the segment quadrature (the constants against
+  their reduced pole polynomials);
 * ``wp_laurent``: the Weierstrass function from its Laurent series at the
   nearest lattice point, against the theta-quotient series of
   ``wp_function``.

@@ -18,9 +18,9 @@ def segment_calls(monkeypatch):
     calls = []
     original = periods_module.tanh_sinh
 
-    def recording(lo, hi, q, tol):
+    def recording(lo, hi, *args, **kwargs):
         calls.append(list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())))
-        return original(lo, hi, q, tol)
+        return original(lo, hi, *args, **kwargs)
 
     monkeypatch.setattr(periods_module, "tanh_sinh", recording)
     return calls

@@ -178,6 +178,27 @@ def test_wp_matches_laurent_oracle_on_rhombic_lattice():
     assert np.allclose(vals, [e1, e2, e3], atol=1e-13)
 
 
+def test_wp_elongated_lattice_is_finite_and_matches_degenerate_limit():
+    # Im tau = 30: cos 2nv of the series would overflow at the far edge of the
+    # reduced cell, while the terms exp(2in(pi tau +- v)) stay below |q|^n.
+    # At q = exp(-30 pi) wp is its trigonometric limit (pi/b)^2 (csc^2 v - 1/3).
+    import warnings
+
+    p3 = math.pi ** 2 / 3.0
+    wd = WeierstrassData(e2=-p3, e3=2.0 * p3, e1=-p3, g2=4.0 * math.pi ** 4 / 3.0,
+                         g3=8.0 * math.pi ** 6 / 27.0, w1=15j, w2=0.5, cfg=None)
+    rng = np.random.default_rng(31)
+    z = rng.uniform(-0.5, 0.5, 64) + 1j * rng.uniform(-15.0, 15.0, 64)
+    z[:2] = [0.25 + 14.9j, -0.3 - 14.95j]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, dp = wp_function(wd, z)
+    assert np.all(np.isfinite(p)) and np.all(np.isfinite(dp))
+    b = 2.0 * wd.w2
+    ref = (math.pi / b) ** 2 * (1.0 / np.sin(math.pi * z / b) ** 2 - 1.0 / 3.0)
+    assert np.max(np.abs(p - ref) / np.abs(ref)) <= 1e-13
+
+
 # -- cnoidal report ------------------------------------------------------------------
 
 def test_cnoidal_period_preservation_small():

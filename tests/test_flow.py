@@ -451,12 +451,13 @@ def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
 
 def test_zero_alpha_identities_integrate_b_segments_once(segment_calls):
     # segment path: beta_consistency integrates the bands once, in one kernel
-    # call, and reads them with Omega's coefficients; B is never read
+    # call, and reads them with Omega's coefficients; B is never read.  The
+    # call before it is w_constants', on the gaps (the a-cycles' segments)
     pd, om = _setup(G2)
     assert segment_calls == [[(1.0, 3.0), (4.0, 5.0)]]
     rep = verify_identities(G2, pd, om, tol=TOL)
     assert rep["beta_consistency"] < 1e-9
-    assert segment_calls[1:] == [[(0.0, 1.0), (3.0, 4.0)]]
+    assert segment_calls[1:] == [[(1.0, 3.0), (4.0, 5.0)], [(0.0, 1.0), (3.0, 4.0)]]
     assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
     assert "contours_b" not in vars(pd)
 
@@ -594,6 +595,7 @@ def test_identity_suite_keys_and_bounds_by_genus(g):
 def test_verify_identities_builds_tables_once(monkeypatch):
     import sys
     import isoperiod.curves
+    import isoperiod.cycles
     import isoperiod.periods
 
     cfg = BranchConfig(x=[2.0, 5.0, 8.0, 11.0], u=[1.0, 4.0, 7.0, 10.0], real=True)
@@ -612,7 +614,8 @@ def test_verify_identities_builds_tables_once(monkeypatch):
                      ("v_polynomial", isoperiod.curves.v_polynomial),
                      ("w_constants", isoperiod.periods.w_constants),
                      ("w_value", isoperiod.periods.w_value),
-                     ("integrate_contour", isoperiod.periods.integrate_contour)]:
+                     ("integrate_contour", isoperiod.periods.integrate_contour),
+                     ("realize", isoperiod.cycles.realize)]:
         counts[name] = 0
         wrapped = counted(name, fn)
         for modname, mod in list(sys.modules.items()):
@@ -621,10 +624,12 @@ def test_verify_identities_builds_tables_once(monkeypatch):
     rep = verify_identities(cfg, pd, om, tol=TOL)
     assert counts["phi_values"] == 0
     assert counts["v_polynomial"] <= g
-    # one table, and one quadrature per a-contour serves all 2g+1 poles
+    # one table; on a real curve the 2g+1 poles are integrated on the
+    # segments, so no contour is realized or integrated
     assert counts["w_constants"] == 1
     assert counts["w_value"] == 1
-    assert counts["integrate_contour"] == g
+    assert counts["integrate_contour"] == 0
+    assert counts["realize"] == 0
     assert rep["W_symmetry"] < 1e-8
 
 

@@ -310,6 +310,72 @@ def test_W_links_omega_variation(pd2):
         assert np.all(np.abs(fd - predicted)[a] < 1e-6 * np.abs(predicted[a])), b
 
 
+def _w_segments_and_ellipses(cfg, tol):
+    """w_constants on the segment path and on the hinted ellipses of the same cycles."""
+    from isoperiod.periods import w_constants
+
+    pd = normalized_basis(cfg, tol=tol)
+    hinted = normalized_basis(cfg, basis=hinted_basis(pd.basis, cfg.points), tol=tol)
+    assert pd.segments is not None and pd.contours_a is None
+    assert hinted.segments is None and len(hinted.contours_a) == cfg.genus
+    return pd, w_constants(cfg, pd, tol), w_constants(cfg, hinted, tol)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_w_constants_on_segments_match_hinted_ellipses(g):
+    # the reduced pole polynomials on the segments against the pole
+    # differentials themselves on lifted ellipses
+    rng = np.random.default_rng(700 + g)
+    pts = np.arange(1, 2 * g + 1) + rng.uniform(-0.3, 0.3, 2 * g)
+    cfg = BranchConfig(x=pts[1::2], u=pts[0::2], real=True)
+    _, I, ref = _w_segments_and_ellipses(cfg, TOL)
+    assert np.max(np.abs(I - ref)) <= 2e-13 * np.max(np.abs(ref))
+
+
+def test_w_constants_property_on_random_interleaved_curves():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from isoperiod.periods import w_value
+
+    @st.composite
+    def configurations(draw):
+        g = draw(st.integers(1, 5))
+        gaps = draw(st.lists(st.floats(0.2, 2.0), min_size=2 * g, max_size=2 * g))
+        pts = np.cumsum(gaps)              # 0 < u_1 < x_1 < u_2 < ... < x_g
+        return BranchConfig(x=pts[1::2], u=pts[0::2], real=True)
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(configurations())
+    def check(cfg):
+        pd, I, ref = _w_segments_and_ellipses(cfg, TOL)
+        assert np.max(np.abs(I - ref)) <= 1e-13 * np.max(np.abs(ref))
+        W = w_value(cfg, pd, I)
+        assert np.nanmax(np.abs(W - W.T)) <= 1e-12 * np.nanmax(np.abs(W))
+
+    check()
+
+
+def test_w_constants_take_ellipses_on_complex_configs(monkeypatch):
+    # a complex configuration has no segment table: the pole differentials
+    # stay on the realized a-contours, one quadrature per contour
+    import isoperiod.periods as periods_module
+    from isoperiod.periods import w_constants
+
+    cfg = BranchConfig(x=[2.0 + 0.1j, 4.0 - 0.05j], u=[1.0 - 0.1j, 3.0 + 0.2j], real=False)
+    pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=TOL)
+    assert pd.segments is None and len(pd.contours_a) == 2
+    calls = []
+    original = periods_module.integrate_contour
+
+    def recording(contour, diffs, *args, **kwargs):
+        calls.append(contour)
+        return original(contour, diffs, *args, **kwargs)
+
+    monkeypatch.setattr(periods_module, "integrate_contour", recording)
+    assert w_constants(cfg, pd, TOL).shape == (5, 2)
+    assert len(calls) == 2 and all(c is ca for c, ca in zip(calls, pd.contours_a))
+
+
 def test_w_value_diagonal_raises(pd2):
     # W has a double pole at P_a = P_b: the table holds NaN there, computed
     # without a division by zero
