@@ -19,7 +19,7 @@ from .flow import (DeformationState, FlowControl, Trajectory, first_derivatives,
                    hill_check, integrate_flow, newton_correct, rhs_genus_g,
                    verify_identities)
 from .comb import CombRegion, comb_invariance_check, comb_map, omega_zeros
-from .apps import (GapSpectrum, WeierstrassData, cnoidal_period_report,
+from .apps import (WeierstrassData, cnoidal_period_report,
                    config_to_weierstrass, kdv_wavevector_report,
                    lame_two_gap_config, neumann_config, weierstrass_to_config,
                    wp_function)
@@ -33,7 +33,7 @@ __all__ = [
     "DeformationState", "FlowControl", "Trajectory", "first_derivatives", "hill_check",
     "integrate_flow", "newton_correct", "rhs_genus_g", "verify_identities",
     "CombRegion", "comb_invariance_check", "comb_map", "omega_zeros",
-    "GapSpectrum", "WeierstrassData", "cnoidal_period_report", "config_to_weierstrass",
+    "WeierstrassData", "cnoidal_period_report", "config_to_weierstrass",
     "kdv_wavevector_report", "lame_two_gap_config", "neumann_config",
     "weierstrass_to_config", "wp_function",
 ]

@@ -208,37 +208,8 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
 
 
 # ---------------------------------------------------------------------------
-# spectra: gap-edge bookkeeping and the Neumann system
+# spectra: the Neumann system
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GapSpectrum:
-    """Real band/gap edges in descending order, with an optional period."""
-
-    edges: tuple                 # lambda_{2g+1} < ... < lambda_1 given descending
-    period: float | None = None
-
-    def __post_init__(self):
-        e = tuple(float(v) for v in self.edges)
-        if len(e) % 2 == 0 or len(e) < 3:
-            raise OrderingViolation("need an odd number (2g+1) of edges")
-        if not all(a > b for a, b in zip(e, e[1:])):
-            raise OrderingViolation("edges must be strictly decreasing")
-        object.__setattr__(self, "edges", e)
-
-    @property
-    def genus(self) -> int:
-        return (len(self.edges) - 1) // 2
-
-    def to_config(self) -> BranchConfig:
-        """Shift so the smallest edge is 0; x_j, u_j are the j-th gap edges."""
-        g = self.genus
-        lo = self.edges[-1]
-        shifted = [v - lo for v in self.edges]     # descending, last = 0
-        x = [shifted[2 * j - 2] for j in range(1, g + 1)]
-        u = [shifted[2 * j - 1] for j in range(1, g + 1)]
-        return BranchConfig(x=tuple(x), u=tuple(u), real=True)
-
 
 def neumann_config(A, z_even) -> BranchConfig:
     """Spectral-curve configuration of the Neumann system on the n-sphere.

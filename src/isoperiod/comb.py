@@ -17,7 +17,9 @@ Theta at the branch points is a cumulative sum of the period data's segment
 table (:class:`isoperiod.periods.SegmentTable`) times Q, so the full
 segments cost no quadrature here; the partial integrals from a branch point
 to an interior point use the same tanh-sinh kernel, with one singular
-endpoint.
+endpoint.  Up to the zeros, Q is evaluated in product form over them, from
+the exact node differences: the monomial form cancels near xi_j, where
+narrow gaps put the slit heights' whole integrand.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
-                      power_rows, tanh_sinh)
+from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations, power_rows,
+                      tanh_sinh)
 
 
 @dataclass
@@ -73,11 +75,6 @@ def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     return roots
 
 
-def _table(cfg: BranchConfig, pd: PeriodData) -> SegmentTable:
-    """The segment table of ``pd``, or a fresh one when ``pd`` took the ellipse path."""
-    return pd.segments if pd.segments is not None else SegmentTable.of(cfg.points, pd.tol)
-
-
 def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
              tol: float = 1e-10) -> CombRegion:
     """Base marks q_j, slit heights h_j, and the q/beta ratio vector.
@@ -92,17 +89,22 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         raise ValueError("comb construction uses the zero-a-period differential")
     g = cfg.genus
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    table = _table(cfg, pd)
+    table = pd.segments
     zeros = np.sort(omega_zeros(om).real)
 
     seg_vals = table.rows(np.arange(2 * g)) @ poly          # phase included
     theta_nodes = 0.5 * np.cumsum(seg_vals)
     th_u = theta_nodes[0:2 * g:2]                           # Theta at u_j = sorted point 2j-1
     gaps = np.arange(1, 2 * g, 2)
-    # int_{u_j}^{xi_j} Q / |mu|
-    part = tanh_sinh(table.q[gaps], zeros, table.q, tol, power_rows(g + 1))[0] @ poly
+    # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k)
+    offsets = zeros - table.q[gaps]
+    part = tanh_sinh(table.q[gaps], zeros, table.q, tol,
+                     lambda t, D: np.prod(D[..., gaps] - offsets, axis=-1)[..., None],
+                     diffs=True)[0][:, 0]
     q = th_u.real
-    h = (th_u + 0.5 * part / table.phase[gaps]).imag
+    # Theta(u_j) is real (the a-periods of Q vanish); its imaginary part is
+    # rounding, reported as the base residual, and left out of h
+    h = (0.5 * part / table.phase[gaps]).imag
     base_residual = float(np.max(np.abs(th_u.imag)))
 
     beta = beta_from_evaluations(pd, None)
@@ -123,7 +125,7 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         raise OrderingViolation("boundary trace requires an ordered real configuration")
     g = cfg.genus
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    table = _table(cfg, pd)
+    table = pd.segments
     pts = table.q
     seg_vals = table.rows(np.arange(2 * g)) @ poly
     rows = []

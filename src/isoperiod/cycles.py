@@ -2,14 +2,13 @@
 
 A cycle is described by the set of finite branch points it encircles (an even
 count, so the lift to the two-sheeted covering closes) plus an orientation.
-On a real configuration a cycle around a contiguous run of the sorted points,
-given without center/radius hints, needs no contour: its periods are signed
-sums of integrals between consecutive branch points
-(:class:`isoperiod.periods.SegmentTable`).  The other cycles (complex
-configurations, hinted or non-contiguous specs) are realized as ellipses in
-the lambda plane; integration lifts them to the covering by continuous
-branch tracking started at the contour's rightmost point, where a branch
-point to its right has the upper-edge argument (the sheet of the nearby real
+On a real configuration every cycle must encircle a contiguous run of the
+sorted points, and needs no contour: its periods are signed sums of integrals
+between consecutive branch points (:class:`isoperiod.periods.SegmentTable`).
+Only the cycles of complex configurations are realized, as circles in the
+lambda plane; integration lifts them to the covering by continuous branch
+tracking started at the contour's rightmost point, where a branch point to
+its right has the upper-edge argument (the sheet of the nearby real
 configuration).
 
 Default basis for real interleaved configurations 0 < u_1 < x_1 < ... < x_g
@@ -39,13 +38,10 @@ class CycleSpec:
 
     ``encircled`` holds point indices (into the configuration's point order);
     the realized contour separates them from all other branch points.
-    Optional ``center``/``radius`` hints force a circular realization.
     """
 
     encircled: frozenset
     orientation: int = +1
-    center: complex | None = None
-    radius: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "encircled", frozenset(self.encircled))
@@ -215,47 +211,22 @@ class EllipseContour:
 
 
 def realize(spec: CycleSpec, points: np.ndarray) -> EllipseContour:
-    """Build an ellipse separating the encircled from the excluded branch points."""
+    """The circle around the encircled branch points of a complex configuration:
+    centred at their mean, its radius halfway between the farthest encircled
+    and the nearest excluded point."""
     from .curves import effective_points
 
     pts = effective_points(points)
     inside = sorted(spec.encircled)
-    if spec.center is not None and spec.radius is not None:
-        contour = EllipseContour(complex(spec.center), float(spec.radius), float(spec.radius),
-                                 spec.orientation, pts)
-    else:
-        sel = pts[inside]
-        if np.max(np.abs(pts.imag)) > 1e-12 * max(1.0, np.max(np.abs(pts))):
-            # complex configuration without hints: enclosing circle with margin
-            c = complex(np.mean(sel))
-            r_in = float(np.max(np.abs(sel - c)))
-            others = np.delete(pts, inside)
-            r_out = float(np.min(np.abs(others - c))) if len(others) else 2.0 * r_in + 1.0
-            if r_out <= r_in:
-                raise DegenerateConfig("cannot separate encircled branch points by a circle; pass hints")
-            r = 0.5 * (r_in + r_out)
-            contour = EllipseContour(c, r, r, spec.orientation, pts)
-        else:
-            lo = float(np.min(sel.real))
-            hi = float(np.max(sel.real))
-            others = np.delete(pts, inside)
-            margin = 0.25 * max(hi - lo, _min_gap(pts))
-            for o in others:
-                if o.real > hi:
-                    margin = min(margin, 0.5 * (o.real - hi))
-                elif o.real < lo:
-                    margin = min(margin, 0.5 * (lo - o.real))
-                else:
-                    raise DegenerateConfig("encircled set is not contiguous on the real axis")
-            c = 0.5 * (lo + hi)
-            a_semi = 0.5 * (hi - lo) + margin
-            b_semi = max(0.5 * margin, 0.45 * a_semi)
-            contour = EllipseContour(complex(c), a_semi, b_semi, spec.orientation, pts)
+    sel = pts[inside]
+    c = complex(np.mean(sel))
+    r_in = float(np.max(np.abs(sel - c)))
+    others = np.delete(pts, inside)
+    r_out = float(np.min(np.abs(others - c)))
+    if r_out <= r_in:
+        raise DegenerateConfig("cannot separate encircled branch points by a circle")
+    r = 0.5 * (r_in + r_out)
+    contour = EllipseContour(c, r, r, spec.orientation, pts)
     if contour.min_clearance() <= 0.0:
         raise DegenerateConfig("realized contour touches a branch point")
     return contour
-
-
-def _min_gap(pts: np.ndarray) -> float:
-    re = np.sort(pts.real)
-    return float(np.min(np.diff(re))) if len(re) > 1 else 1.0

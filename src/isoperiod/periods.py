@@ -11,18 +11,18 @@ argument frozen at a ramification point.
 
 Two quadratures compute the periods, and the input picks one:
 
-* Segment quadrature, for real configurations whose cycles are contiguous
-  runs of the sorted branch points given without center/radius hints (every
-  default marking).  Each period is a signed sum of the integrals between
+* Segment quadrature, for real configurations, whose cycles must be
+  contiguous runs of the sorted branch points (those of every default
+  marking are).  Each period is a signed sum of the integrals between
   consecutive branch points, computed by double-exponential (tanh-sinh)
   quadrature that absorbs the inverse square roots at both endpoints into
   its weights (``tanh_sinh``, which integrates any rows of smooth
   integrands).  The monomial integrals are kept in one ``SegmentTable`` per
   curve; the pole differentials of ``w_constants`` are first reduced by an
   exact form to polynomial differentials evaluated in product form.
-* Lifted ellipses with spectrally convergent trapezoidal quadrature and
+* Lifted circles with spectrally convergent trapezoidal quadrature and
   adaptive node doubling (``integrate_contour``), for complex
-  configurations and hinted or non-contiguous cycles.
+  configurations only.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from . import cycles as _cycles
 from .curves import (BranchConfig, effective_points, phi_values, require_valid,
                      v_polynomial)
 from .cycles import CanonicalBasis, CycleSpec, EllipseContour
-from .errors import NoConvergence, SingularPeriodMatrix
+from .errors import DegenerateConfig, NoConvergence, SingularPeriodMatrix
 
 _MAX_NODES = 1 << 17
 _MIN_NODES = 64          # first node count of a contour quadrature
@@ -240,13 +240,12 @@ class SegmentTable:
         return cls(pts.real[order], np.argsort(order), tol)
 
     def cycle(self, spec: CycleSpec):
-        """(first segments, factor) of a cycle's period, or None for a cycle
-        that needs an ellipse (center/radius hints, or not a contiguous run)."""
-        if spec.center is not None or spec.radius is not None:
-            return None
+        """(first segments, factor) of a cycle's period.  A real cycle must
+        encircle a contiguous run of the sorted points; any other raises
+        DegenerateConfig."""
         ranks = sorted(int(self.rank[i]) for i in spec.encircled)
         if ranks[-1] - ranks[0] != len(ranks) - 1:
-            return None
+            raise DegenerateConfig("encircled set is not contiguous on the real axis")
         return ranks[::2], -2.0 * spec.orientation
 
     def rows(self, segs) -> np.ndarray:
@@ -295,9 +294,9 @@ class PeriodData:
     the coefficients of omega_j = sum_k C[j, k] lambda^(k-1) phi; ``B`` the
     Riemann matrix.  ``omega_at[j, q]`` evaluates omega_j at ramification
     point q (columns follow the package point indexing; the final column is
-    the point at infinity).  ``segments`` is the segment table when it serves
-    the whole marking; otherwise it is None and ``contours_a`` holds the
-    realized a-contours of the ellipse path.  ``B``, the b-contours
+    the point at infinity).  ``segments`` is the segment table of a real
+    configuration; on a complex one it is None and ``contours_a`` holds the
+    realized a-contours.  ``B``, the b-contours
     ``contours_b`` and the dual-basis tables ``v_coeffs`` and ``v_poly_at``
     are built on first read, so a caller that never reads them does not pay
     for them; on the segment path the b-cycles' segments are integrated on
@@ -323,7 +322,7 @@ class PeriodData:
 
     @cached_property
     def contours_b(self) -> list:
-        """The realized b-contours of the ellipse path, shared by ``B`` and every
+        """The realized b-contours of a complex configuration, shared by ``B`` and every
         ``OmegaDifferential.beta``."""
         return [_cycles.realize(s, self.cfg.points) for s in self.basis.b]
 
@@ -357,9 +356,10 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
 
     Solves sum_k C[j, k] * A_raw[., k] = identity so that the a-periods of
     omega_j are delta_jk and tabulates evaluations at all ramification
-    points.  Only the a-cycles are integrated here (on the segment table
-    when it serves the marking, else on lifted ellipses); the Riemann matrix
-    ``B`` is integrated over the b-cycles on first read.
+    points.  Only the a-cycles are integrated here (on the segment table of
+    a real configuration, whose a- and b-cycles are all checked first, or on
+    lifted circles of a complex one); the Riemann matrix ``B`` is integrated
+    over the b-cycles on first read.
     """
     require_valid(cfg)
     g = cfg.genus
@@ -368,11 +368,12 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
         basis = _cycles.gap_basis(points)
     report = {"tol": tol, "b_nodes": [], "b_err": []}
     segments = SegmentTable.of(points, tol)
-    if segments is not None and all(segments.cycle(s) for s in basis.a + basis.b):
+    if segments is not None:
+        for s in basis.b:               # reject a bad marking now, not on the first read of B
+            segments.cycle(s)
         A_ext, report["a_nodes"], report["a_err"] = segments.periods(basis.a)
         ca = None
     else:
-        segments = None
         ca = [_cycles.realize(s, points) for s in basis.a]
         A_ext, report["a_nodes"], report["a_err"] = _contour_periods(ca, g + 1, tol)
     A_raw = A_ext[:, :g]
@@ -428,7 +429,7 @@ class OmegaDifferential:
     def beta(self) -> np.ndarray:
         """b-periods, computed on first read: the monomial b-periods of ``pd``'s
         segment table times the coefficients (to ``pd.tol``), or quadrature to
-        ``tol`` over the b-contours of ``pd`` on the ellipse path."""
+        ``tol`` over the b-contours of ``pd`` on a complex configuration."""
         diff = self.differential(self.pd)
         if self.pd.segments is not None:
             return self.pd.segments.periods(self.pd.basis.b)[0] @ np.asarray(diff.poly)
@@ -492,8 +493,9 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
     differential phi / (phi_k (lambda - lambda_k)) is (phi_k / 4) times the
     a-period of the polynomial differential N_k dlambda / mu.  The 2g+1
     polynomials N_k are evaluated at the nodes in product form
-    (``_reduced_poles``) and share one kernel call.  On the ellipse path the
-    pole differentials themselves share one quadrature per a-contour.
+    (``_reduced_poles``) and share one kernel call.  On a complex
+    configuration the pole differentials themselves share one quadrature per
+    a-contour.
     """
     if pd.segments is not None:
         table = pd.segments

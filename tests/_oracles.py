@@ -20,10 +20,12 @@ machinery:
   loops, against the array form of ``rhs_genus_g``;
 * ``w_identity_loops``: the symmetry and dual-basis expansion checks of the
   W table in scalar loops, against the array form of ``verify_identities``;
-* ``hinted_basis``: a real marking with circle hints on every cycle, which
-  keeps its periods and the bidifferential constants of ``w_constants`` on
-  lifted ellipses, against the segment quadrature (the constants against
-  their reduced pole polynomials);
+* ``real_ellipse`` and ``hint_circle``: lifted ellipses and circles around
+  the cycles of a real marking, which the engine integrates on segments
+  only; the package's contour quadrature on them referees the segment
+  periods, and ``ellipse_w_constants`` integrates the pole differentials of
+  ``w_constants`` themselves on the circles, against their reduced pole
+  polynomials on the segments;
 * ``wp_laurent``: the Weierstrass function from its Laurent series at the
   nearest lattice point, against the theta-quotient series of
   ``wp_function``.
@@ -379,22 +381,53 @@ def w_identity_loops(cfg, pd, W, I) -> dict:
     return out
 
 
-def hinted_basis(basis, points):
-    """The same cycles with center/radius hints: circles around each encircled
-    run reaching halfway to the nearest excluded point."""
-    from isoperiod.cycles import CanonicalBasis, CycleSpec
+def _run_bounds(spec, points):
+    """(real points, lo, hi, excluded points) of a cycle around a run of a real configuration."""
+    pts = np.real(np.asarray(points)) + 0.0j
+    inside = sorted(spec.encircled)
+    return pts, pts[inside].real.min(), pts[inside].real.max(), np.delete(pts.real, inside)
 
-    pts = np.real(np.asarray(points))
 
-    def hint(spec):
-        inside = sorted(spec.encircled)
-        lo, hi = pts[inside].min(), pts[inside].max()
-        others = np.delete(pts, inside)
-        margin = 0.5 * np.min(np.where(others > hi, others - hi, lo - others))
-        return CycleSpec(spec.encircled, spec.orientation, center=complex(0.5 * (lo + hi)),
-                         radius=0.5 * (hi - lo) + margin)
+def real_ellipse(spec, points):
+    """The ellipse around a contiguous run of a real configuration: semi-axes
+    a = half-width + margin and b = max(margin / 2, 0.45 a), the margin a
+    quarter of the larger of the run's width and the narrowest spacing of
+    the points, and at most half the distance to the nearest excluded point."""
+    from isoperiod.cycles import EllipseContour
 
-    return CanonicalBasis(tuple(map(hint, basis.a)), tuple(map(hint, basis.b)))
+    pts, lo, hi, others = _run_bounds(spec, points)
+    margin = 0.25 * max(hi - lo, float(np.min(np.diff(np.sort(pts.real)))))
+    margin = min(margin, float(np.min(0.5 * np.where(others > hi, others - hi, lo - others))))
+    a_semi = 0.5 * (hi - lo) + margin
+    return EllipseContour(complex(0.5 * (lo + hi)), a_semi, max(0.5 * margin, 0.45 * a_semi),
+                          spec.orientation, pts)
+
+
+def hint_circle(spec, points):
+    """The circle around a contiguous run of a real configuration reaching
+    halfway to the nearest excluded point."""
+    from isoperiod.cycles import EllipseContour
+
+    pts, lo, hi, others = _run_bounds(spec, points)
+    margin = 0.5 * np.min(np.where(others > hi, others - hi, lo - others))
+    radius = float(0.5 * (hi - lo) + margin)
+    return EllipseContour(complex(0.5 * (lo + hi)), radius, radius, spec.orientation, pts)
+
+
+def ellipse_w_constants(cfg, pd, contours, tol):
+    """The constants I of ``w_constants`` from quadrature on the lifted
+    a-contours ``contours``: the pole differentials phi / (phi_k (lambda - lambda_k))
+    and the monomial a-periods A_raw on the same contours, then
+    I = solve(A_raw v_coeffs^T, -w)^T."""
+    from isoperiod.periods import DifferentialOverMu, integrate_contour, monomial
+
+    g = cfg.genus
+    mons = [monomial(k) for k in range(g + 1)]
+    A = np.array([integrate_contour(c, mons, tol)[0] for c in contours])[:, :g]
+    poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
+             for lam, phi in zip(cfg.points, pd.phi_at)]
+    w = np.array([integrate_contour(c, poles, tol)[0] for c in contours])
+    return np.linalg.solve(A @ pd.v_coeffs.T, -w).T
 
 
 def wp_laurent(wd, z):

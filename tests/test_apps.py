@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from isoperiod.apps import (GapSpectrum, WeierstrassData, cnoidal_period_report,
+from isoperiod.apps import (WeierstrassData, cnoidal_period_report,
                             config_to_weierstrass, kdv_wavevector_report,
                             lame_two_gap_config, neumann_config,
                             weierstrass_to_config, wp_function)
@@ -273,18 +273,6 @@ def test_cnoidal_zero_length_path():
 
 
 # -- spectra and the Neumann system -----------------------------------------------
-
-def test_gap_spectrum_to_config():
-    spec = GapSpectrum(edges=(5.0, 4.0, 3.0, 2.0, 0.0))
-    cfg = spec.to_config()
-    assert cfg.x == (5.0 + 0.0j, 3.0 + 0.0j)
-    assert cfg.u == (4.0 + 0.0j, 2.0 + 0.0j)
-
-
-def test_gap_spectrum_rejects_unordered():
-    with pytest.raises(OrderingViolation):
-        GapSpectrum(edges=(5.0, 4.0, 4.5, 2.0, 0.0))
-
 
 def test_neumann_reference_identification():
     cfg = neumann_config([-5.0, -3.0], [4.0, 2.0])

@@ -96,6 +96,33 @@ def test_ratio_constant_across_configs():
     assert np.max(np.abs(ratios - ratios[0])) < 1e-8
 
 
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_slit_heights_on_a_narrow_gap_match_mpmath(j):
+    # h_j = (1/2) |int_{u_j}^{xi_j} Q dt / |mu||; near its zero xi_j the
+    # monomial form of Q cancels, which cost up to 3.5e-10 relative here
+    mp = pytest.importorskip("mpmath")
+    u, x = [1.0, 3.0, 5.0], [2.0, 4.0, 6.0]
+    x[j] = u[j] + 1.5e-4
+    shift = 1.0 - 1.5e-4
+    cfg = BranchConfig(x=x[:j + 1] + [v - shift for v in x[j + 1:]],
+                       u=u[:j + 1] + [v - shift for v in u[j + 1:]], real=True)
+    pd, om = _setup(cfg)
+    region = comb_map(cfg, pd, om, tol=TOL)
+    q = [mp.mpf(p) for p in sorted(cfg.points.real)]
+    poly = [mp.mpf(c) for c in om.poly.real[::-1]]
+    for k, xi in enumerate(region.zeros):
+        lo = q[2 * k + 1]
+        others = q[:2 * k + 1] + q[2 * k + 2:]
+
+        def f(v):                     # t = u_k + v^2 absorbs the endpoint root
+            t = lo + v * v
+            return 2 * mp.polyval(poly, t) / mp.sqrt(abs(mp.fprod(t - p for p in others)))
+
+        with mp.workdps(30):
+            ref = 0.5 * abs(mp.quad(f, [0, mp.sqrt(mp.mpf(xi) - lo)]))
+        assert abs(region.h[k] - ref) <= 5e-11 * ref
+
+
 def test_comb_requires_ordered_real_config():
     cfg = BranchConfig(x=[3.0, 1.0], u=[2.0, 4.0], real=True)
     pd = normalized_basis(cfg, tol=TOL)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (hinted_basis, rhs_genus1, rhs_genus2_example, rhs_genus_g_loops,
+from _oracles import (rhs_genus1, rhs_genus2_example, rhs_genus_g_loops,
                       second_difference, w_identity_loops)
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
@@ -19,6 +19,9 @@ from isoperiod.periods import (beta_from_evaluations, build_omega,
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
 G2 = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+# G1 and G2 moved off the real axis: their cycles are realized as contours
+G1_COMPLEX = BranchConfig(x=[2.0 + 1e-3j], u=[1.0 - 2e-3j])
+G2_COMPLEX = BranchConfig(x=[3.0 + 1e-3j, 5.0 - 2e-3j], u=[1.0 - 1.5e-3j, 4.0 + 2e-3j])
 TOL = 1e-11
 
 
@@ -393,10 +396,12 @@ def test_deformation_state_rejects_misshapen_alpha(alpha):
 
 def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch):
     # the drift reads B only when alpha != 0, and first_derivatives never does
-    # (ellipse path: hinted cycles)
+    # (contours: a complex configuration)
     import isoperiod.cycles as cycles_module
 
-    basis = hinted_basis(cycles_module.gap_basis(G1.points), G1.points)
+    cfg = G1_COMPLEX
+    basis = gap_basis(cfg.points.real)
+    path = [cfg.x, np.add(cfg.x, 0.1)]
     realized_b = []
     original = cycles_module.realize
 
@@ -406,12 +411,10 @@ def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch)
 
     monkeypatch.setattr(cycles_module, "realize", recording)
     ctrl = FlowControl(quad_tol=TOL, macro_step=0.05)
-    integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL, basis=basis),
-                   [[2.0], [2.1]], ctrl)
+    integrate_flow(DeformationState(cfg, np.zeros(1), mode=RATIONAL, basis=basis), path, ctrl)
     assert realized_b and sum(realized_b) == 0
     realized_b.clear()
-    integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL, basis=basis),
-                   [[2.0], [2.1]], ctrl)
+    integrate_flow(DeformationState(cfg, np.array([0.3j]), mode=RATIONAL, basis=basis), path, ctrl)
     assert sum(realized_b) > 0
 
 
@@ -427,13 +430,12 @@ def test_rational_samples_integrate_b_segments_only_for_nonzero_alpha(segment_ca
 
 def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
     # beta_consistency integrates Omega over the b-contours but never reads B
-    # (ellipse path: hinted cycles)
-    import isoperiod.cycles as cycles_module
+    # (contours: a complex configuration)
     import isoperiod.periods as periods_module
 
-    pd = normalized_basis(G2, basis=hinted_basis(cycles_module.gap_basis(G2.points), G2.points),
-                          tol=TOL)
-    om = build_omega(G2, pd, tol=TOL)
+    cfg = G2_COMPLEX
+    pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=TOL)
+    om = build_omega(cfg, pd, tol=TOL)
     calls = []
     original = periods_module.integrate_contour
 
@@ -442,10 +444,10 @@ def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
         return original(contour, diffs, *args, **kwargs)
 
     monkeypatch.setattr(periods_module, "integrate_contour", recording)
-    rep = verify_identities(G2, pd, om, tol=TOL)
+    rep = verify_identities(cfg, pd, om, tol=TOL)
     assert rep["beta_consistency"] < 1e-9
     on_b = [d for c, d in calls if any(c is cb for cb in pd.contours_b)]
-    assert on_b == [om.differential(pd)] * G2.genus
+    assert on_b == [om.differential(pd)] * cfg.genus
     assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
 
 

@@ -3,18 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (BranchOfMu, ellipk_agm, eval_at_infinity, gap_period_integral,
-                      hinted_basis, v_at)
+from _oracles import (BranchOfMu, ellipk_agm, ellipse_w_constants, eval_at_infinity,
+                      gap_period_integral, hint_circle, v_at)
 
 from isoperiod.curves import BranchConfig, PointCurve
-from isoperiod.cycles import (CycleSpec, band_basis, gap_basis,
+from isoperiod.cycles import (CanonicalBasis, CycleSpec, band_basis, gap_basis,
                               intersection_matrix, realize)
+from isoperiod.errors import DegenerateConfig
 from isoperiod.periods import (DifferentialOverMu, beta_from_evaluations,
-                               build_omega, integrate_contour, monomial,
+                               build_omega, integrate_contour,
                                normalized_basis, wavevector_U)
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
 G2 = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+# G2 moved off the real axis: its cycles are realized as contours
+G2_COMPLEX = BranchConfig(x=[3.0 + 1e-3j, 5.0 - 2e-3j], u=[1.0 - 1.5e-3j, 4.0 + 2e-3j])
 TOL = 1e-11
 
 
@@ -83,12 +86,6 @@ def test_contour_tracking_agrees_with_pathwise_continuation():
         for z in lam[1:k + 1]:
             walk.advance(z)
         assert abs(walk.mu - mu[k]) < 1e-10 * abs(mu[k])
-
-
-def test_cycle_integral_respects_hints():
-    spec = CycleSpec(frozenset({1, 2}), +1, center=1.5 + 0.0j, radius=0.75)
-    val = _cycle_integral(G1, monomial(0), spec, tol=TOL)
-    assert val == pytest.approx(complex(normalized_basis(G1, tol=TOL).A_raw[0, 0]), rel=1e-9)
 
 
 # -- normalized basis and Riemann matrix -------------------------------------
@@ -196,11 +193,12 @@ def test_residue_sum_omega_weighted(pd1):
 
 
 def test_b_contours_realized_once_on_first_read(monkeypatch):
-    # on the ellipse path (hinted cycles) normalized_basis realizes the
-    # a-contours only; B and beta share the b-contours
+    # on a complex configuration normalized_basis realizes the a-contours
+    # only; B and beta share the b-contours
     import isoperiod.cycles as cycles_module
 
-    basis = hinted_basis(gap_basis(G2.points), G2.points)
+    cfg = G2_COMPLEX
+    basis = gap_basis(cfg.points.real)
     realized = []
     original = cycles_module.realize
 
@@ -209,16 +207,16 @@ def test_b_contours_realized_once_on_first_read(monkeypatch):
         return original(spec, points)
 
     monkeypatch.setattr(cycles_module, "realize", counting)
-    pd = normalized_basis(G2, basis=basis, tol=TOL)
+    pd = normalized_basis(cfg, basis=basis, tol=TOL)
     assert pd.segments is None
-    assert len(realized) == G2.genus and pd.quad_report["b_nodes"] == []
+    assert len(realized) == cfg.genus and pd.quad_report["b_nodes"] == []
     B = pd.B
-    assert len(pd.quad_report["b_nodes"]) == G2.genus
-    om = build_omega(G2, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
+    assert len(pd.quad_report["b_nodes"]) == cfg.genus
+    om = build_omega(cfg, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
     assert om.beta_residual < 10 * TOL
-    assert len(realized) == 2 * G2.genus
+    assert len(realized) == 2 * cfg.genus
     assert pd.B is B and om.beta is om.beta
-    assert realized[G2.genus:] == list(pd.basis.b)
+    assert realized[cfg.genus:] == list(pd.basis.b)
 
 
 def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
@@ -240,6 +238,20 @@ def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
     assert len(segment_calls) == 2
     assert pd.B is B and om.beta is om.beta
     assert realized == [] and "contours_b" not in vars(pd)
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_non_contiguous_real_cycle_rejected_before_quadrature(side, segment_calls):
+    # {u_1, u_2} skips x_1; {0, u_1, u_2, x_2} skips x_1: on the real axis
+    # neither is a run of consecutive branch points
+    basis = gap_basis(G2.points)
+    if side == "a":
+        basis = CanonicalBasis((CycleSpec({1, 2}),) + basis.a[1:], basis.b)
+    else:
+        basis = CanonicalBasis(basis.a, basis.b[:1] + (CycleSpec({0, 1, 2, 4}, -1),))
+    with pytest.raises(DegenerateConfig, match="not contiguous"):
+        normalized_basis(G2, basis=basis, tol=TOL)
+    assert segment_calls == []
 
 
 # -- Rauch variation and translation invariance ---------------------------------
@@ -311,14 +323,13 @@ def test_W_links_omega_variation(pd2):
 
 
 def _w_segments_and_ellipses(cfg, tol):
-    """w_constants on the segment path and on the hinted ellipses of the same cycles."""
+    """w_constants on the segment path and on circles around the same a-cycles."""
     from isoperiod.periods import w_constants
 
     pd = normalized_basis(cfg, tol=tol)
-    hinted = normalized_basis(cfg, basis=hinted_basis(pd.basis, cfg.points), tol=tol)
     assert pd.segments is not None and pd.contours_a is None
-    assert hinted.segments is None and len(hinted.contours_a) == cfg.genus
-    return pd, w_constants(cfg, pd, tol), w_constants(cfg, hinted, tol)
+    circles = [hint_circle(s, cfg.points) for s in pd.basis.a]
+    return pd, w_constants(cfg, pd, tol), ellipse_w_constants(cfg, pd, circles, tol)
 
 
 @pytest.mark.parametrize("g", range(1, 7))

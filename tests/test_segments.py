@@ -1,5 +1,6 @@
 """Segment quadrature of real configurations: agreement with the lifted
-ellipses, and narrow gaps down to the flow's singular-locus guard."""
+ellipses of the oracles, and narrow gaps down to the flow's singular-locus
+guard."""
 
 import importlib.util
 import pathlib
@@ -8,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
+from _oracles import real_ellipse
+
 from isoperiod.comb import boundary_trace, comb_map
 from isoperiod.curves import BranchConfig
-from isoperiod.cycles import band_basis, gap_basis, realize
+from isoperiod.cycles import band_basis, gap_basis
 from isoperiod.periods import build_omega, integrate_contour, monomial, normalized_basis
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -21,8 +24,9 @@ def _ellipse_reference(cfg, pd, om, tol):
     """A_ext, B and beta of ``pd``'s marking, integrated on lifted ellipses."""
     g = cfg.genus
     mons = [monomial(k) for k in range(g + 1)]
-    A = np.array([integrate_contour(realize(s, cfg.points), mons, tol)[0] for s in pd.basis.a])
-    cb = [realize(s, cfg.points) for s in pd.basis.b]
+    A = np.array([integrate_contour(real_ellipse(s, cfg.points), mons, tol)[0]
+                  for s in pd.basis.a])
+    cb = [real_ellipse(s, cfg.points) for s in pd.basis.b]
     B = np.array([integrate_contour(c, mons[:g], tol)[0] for c in cb]) @ np.linalg.inv(A[:, :g])
     beta = np.array([integrate_contour(c, om.differential(pd), tol)[0] for c in cb])
     return A, B, beta
