@@ -169,8 +169,10 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     The wave v(X) = 2 wp(X) (phase and speed constants set to zero; the
     periodicity defect is independent of both) is sampled at every flow
     sample on X_i = (i + 1/2) 2L / n_grid over two real periods 2L, and on
-    that grid shifted by the flow-start period 2 w1.  ``n_grid`` must be
-    positive and even: an odd grid puts its middle node on the pole X = L.
+    that grid shifted by the flow-start period 2 w1.  The half-periods come
+    from each flow sample's own period data (:func:`isoperiod.flow.sample_periods`).
+    ``n_grid`` must be positive and even: an odd grid puts its middle node
+    on the pole X = L.
     """
     if not (n_grid > 0 and n_grid % 2 == 0):
         raise ValueError(f"n_grid must be a positive even integer, got {n_grid!r}")
@@ -181,9 +183,8 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
 
     rows = []
     for s in traj.samples:
-        cfg = cfg0.replace(x=s.x, u=s.u)
-        wd = WeierstrassData.from_roots(*config_to_weierstrass(cfg),
-                                        pd=normalized_basis(cfg, tol=quad_tol))
+        pd = _flow.sample_periods(cfg0, s, quad_tol)
+        wd = WeierstrassData.from_roots(*config_to_weierstrass(pd.cfg), pd=pd)
         two_w1 = 2.0 * wd.w1
         two_w1_0 = rows[0]["two_w1"] if rows else two_w1
         L = abs(2.0 * wd.w2)       # real period of the wave
@@ -241,17 +242,18 @@ def neumann_config(A, z_even) -> BranchConfig:
 def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11) -> dict:
     """Wavevector omega(P_infinity) at every trajectory sample.
 
-    Each sample's periods are recomputed in the default gap marking, not in
-    the marking the trajectory was integrated in.  Reports the maximum
-    componentwise drift there and, for real configurations, the imaginary
-    part of the wavevector in the involution-invariant band marking (where
-    it is a real vector).
+    Each sample's periods are read in the default gap marking, whatever the
+    marking the trajectory was integrated in, through
+    :func:`isoperiod.flow.sample_periods` (the sample's own period data when
+    they fit, else computed anew).  Reports the maximum componentwise drift
+    there and, for real configurations, the imaginary part of the wavevector
+    in the involution-invariant band marking (where it is a real vector).
     """
     U_rows = []
     U_band_rows = []
     for s in trajectory.samples:
-        c = cfg.replace(x=s.x, u=s.u)
-        pd = normalized_basis(c, tol=quad_tol)
+        pd = _flow.sample_periods(cfg, s, quad_tol)
+        c = pd.cfg
         U_rows.append(wavevector_U(c, pd))
         if c.real:
             bb = _cycles.band_basis(c.points)

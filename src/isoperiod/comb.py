@@ -30,8 +30,9 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations, power_rows,
-                      tanh_sinh)
+from .flow import sample_periods
+from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations, build_omega,
+                      power_rows, tanh_sinh)
 
 
 @dataclass
@@ -143,22 +144,25 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
 def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
                           quad_tol: float = 1e-10) -> dict:
-    """Recompute the comb at every trajectory sample; the base must not move.
+    """Build the comb at every trajectory sample; the base must not move.
 
-    The trajectory must come from a real flow with zero prescribed a-periods.
-    Reports max drift of each base mark, the variation of the slit heights
-    (expected to move unless the path is trivial), and the spread of the
-    q/beta ratio.
+    The trajectory must come from a real flow with zero prescribed a-periods:
+    a nonzero ``trajectory.alpha`` raises ValueError (an absent or None alpha
+    passes).  Each comb is built on the period data that
+    :func:`isoperiod.flow.sample_periods` gives for the sample.  Reports max
+    drift of each base mark, the variation of the slit heights (expected to
+    move unless the path is trivial), and the spread of the q/beta ratio.
     """
-    from .periods import build_omega, normalized_basis
+    alpha = getattr(trajectory, "alpha", None)
+    if alpha is not None and np.any(np.abs(alpha) > 0):
+        raise ValueError("comb invariance needs a flow with zero prescribed a-periods")
 
-    def make_comb(x, u):
-        c = cfg.replace(x=x, u=u)
-        pd = normalized_basis(c, tol=quad_tol)
-        om = build_omega(c, pd, tol=quad_tol)
-        return comb_map(c, pd, om, tol=quad_tol)
+    def make_comb(s):
+        pd = sample_periods(cfg, s, quad_tol)
+        om = build_omega(pd.cfg, pd, tol=quad_tol)
+        return comb_map(pd.cfg, pd, om, tol=quad_tol)
 
-    combs = [make_comb(s.x, s.u) for s in trajectory.samples]
+    combs = [make_comb(s) for s in trajectory.samples]
     q = np.array([c.q for c in combs])
     h = np.array([c.h for c in combs])
     ratios = np.array([c.beta_ratio for c in combs])

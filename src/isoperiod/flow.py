@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from . import cycles as _cycles
 from .curves import BranchConfig, idx_u, idx_x, idx_zero
 from .errors import (DegenerateConfig, DriftExceeded, NoProgress, SingularJacobian,
                      SingularLocus, VanishingOmegaAtU)
@@ -266,11 +267,36 @@ class DeformationState:
 
 @dataclass
 class FlowSample:
+    """One point (x, u) of a flow with du = du/dx and the b-period drift there.
+
+    ``pd`` is the period data the flow computed at (x, u), in its marking and
+    to its ``quad_tol``: the start's, the final Newton iterate's (implicit
+    mode) or the drift evaluation's (rational mode).  It is shared, not
+    copied, with the reports that read it through :func:`sample_periods`;
+    samples built elsewhere (CSV read-backs, controls) carry None.
+    """
+
     x: np.ndarray
     u: np.ndarray
     du: np.ndarray
     beta_drift: np.ndarray
     info: dict = field(default_factory=dict)
+    pd: PeriodData | None = field(default=None, repr=False, compare=False)
+
+
+def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
+    """Default-marking period data of sample ``s`` on ``cfg``'s curve to ``tol``.
+
+    Returns ``s.pd`` when it was computed for cfg.replace(x=s.x, u=s.u), to
+    ``tol`` and in the default gap marking, and otherwise computes it anew, so
+    a report reads the same values either way.
+    """
+    c = cfg.replace(x=s.x, u=s.u)
+    pd = s.pd
+    if (pd is not None and pd.cfg == c and pd.tol == tol
+            and pd.basis == _cycles.gap_basis(c.points)):
+        return pd
+    return normalized_basis(c, tol=tol)
 
 
 @dataclass
@@ -319,7 +345,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     boundaries.  In implicit mode each macro step is one predictor-corrector
     step whose final Newton iterate gives the sample's du and drift; in rational
     mode the state (u, du) evolves through the second-order rational system and
-    periods are only recomputed for drift reporting.  Failed steps are halved.
+    periods are only recomputed for drift reporting.  Each sample keeps the
+    period data it was checked with (``FlowSample.pd``).  Failed steps are halved.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
     """
@@ -343,7 +370,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     du = first_derivatives(cfg0, pd0, om0)
 
     samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
-                          du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1})]
+                          du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1}, pd=pd0)]
     u = np.asarray(cfg0.u, dtype=complex)
 
     for leg_no, (p, d) in enumerate(legs):
@@ -402,7 +429,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
             if control.drift_tol is not None and np.max(drift) > control.drift_tol:
                 raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x_now}")
             samples.append(FlowSample(x=x_now, u=u.copy(), du=du.copy(),
-                                      beta_drift=drift, info=info))
+                                      beta_drift=drift, info=info, pd=pd))
         # next leg continues from the leg's endpoint
     return Trajectory(samples=samples, path=path, beta_target=beta_target,
                       alpha=state.alpha, mode=state.mode)

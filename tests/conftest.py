@@ -24,3 +24,22 @@ def segment_calls(monkeypatch):
 
     monkeypatch.setattr(periods_module, "tanh_sinh", recording)
     return calls
+
+
+@pytest.fixture
+def period_calls(monkeypatch):
+    """The ``basis`` argument (None for the default gap marking) of every
+    normalized_basis call that isoperiod.flow or isoperiod.apps makes, in order."""
+    import isoperiod.apps as apps_module
+    import isoperiod.flow as flow_module
+
+    calls = []
+    original = flow_module.normalized_basis
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("basis"))
+        return original(*args, **kwargs)
+
+    for module in (flow_module, apps_module):
+        monkeypatch.setattr(module, "normalized_basis", recording)
+    return calls

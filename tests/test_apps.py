@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,11 @@ from isoperiod.apps import (WeierstrassData, cnoidal_period_report,
                             config_to_weierstrass, kdv_wavevector_report,
                             lame_two_gap_config, neumann_config,
                             weierstrass_to_config, wp_function)
+from isoperiod.comb import comb_invariance_check
 from isoperiod.curves import BranchConfig, validate_config
+from isoperiod.cycles import band_basis
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
-from isoperiod.flow import IMPLICIT, DeformationState, FlowControl, integrate_flow
+from isoperiod.flow import IMPLICIT, RATIONAL, DeformationState, FlowControl, integrate_flow
 from isoperiod.periods import normalized_basis
 
 from _oracles import wp_laurent
@@ -232,20 +235,17 @@ def test_cnoidal_rejects_odd_or_non_positive_grid(n_grid):
         cnoidal_period_report(0.0, 1.0, 2.04, n_grid=n_grid)
 
 
-def test_cnoidal_one_period_evaluation_per_sample(monkeypatch):
-    # the report reuses each sample's period data for its Weierstrass half-periods
-    import isoperiod.apps as apps
-
-    calls = []
-    original = apps.normalized_basis
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(apps, "normalized_basis", counting)
+def test_cnoidal_makes_no_period_evaluation_beyond_the_flow(period_calls):
+    # the report reads each sample's half-periods from the period data the
+    # flow computed there, so every normalized_basis call is the flow's own
     rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
-    assert len(calls) == len(rep["samples"])
+    in_report = len(period_calls)
+    period_calls.clear()
+    cfg0 = weierstrass_to_config(0.0, 1.0)
+    integrate_flow(DeformationState(cfg0, np.zeros(1), mode=IMPLICIT), [[2.0], [2.04]],
+                   FlowControl(quad_tol=1e-11, macro_step=0.02))
+    assert all(s.pd is not None for s in rep["trajectory"].samples)
+    assert in_report == len(period_calls)
 
 
 def test_weierstrass_from_sample_periods_matches_from_roots():
@@ -344,3 +344,45 @@ def test_kdv_report_is_deterministic(g2_traj):
     r1 = kdv_wavevector_report(cfg, traj)
     r2 = kdv_wavevector_report(cfg, traj)
     assert np.array_equal(r1["U"], r2["U"])
+
+
+# -- reports on the flow samples' own period data -------------------------------------
+
+def _same_report(a, b):
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+@pytest.mark.parametrize("case", ["implicit", "rational", "band-marking", "other-quad-tol",
+                                  "own-u"])
+def test_reports_reuse_sample_periods_only_when_they_match(case, period_calls):
+    # a sample's period data serve the gap-marking reads of both reports when
+    # they were computed for its (x, u), to the report's tolerance and in the
+    # gap marking; otherwise the reports compute them anew.  Referee: the
+    # same trajectory with no period data on any sample, bit for bit
+    cfg = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+    state = DeformationState(cfg, np.zeros(2), mode=RATIONAL if case == "rational" else IMPLICIT,
+                             basis=band_basis(cfg.points) if case == "band-marking" else None)
+    flow_tol = 1e-10 if case == "other-quad-tol" else 1e-11
+    traj = integrate_flow(state, [[3.0, 5.0], [3.1, 5.0], [3.1, 5.1]],
+                          FlowControl(quad_tol=flow_tol, macro_step=0.05))
+    n = len(traj.samples)
+    recomputed = {"implicit": 0, "rational": 0, "own-u": n - 1}.get(case, n)
+    if case == "own-u":
+        # u pinned at the start (the first sample's own); the samples keep their period data
+        traj = replace(traj, samples=[replace(s, u=np.array([1.0, 4.0], dtype=complex))
+                                      for s in traj.samples])
+    assert all(s.pd is not None for s in traj.samples)
+    bare = replace(traj, samples=[replace(s, pd=None) for s in traj.samples])
+
+    period_calls.clear()
+    kdv = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+    assert period_calls.count(None) == recomputed
+    assert len(period_calls) == recomputed + n          # one band-marking call per sample
+    period_calls.clear()
+    comb = comb_invariance_check(cfg, traj, quad_tol=1e-11)
+    assert period_calls == [None] * recomputed
+
+    assert _same_report(kdv, kdv_wavevector_report(cfg, bare, quad_tol=1e-11))
+    assert _same_report(comb, comb_invariance_check(cfg, bare, quad_tol=1e-11))
+    # a band-marking flow keeps the periods of another differential than the comb's
+    assert comb["base_invariant"] == (case not in ("band-marking", "own-u"))

@@ -3,8 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from isoperiod.apps import kdv_wavevector_report
 from isoperiod.cli import main, read_trajectory_csv
-from isoperiod.flow import Trajectory
+from isoperiod.comb import comb_invariance_check
+from isoperiod.curves import BranchConfig
+from isoperiod.flow import DeformationState, FlowControl, Trajectory, integrate_flow
 
 G1 = {"genus": 1, "x": [2.0], "u": [1.0], "real": True}
 G2 = {"genus": 2, "x": [3.0, 5.0], "u": [1.0, 4.0], "real": True}
@@ -165,6 +168,26 @@ def test_read_trajectory_csv_returns_trajectory(tmp_path):
     assert traj.alpha is None and traj.beta_target is None and traj.mode is None
     with pytest.raises(ValueError, match="schema"):
         read_trajectory_csv(run / "trajectory.csv", 2)
+
+
+def test_reports_on_csv_read_back_match_in_memory_trajectory(tmp_path):
+    # the read-back samples carry no period data, so both reports compute
+    # them anew; the in-memory samples lend theirs.  Same values bit for bit
+    cfg_path = _write_config(tmp_path, G2)
+    run = tmp_path / "run"
+    path = [[3.0, 5.0], [3.1, 5.0], [3.1, 5.1]]
+    assert main(["deform", str(cfg_path), "--path", json.dumps(path), "--out", str(run),
+                 "--macro-step", "0.05", "--tol-quad", "1e-11"]) == 0
+    cfg = BranchConfig(x=G2["x"], u=G2["u"], real=True)
+    mem = integrate_flow(DeformationState(cfg, np.zeros(2)), path,
+                         FlowControl(quad_tol=1e-11, macro_step=0.05))
+    back = read_trajectory_csv(run / "trajectory.csv", 2)
+    assert all(s.pd is None for s in back.samples)
+    assert all(s.pd is not None for s in mem.samples)
+    for report in (kdv_wavevector_report, comb_invariance_check):
+        a, b = report(cfg, mem, quad_tol=1e-11), report(cfg, back, quad_tol=1e-11)
+        assert a.keys() == b.keys()
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
 
 def test_verify_with_trajectory_reports_wavevector(tmp_path):

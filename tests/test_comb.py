@@ -167,3 +167,15 @@ def test_comb_frozen_u_control(g1_reference_flow):
     rep = comb_invariance_check(G1, Frozen(), tol=1e-6, quad_tol=TOL)
     assert not rep["base_invariant"]
     assert float(np.max(rep["q_drift"])) > 1e-3
+
+
+def test_comb_invariance_rejects_prescribed_a_periods():
+    # alpha . C = (0.3, 0) is real, so the flow stays real and keeps its
+    # periods, but they are not those of the comb's zero-a-period differential
+    cfg = BranchConfig(x=[2.0, 4.0], u=[1.0, 3.0], real=True)
+    alpha = np.array([0.3, 0.0]) @ np.linalg.inv(normalized_basis(cfg, tol=TOL).C)
+    traj = integrate_flow(DeformationState(cfg, alpha, mode=IMPLICIT),
+                          [[2.0, 4.0], [2.05, 4.0]], FlowControl(quad_tol=TOL, macro_step=0.05))
+    assert traj.max_drift() < 1e-12
+    with pytest.raises(ValueError, match="zero prescribed a-periods"):
+        comb_invariance_check(cfg, traj, tol=1e-6, quad_tol=TOL)
