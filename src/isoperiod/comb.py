@@ -143,7 +143,7 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
 
 def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
-                          quad_tol: float = 1e-10) -> dict:
+                          quad_tol: float = 1e-11) -> dict:
     """Build the comb at every trajectory sample; the base must not move.
 
     The trajectory must come from a real flow with zero prescribed a-periods:

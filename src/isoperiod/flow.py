@@ -10,7 +10,8 @@ modes are provided:
   data and the rational second derivative, then Newton-projects it back onto
   the constant-b-period manifold (unless ``correct`` is off).
 * ``rational``: the second-order system with rational coefficients is
-  integrated directly; no period computations happen inside the stepper.
+  integrated directly, each macro step tried as one DOP853 step under error
+  control; no period computations happen inside the stepper.
   Each sample's drift is read from evaluations, 2 pi i omega(P_inf) + alpha B,
   so the b-cycles are integrated (for B) only when alpha is nonzero.
 
@@ -37,7 +38,7 @@ from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
 
 IMPLICIT = "implicit"
 RATIONAL = "rational"
-RK_RTOL, RK_ATOL = 1e-9, 1e-12         # RK45 tolerances, rational mode
+RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
@@ -100,24 +101,21 @@ def _coefficients(D: np.ndarray, du: np.ndarray):
     R = np.where(E, 0.0, 1.0 / D1)                      # reciprocals, 0 on the diagonal
     X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
     u = D[U, 0]
-    xu, ux, uu, uu1 = D[X, U], D[U, X], D[U, U], D1[U, U]
-    r_x, r_u, r_xx, r_xu, r_uu = R[X, 0], R[U, 0], R[X, X], R[X, U], R[U, U]
-    ar = np.arange(g)
-    eye = ar[:, None] == ar
-    e_m = eye[:, None, :]                               # s == m over (m, ., s)
-
-    lag = np.where(eye, 1.0, u[:, None] / uu1).prod(axis=0)
+    xu, uu1 = D[X, U], D1[U, U]
+    r_x, r_u, r_xx, r_xu, r_ux, r_uu = R[X, 0], R[U, 0], R[X, X], R[X, U], R[U, X], R[U, U]
+    prod_u = u.prod()
+    px = xu.prod(axis=1)                                # px[k] = prod_s (x_k - u_s)
     den = uu1.prod(axis=1)
+    lag = prod_u / (u * (-1) ** (g - 1) * den)
     G = r_u - r_uu @ lag
     Gx = r_x - r_xu @ lag
-    Px = np.where(e_m, 1.0, (ux.T / u)[None]).prod(axis=-1)
-    pref = np.where(eye[None], 1.0, xu[:, None, :] / uu1[None]).prod(axis=-1)
-    term = r_xu.T * np.where(e_m, 1.0, uu[:, None, :] / xu[None]).prod(axis=-1)
+    Px = (-1) ** g * px * u[:, None] * r_ux / prod_u
+    pref = px[:, None] * r_xu / den
+    term = den[:, None] / px
     inner = xu.T * ((r_uu * den[:, None] / den[None, :]) @ r_xu.T)
     H = (du * (term + inner)).sum(axis=1)
     S1 = du.sum(axis=1) - 1.0
-    ratio = np.where(eye[:, None, None, :], 1.0, (xu[:, None, :] / xu[None])[None]).prod(axis=-1)
-    line6 = (ratio * r_xx.T[None] * du[:, None, :]).sum(axis=-1)
+    line6 = r_xu.T * px * ((du * xu.T / px) @ r_xx)
     line7 = r_xu.T * ((du * xu.T) @ (r_xu @ pref.T))
     return R, S1, lag, G, Gx, Px, H, line6, line7
 
@@ -144,7 +142,8 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
       line7[m, k] = sum_{i, j} du[m, j] pref[k, i] (x_j - u_m) / ((x_j - u_i)(x_k - u_m));
     * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k).
 
-    The s != m and j != m products and sums are masked with the identity.
+    Products over s != m divide the s = m factor out of the full product; the
+    j != m and i not in (k, n) sums are masked with the identity.
     Mixed values are evaluated over all (k, n) and the k < n value is written
     to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
     The terms are grouped and summed in another order than in the
@@ -344,9 +343,10 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     ``control.macro_step``) equal macro steps; samples are recorded at their
     boundaries.  In implicit mode each macro step is one predictor-corrector
     step whose final Newton iterate gives the sample's du and drift; in rational
-    mode the state (u, du) evolves through the second-order rational system and
-    periods are only recomputed for drift reporting.  Each sample keeps the
-    period data it was checked with (``FlowSample.pd``).  Failed steps are halved.
+    mode (u, du) evolves through the second-order rational system, each macro
+    step tried as one DOP853 step under error control, and periods are only
+    recomputed for drift reporting.  Each sample keeps the period data it was
+    checked with (``FlowSample.pd``).  Failed steps are halved.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
     """
@@ -396,8 +396,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                         iters += n
                     else:
                         y = np.concatenate((u, du.reshape(-1)))
-                        sol = solve_ivp(rhs, (sub_from, target), y, method="RK45",
-                                        rtol=RK_RTOL, atol=RK_ATOL)
+                        sol = solve_ivp(rhs, (sub_from, target), y, method="DOP853",
+                                        rtol=RK_RTOL, atol=RK_ATOL, first_step=target - sub_from)
                         if not sol.success:
                             raise SingularLocus(f"integrator failed on leg [{sub_from}, {target}]: "
                                                 f"{sol.message}")

@@ -169,6 +169,17 @@ def test_comb_frozen_u_control(g1_reference_flow):
     assert float(np.max(rep["q_drift"])) > 1e-3
 
 
+def test_comb_defaults_reuse_a_default_flows_period_data(period_calls):
+    # the comb's default quad_tol is FlowControl's, so it reads every sample's pd
+    state = DeformationState(G2, np.zeros(2), mode=IMPLICIT)
+    traj = integrate_flow(state, [[3.0, 5.0], [3.02, 5.0]])
+    period_calls.clear()
+    rep = comb_invariance_check(G2, traj)
+    assert len(traj.samples) > 2
+    assert period_calls == []
+    assert rep["base_invariant"]
+
+
 def test_comb_invariance_rejects_prescribed_a_periods():
     # alpha . C = (0.3, 0) is real, so the flow stays real and keeps its
     # periods, but they are not those of the comb's zero-a-period differential

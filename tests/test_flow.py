@@ -506,6 +506,61 @@ def test_flow_rational_mode_du_consistency_recorded():
         assert s.info["du_consistency"] < 1e-6
 
 
+def _count_rhs_calls(monkeypatch):
+    calls = []
+    original = flow_module.rhs_genus_g
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(flow_module, "rhs_genus_g", counting)
+    return calls
+
+
+def _interleaved_g3(seed):
+    x, u = _interleaved(np.random.default_rng(seed), 3, complex_perturbed=False)
+    return BranchConfig(x=x, u=u, real=True)
+
+
+def test_rational_macro_step_is_tried_as_one_step(monkeypatch):
+    # a short leg is one accepted DOP853 step: 12 stages and the initial slope
+    cfg = _interleaved_g3(0)
+    calls = _count_rhs_calls(monkeypatch)
+    step = 0.025 * (1.0 - 1e-9)         # one macro step despite rounding in x
+    traj = integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL),
+                          [cfg.x, cfg.x + np.array([step, 0.0, 0.0])],
+                          FlowControl(quad_tol=TOL, macro_step=0.025))
+    assert len(traj.samples) == 2
+    assert len(calls) <= 13
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rational_and_implicit_agree_on_interleaved_genus3(seed):
+    cfg = _interleaved_g3(seed)
+    step = 0.025 * (1.0 - 1e-9)
+    path = [cfg.x + np.array(c) for c in
+            ([0, 0, 0], [step, 0, 0], [step, step, 0], [step, step, step])]
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.025)
+    _, ur = integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path, ctrl).grid()
+    _, ui = integrate_flow(DeformationState(cfg, np.zeros(3), mode=IMPLICIT), path, ctrl).grid()
+    assert np.max(np.abs(ur - ui)) <= 1e-12
+
+
+def test_rational_long_macro_step_stays_under_error_control(monkeypatch):
+    # the trial step spans the whole macro step; the embedded estimate shrinks it
+    cfg = _interleaved_g3(1)
+    path = [cfg.x, cfg.x + 0.5 * (1.0 - 1e-9) / math.sqrt(3.0) * np.ones(3)]
+    calls = _count_rhs_calls(monkeypatch)
+    rat = integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path,
+                         FlowControl(quad_tol=TOL, macro_step=0.5))
+    assert len(rat.samples) == 2 and len(calls) > 13
+    imp = integrate_flow(DeformationState(cfg, np.zeros(3), mode=IMPLICIT), path,
+                         FlowControl(quad_tol=TOL, macro_step=0.025))
+    assert rat.max_drift() <= 1e-9
+    assert np.max(np.abs(rat.samples[-1].u - imp.samples[-1].u)) <= 1e-9
+
+
 def test_flow_reality_preserved(g1_flows):
     imp, rat = g1_flows
     for traj in (imp, rat):
