@@ -247,7 +247,10 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     :func:`isoperiod.flow.sample_periods` (the sample's own period data when
     they fit, else computed anew).  Reports the maximum componentwise drift
     there and, for real configurations, the imaginary part of the wavevector
-    in the involution-invariant band marking (where it is a real vector).
+    in the involution-invariant band marking (where it is a real vector),
+    read on the same segment table (:meth:`PeriodData.in_marking`): its band
+    segments are the gap marking's b-segments, which the comb map integrates
+    too, so each is integrated once.
     """
     U_rows = []
     U_band_rows = []
@@ -256,9 +259,7 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
         c = pd.cfg
         U_rows.append(wavevector_U(c, pd))
         if c.real:
-            bb = _cycles.band_basis(c.points)
-            pdb = normalized_basis(c, basis=bb, tol=quad_tol)
-            U_band_rows.append(pdb.omega_at[:, -1])
+            U_band_rows.append(pd.in_marking(_cycles.band_basis(c.points)).omega_at[:, -1])
     U = np.array(U_rows)
     drift = float(np.max(np.abs(U - U[0])))
     out = {"U": U, "max_drift": drift}

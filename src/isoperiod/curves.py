@@ -119,38 +119,38 @@ def validate_config(cfg, ordered: bool = False) -> list:
     non-finite point is reported alone: every other check would misread it.
     """
     pts = cfg.points
-    if isinstance(cfg, PointCurve):
-        names = [f"p_{i}" for i in range(len(pts))]
-    else:
-        names = ["0"] + [f"u_{m}" for m in range(1, cfg.genus + 1)] + [
-            f"x_{j}" for j in range(1, cfg.genus + 1)
-        ]
-    violations = [f"non-finite branch point {name} = {v}"
-                  for name, v in zip(names, pts) if not np.isfinite(v)]
-    if violations:
-        return violations
-    n = len(pts)
-    sep_scale = max(1.0, float(np.max(np.abs(pts)))) * 1e-14
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pts[i] - pts[j]) <= sep_scale:
-                violations.append(f"duplicate branch point {names[i]} = {names[j]} = {pts[j]}")
+    g = cfg.genus
+
+    def name(i):
+        if isinstance(cfg, PointCurve):
+            return f"p_{i}"
+        return "0" if i == 0 else f"u_{i}" if i <= g else f"x_{i - g}"
+
+    finite = np.isfinite(pts)
+    if not finite.all():
+        return [f"non-finite branch point {name(i)} = {pts[i]}" for i in np.flatnonzero(~finite)]
+    violations = []
+    mag = np.abs(pts)
+    close = np.abs(pts[:, None] - pts) <= max(1.0, float(mag.max())) * 1e-14
+    if np.count_nonzero(close) > len(pts):          # more than the diagonal
+        violations += [f"duplicate branch point {name(i)} = {name(j)} = {pts[j]}"
+                       for i, j in np.argwhere(np.triu(close, 1))]
     if cfg.real:
         # matches the snapping threshold of effective_points
-        for name, v in zip(names[1:], pts[1:]):
-            if abs(v.imag) > 1e-9 * max(1.0, abs(v)):
-                violations.append(f"real flag set but {name} = {v} is not real")
+        off = np.abs(pts.imag) > 1e-9 * np.maximum(1.0, mag)
+        if off.any():
+            violations += [f"real flag set but {name(i)} = {pts[i]} is not real"
+                           for i in np.flatnonzero(off[1:]) + 1]
     if ordered:
         if not cfg.real or isinstance(cfg, PointCurve):
             violations.append("ordering requested for a non-real x/u configuration")
         else:
-            seq = [0.0]
-            for m in range(cfg.genus):
-                seq.extend([cfg.u[m].real, cfg.x[m].real])
-            for a, b in zip(seq, seq[1:]):
-                if not a < b:
-                    violations.append(f"ordering violated: {a} !< {b} in 0 < u_1 < x_1 < ...")
-                    break
+            seq = np.concatenate(([0.0], np.column_stack((pts[1:g + 1].real,
+                                                          pts[g + 1:].real)).ravel()))
+            bad = np.flatnonzero(~(seq[:-1] < seq[1:]))
+            if bad.size:
+                a, b = seq[bad[0]:bad[0] + 2].tolist()
+                violations.append(f"ordering violated: {a} !< {b} in 0 < u_1 < x_1 < ...")
     return violations
 
 
@@ -171,8 +171,8 @@ def effective_points(points) -> np.ndarray:
     through unchanged.
     """
     pts = np.asarray(points, dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    if float(np.max(np.abs(pts.imag))) <= 1e-9 * scale:
+    scale = max(1.0, float(np.abs(pts).max()))
+    if float(np.abs(pts.imag).max()) <= 1e-9 * scale:
         return pts.real + 0.0j
     return pts
 
@@ -183,12 +183,13 @@ def phi_values(points: np.ndarray) -> np.ndarray:
     Entry j is 2 / sqrt(prod_{i != j} (p_j - p_i)) with the principal square
     root of the full product.  All other evaluation tables in the package are
     derived from these values, so sign conventions stay mutually consistent.
+    ``points`` are snapped as :func:`effective_points` returns them.
     """
-    pts = effective_points(points)
+    pts = np.asarray(points)
     diff = pts[:, None] - pts[None, :]
-    np.fill_diagonal(diff, 1.0)
+    diff.flat[::len(pts) + 1] = 1.0
     prods = diff.prod(axis=1)
-    if not np.all(prods):
+    if not prods.all():
         j = np.flatnonzero(prods == 0)[0]
         raise DegenerateConfig(f"coinciding branch points at {pts[j]}")
     return np.array([2.0 / cmath.sqrt(p) for p in prods.tolist()])

@@ -24,6 +24,7 @@ Riemann matrix.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,13 +75,19 @@ def _sorted_real_order(points: np.ndarray) -> np.ndarray:
 
 def gap_basis(points: np.ndarray) -> CanonicalBasis:
     """Default marking: a_j around the j-th gap, b_j around the prefix up to it."""
-    order = _sorted_real_order(points)
+    return gap_marking(tuple(_sorted_real_order(points).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def gap_marking(order: tuple) -> CanonicalBasis:
+    """The default marking of real points whose ascending order is ``order``;
+    the marking is immutable, so all callers with one order share it."""
     g = (len(order) - 1) // 2
     a = []
     b = []
     for j in range(1, g + 1):
-        a.append(CycleSpec(frozenset(order[2 * j - 1: 2 * j + 1].tolist()), +1))
-        b.append(CycleSpec(frozenset(order[: 2 * j].tolist()), -1))
+        a.append(CycleSpec(frozenset(order[2 * j - 1: 2 * j + 1]), +1))
+        b.append(CycleSpec(frozenset(order[: 2 * j]), -1))
     return CanonicalBasis(tuple(a), tuple(b))
 
 

@@ -23,6 +23,7 @@ the same family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -54,18 +55,14 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) 
     constant-period manifold is not a graph over x there.
     """
     g = cfg.genus
+    X, U = slice(idx_x(g, 1), idx_x(g, g) + 1), slice(idx_u(1), idx_u(g) + 1)
+    om_u = om.values_at[U]
     scale = float(np.max(np.abs(om.values_at))) or 1.0
-    for m in range(1, g + 1):
-        if abs(om.values_at[idx_u(m)]) < OMEGA_ZERO_TOL * scale:
-            raise VanishingOmegaAtU(m, om.values_at[idx_u(m)])
-    pv = pd.v_poly_at
-    du = np.empty((g, g), dtype=complex)
-    for m in range(1, g + 1):
-        for j in range(1, g + 1):
-            xj = idx_x(g, j)
-            v_at_xj = pv[m - 1, xj] * pd.phi_at[xj]
-            du[m - 1, j - 1] = -v_at_xj * om.values_at[xj] / om.values_at[idx_u(m)]
-    return du
+    if (vanishing := np.flatnonzero(np.abs(om_u) < OMEGA_ZERO_TOL * scale)).size:
+        m = int(vanishing[0])
+        raise VanishingOmegaAtU(m + 1, om_u[m])
+    v_at_x = pd.v_poly_at[:, X] * pd.phi_at[X]          # v_m(P_{x_j})
+    return -v_at_x * om.values_at[X] / om_u[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +80,7 @@ def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray
     closer than ``threshold`` relative; return the table D of :func:`_differences`."""
     D = _differences(x, u)
     pts = D[:, 0]
-    scale = max(1.0, float(np.max(np.abs(pts))))
+    scale = max(1.0, float(np.abs(pts).max()))
     close = np.abs(D) < threshold * scale
     if np.count_nonzero(close) > len(pts):         # more than the diagonal
         i, j = np.argwhere(np.triu(close, 1))[0]
@@ -91,32 +88,49 @@ def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray
     return D
 
 
+@functools.cache
+def _index_tables(g: int):
+    """The genus-g tables of :func:`rhs_genus_g`, built once: ar = 0..g-1,
+    the float masks off[m, s] = (s != m) and kn[k, n, i] = (i not in (k, n)),
+    and the strict upper triangle k < n."""
+    ar = np.arange(g)
+    off = 1.0 - np.eye(g)
+    out = (ar, off, off[:, None, :] * off[None], ar[:, None] < ar)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _coefficients(D: np.ndarray, du: np.ndarray):
     """The tables (R, S1, lag, G, Gx, Px, H, line6, line7) of :func:`rhs_genus_g`
     from du and the table D of :func:`_differences`; R = 1 / D, 0 on the diagonal.
     :func:`verify_identities` checks the W residue sums against the same tables."""
     g = len(du)
-    E = np.eye(2 * g + 1, dtype=bool)
-    D1 = np.where(E, 1.0, D)                            # safe diagonal
-    R = np.where(E, 0.0, 1.0 / D1)                      # reciprocals, 0 on the diagonal
-    X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
+    n = 2 * g + 1
+    D1 = D.copy()
+    D1.flat[::n + 1] = 1.0                              # safe diagonal
+    R = 1.0 / D1
+    R.flat[::n + 1] = 0.0                               # reciprocals, 0 on the diagonal
+    X, U = slice(1, g + 1), slice(g + 1, n)
     u = D[U, 0]
-    xu, uu1 = D[X, U], D1[U, U]
+    xu = D[X, U]
     r_x, r_u, r_xx, r_xu, r_ux, r_uu = R[X, 0], R[U, 0], R[X, X], R[X, U], R[U, X], R[U, U]
     prod_u = u.prod()
-    px = xu.prod(axis=1)                                # px[k] = prod_s (x_k - u_s)
-    den = uu1.prod(axis=1)
+    # px[k] = prod_s (x_k - u_s) and den[i] = prod_{s != i} (u_i - u_s), one reduction
+    px_den = D1[1:, U].prod(axis=1)
+    px, den = px_den[:g], px_den[g:]
     lag = prod_u / (u * (-1) ** (g - 1) * den)
-    G = r_u - r_uu @ lag
-    Gx = r_x - r_xu @ lag
+    Gx_G = R[1:, 0] - R[1:, U] @ lag                    # rows x, then rows u
+    Gx, G = Gx_G[:g], Gx_G[g:]
     Px = (-1) ** g * px * u[:, None] * r_ux / prod_u
     pref = px[:, None] * r_xu / den
     term = den[:, None] / px
     inner = xu.T * ((r_uu * den[:, None] / den[None, :]) @ r_xu.T)
     H = (du * (term + inner)).sum(axis=1)
     S1 = du.sum(axis=1) - 1.0
-    line6 = r_xu.T * px * ((du * xu.T / px) @ r_xx)
-    line7 = r_xu.T * ((du * xu.T) @ (r_xu @ pref.T))
+    dxu = du * xu.T
+    line6 = r_xu.T * px * ((dxu / px) @ r_xx)
+    line7 = r_xu.T * (dxu @ (r_xu @ pref.T))
     return R, S1, lag, G, Gx, Px, H, line6, line7
 
 
@@ -153,31 +167,31 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     du = np.asarray(du, dtype=complex)
     g = len(du)
     R, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_check_regular(x, u, 1e-8), du)
+    ar, off, kn, upper = _index_tables(g)
     X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
     r_x, r_u = R[X, 0], R[U, 0]
     r_xx, r_xu, r_ux, r_uu = R[X, X], R[X, U], R[U, X], R[U, U]
-    ar = np.arange(g)
-    eye = ar[:, None] == ar
-    e_m = eye[:, None, :]                               # s == m over (m, ., s)
 
-    C = np.where(e_m, 0.0, r_uu[:, None, :] - r_xu[None]) @ du
-    # P_m = 1 / lag[m]; base collects the m-only part of the du^2 coefficients
+    Cm = r_uu[:, None, :] - r_xu[None]                  # over (m, k, j)
+    Cm[ar, :, ar] = 0.0                                 # j != m
+    C = Cm @ du
+    # P_m = 1 / lag[m]; base collects the m-only part of the du^2 coefficients,
+    # and UX[m, k, n] adds sum_{i not in (k, n)} 1/(u_m - x_i) to it
     base = r_u - 2.0 * r_uu.sum(axis=1) - S1 * G / lag - H
-    kn = ~eye[:, None, :] & ~eye[None]                  # i not in (k, n)
-    UX = np.where(kn, r_ux[:, None, None, :], 0.0).sum(axis=-1)
+    UX = base[:, None, None] + (r_ux[:, None, None, :] * kn).sum(axis=-1)
+    dd = du[:, :, None] * du[:, None, :]                # du[m, k] du[m, n]
 
     # diagonal entries T[m, k, k]
     line1 = ((-r_x - r_xx.sum(axis=1))[None]
-             + 2.0 * np.where(e_m, 0.0, r_xu[None]).sum(axis=-1) + r_xu.T)
-    line2 = base[:, None] + UX[:, ar, ar] + r_xu.T
-    diag = 0.5 * (du * (line1 + C[:, ar, ar]) + du ** 2 * line2
+             + 2.0 * (r_xu[None] * off[:, None, :]).sum(axis=-1) + r_xu.T)
+    line2 = UX[:, ar, ar] + r_xu.T
+    diag = 0.5 * (du * (line1 + C[:, ar, ar]) + dd[:, ar, ar] * line2
                   - S1[:, None] * Px * Gx - line6 - line7)
 
     # mixed entries, Q[m, k, n] = du[m, k] (1/(x_k - x_n) + 1/(x_n - u_m) + C[m, k, n] / 2)
     Q = du[:, :, None] * (r_xx + r_xu.T[:, None, :] + 0.5 * C)
-    val = 0.5 * (Q + np.swapaxes(Q, 1, 2)
-                 + du[:, :, None] * du[:, None, :] * (base[:, None, None] + UX))
-    T = np.where(ar[:, None] < ar, val, np.swapaxes(val, 1, 2))
+    val = 0.5 * (Q + np.swapaxes(Q, 1, 2) + dd * UX)
+    T = np.where(upper, val, np.swapaxes(val, 1, 2))
     T[:, ar, ar] = diag
     return T
 
@@ -188,11 +202,8 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
 
 def period_jacobian(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) -> np.ndarray:
     """J[j-1, k-1] = d beta_k / d u_j = pi i Omega(P_{u_j}) omega_k(P_{u_j})."""
-    g = cfg.genus
-    J = np.empty((g, g), dtype=complex)
-    for j in range(1, g + 1):
-        J[j - 1, :] = 1j * math.pi * om.values_at[idx_u(j)] * pd.omega_at[:, idx_u(j)]
-    return J
+    U = slice(idx_u(1), idx_u(cfg.genus) + 1)
+    return (1j * math.pi * om.values_at[U])[:, None] * pd.omega_at[:, U].T
 
 
 def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
@@ -340,8 +351,9 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
 
     Each leg from path point p to the next distinct point q is the straight
     segment x = p + tau (q - p), tau in [0, 1], cut into ceil(|q - p| /
-    ``control.macro_step``) equal macro steps; samples are recorded at their
-    boundaries.  In implicit mode each macro step is one predictor-corrector
+    ``control.macro_step``) equal macro steps (the quotient read with a
+    relative slack of 1e-12, so rounding in q - p adds none); samples are
+    recorded at their boundaries.  In implicit mode each macro step is one predictor-corrector
     step whose final Newton iterate gives the sample's du and drift; in rational
     mode (u, du) evolves through the second-order rational system, each macro
     step tried as one DOP853 step under error control, and periods are only
@@ -374,7 +386,9 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     u = np.asarray(cfg0.u, dtype=complex)
 
     for leg_no, (p, d) in enumerate(legs):
-        nmacro = max(1, int(math.ceil(np.linalg.norm(d) / control.macro_step)))
+        # a relative slack keeps a leg of a whole number of macro steps from
+        # gaining one more when |q - p| rounds up (0.02 / 0.01 reads 2.0000000000000018)
+        nmacro = max(1, math.ceil(np.linalg.norm(d) / control.macro_step * (1.0 - 1e-12)))
         # real leg parameter tau in [0, 1]; x = p + tau * d
         sgrid = [i / nmacro for i in range(nmacro + 1)]
 

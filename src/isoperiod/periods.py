@@ -46,6 +46,7 @@ _MIN_NODES = 64          # first node count of a contour quadrature
 # below 1e-29 and the endpoint distances below 1e-61 of the half-width
 _TAU_MAX = 4.5
 _H0 = 0.25
+_FIRST_LEVELS = 3       # levels 0..2 (145 nodes) share the first array pass
 
 
 @dataclass(frozen=True)
@@ -96,30 +97,43 @@ def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10):
 
 
 @functools.cache
-def _tanh_sinh_level(level: int):
-    """Nodes first used at refinement ``level`` (step _H0 / 2^level; odd
-    multiples of the step from level 1 on, so every earlier node is reused).
+def _tanh_sinh_nodes(first: int, stop: int):
+    """The nodes first used at refinement levels first..stop-1, in one table.
 
-    Returns (step, weights (pi/2) cosh tau / cosh psi with psi = (pi/2) sinh tau,
-    distances 1 + tanh psi and 1 - tanh psi of x = tanh psi to the ends of
-    [-1, 1], and x).  The weights and distances are formed from exp(-2 |psi|),
-    with no overflow and no cancellation.
+    Level l has step h_l = _H0 / 2^l and the nodes tau = j h_l, |tau| <=
+    _TAU_MAX, with j odd from level 1 on, so every earlier node is reused.
+    Returns (bounds, weights h_l (pi/2) cosh tau / cosh psi with psi = (pi/2)
+    sinh tau, distances 1 + tanh psi and 1 - tanh psi of x = tanh psi to the
+    ends of [-1, 1], and x); level first + i has the columns bounds[i]:bounds[i + 1].
+    The weights and distances are formed from exp(-2 |psi|), with no
+    overflow and no cancellation; h_l is a power of two, so the weights carry
+    it exactly.
     """
-    h = _H0 / (1 << level)
-    m = int(_TAU_MAX / h)
-    j = np.arange(-m, m + 1)
-    if level:
-        j = j[j % 2 == 1]
-    tau = j * h
+    tau, step = [], []
+    for level in range(first, stop):
+        h = _H0 / (1 << level)
+        m = int(_TAU_MAX / h)
+        j = np.arange(-m, m + 1)
+        if level:
+            j = j[j % 2 == 1]
+        tau.append(j * h)
+        step.append(np.full(len(j), h))
+    bounds = np.cumsum([0] + [len(t) for t in tau]).tolist()
+    tau, step = np.concatenate(tau), np.concatenate(step)
     psi = 0.5 * math.pi * np.sinh(tau)
     e = np.exp(-2.0 * np.abs(psi))
     near, far = 2.0 * e / (1.0 + e), 2.0 / (1.0 + e)
     lower = tau < 0
-    out = (math.pi * np.cosh(tau) * np.sqrt(e) / (1.0 + e),
+    out = (step * (math.pi * np.cosh(tau) * np.sqrt(e) / (1.0 + e)),
            np.where(lower, near, far), np.where(lower, far, near), np.tanh(psi))
     for a in out:
         a.flags.writeable = False
-    return (h,) + out
+    return (bounds,) + out
+
+
+def _node_count(level):
+    """The nodes of levels 0..level together."""
+    return 2 * int(_TAU_MAX / _H0) * 2 ** level + 1
 
 
 def power_rows(n: int):
@@ -146,7 +160,10 @@ def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
     is halved (reusing every node) until two successive values of an
     interval agree within ``tol`` relative to max(1, magnitude), as in
     :func:`integrate_contour`; beyond ``_MAX_NODES`` nodes it raises
-    NoConvergence.
+    NoConvergence.  The nodes of the first ``_FIRST_LEVELS`` levels are
+    evaluated in one array pass over every interval, and the nested
+    estimates formed from their per-level sums; each further level is one
+    pass over the intervals not yet converged.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -154,34 +171,48 @@ def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
     gap = np.where(below, lo[:, None] - q, q - hi[:, None])
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
 
-    def level_sum(live, level):
-        h, w, e_lo, e_hi, x = _tanh_sinh_level(level)
-        c = half[live, None]
+    def level_sums(sel, first, stop):
+        """The step-weighted node sums of levels first..stop-1 on the
+        intervals ``sel``, shape (levels, intervals, K)."""
+        bounds, w, e_lo, e_hi, x = _tanh_sinh_nodes(first, stop)
+        c = half[sel, None]
         d_lo, d_hi = c * e_lo, c * e_hi
-        t = mid[live, None] + c * x
-        dist = np.where(below[live, None, :], d_lo[..., None], d_hi[..., None])
-        dist += gap[live, None, :]
-        f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=-1))
-        D = np.where(below[live, None, :], dist, -dist) if diffs else None
-        return h * np.einsum("rn,rnk->rk", f, rows(t, D))
+        # |t - q_i| over (interval, point, node), nodes innermost
+        dist = np.where(below[sel, :, None], d_lo[:, None], d_hi[:, None])
+        dist += gap[sel, :, None]
+        f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=1))
+        D = np.moveaxis(np.where(below[sel, :, None], dist, -dist), 1, -1) if diffs else None
+        F = rows(mid[sel, None] + c * x, D)
+        return np.array([np.einsum("rn,rnk->rk", f[:, a:b], F[:, a:b])
+                         for a, b in zip(bounds, bounds[1:])])
 
-    live = np.arange(len(lo))
-    values = level_sum(live, 0)
+    # levels 0.._FIRST_LEVELS-1 in one pass over every interval, then one
+    # level per pass over the intervals ``live`` not yet accepted.  est[i] is
+    # the nested estimate at level base + i; an interval is accepted at its
+    # first level that agrees with the level before within tol
+    live, base, stop = np.arange(len(lo)), 0, _FIRST_LEVELS
+    est = level_sums(slice(None), base, stop)
+    values = np.empty(est.shape[1:], dtype=est.dtype)
     nodes = np.zeros(len(lo), dtype=int)
     err = np.zeros(len(lo))
-    n, level = len(_tanh_sinh_level(0)[1]), 0
-    while live.size:
-        level += 1
-        n = 2 * n - 1
-        if n > _MAX_NODES:
-            raise NoConvergence(f"segment quadrature did not converge within {_MAX_NODES} nodes")
-        new = 0.5 * values[live] + level_sum(live, level)
-        delta = np.abs(new - values[live]).max(axis=1)
-        done = delta <= tol * np.maximum(1.0, np.abs(new).max(axis=1))
-        values[live] = new
-        nodes[live[done]] = n
-        err[live[done]] = delta[done]
+    while True:
+        for i in range(1, len(est)):
+            est[i] += 0.5 * est[i - 1]
+        delta = np.abs(est[1:] - est[:-1]).max(axis=2)
+        ok = delta <= tol * np.maximum(1.0, np.abs(est[1:]).max(axis=2))
+        k, r = ok.argmax(axis=0), np.arange(live.size)      # level base + 1 + k: the first accepted
+        done = ok[k, r]
+        k, r, acc = k[done], r[done], live[done]
+        values[acc] = est[k + 1, r]
+        nodes[acc] = _node_count(base + 1 + k)
+        err[acc] = delta[k, r]
         live = live[~done]
+        if not live.size:
+            break
+        base, stop = stop - 1, stop + 1
+        if _node_count(base + 1) > _MAX_NODES:
+            raise NoConvergence(f"segment quadrature did not converge within {_MAX_NODES} nodes")
+        est = np.concatenate((est[-1][~done][None], level_sums(live, base + 1, stop)))
     return values, nodes, err
 
 
@@ -211,6 +242,14 @@ def _reduced_poles(q: np.ndarray):
     return rows
 
 
+@functools.cache
+def _phases(n: int) -> np.ndarray:
+    """i^(n - s) for the segments s = 0..n-1 of ``SegmentTable``."""
+    phase = np.array([1j ** (n - s) for s in range(n)])
+    phase.flags.writeable = False
+    return phase
+
+
 class SegmentTable:
     """Monomial integrals between consecutive branch points of a real curve.
 
@@ -222,36 +261,46 @@ class SegmentTable:
     request, to ``tol``, and kept.
     """
 
-    def __init__(self, q: np.ndarray, rank: np.ndarray, tol: float):
-        n = len(q) - 1
-        self.q, self.rank, self.tol = q, rank, tol
-        self.phase = np.array([1j ** (n - s) for s in range(n)])
+    def __init__(self, points: np.ndarray, tol: float):
+        """The empty table of the real points ``points`` (package order);
+        ``order`` sorts them and ``rank`` is its inverse."""
+        n = len(points) - 1
+        self.order = np.argsort(points)
+        self.q, self.rank, self.tol = points[self.order], np.argsort(self.order), tol
+        self.phase = _phases(n)
         self.values = np.zeros((n, n // 2 + 1), dtype=complex)
         self.nodes = np.zeros(n, dtype=int)
         self.err = np.zeros(n)
 
     @classmethod
     def of(cls, points, tol: float) -> "SegmentTable | None":
-        """The table of a real point set; None for a complex one."""
-        pts = effective_points(points)
-        if np.any(pts.imag != 0.0):
-            return None
-        order = np.argsort(pts.real)
-        return cls(pts.real[order], np.argsort(order), tol)
+        """The table of a point set snapped as :func:`effective_points`
+        returns it; None for a complex one."""
+        return None if np.any(points.imag != 0.0) else cls(points.real, tol)
 
     def cycle(self, spec: CycleSpec):
-        """(first segments, factor) of a cycle's period.  A real cycle must
-        encircle a contiguous run of the sorted points; any other raises
-        DegenerateConfig."""
+        """(slice of the first segments, factor) of a cycle's period.  A real
+        cycle must encircle a contiguous run of the sorted points; any other
+        raises DegenerateConfig."""
         ranks = sorted(int(self.rank[i]) for i in spec.encircled)
         if ranks[-1] - ranks[0] != len(ranks) - 1:
             raise DegenerateConfig("encircled set is not contiguous on the real axis")
-        return ranks[::2], -2.0 * spec.orientation
+        return slice(ranks[0], ranks[-1], 2), -2.0 * spec.orientation
+
+    def _segments(self, specs):
+        """The cycles of ``specs`` and the sorted segments they need."""
+        cyc = [self.cycle(s) for s in specs]
+        need = np.zeros(len(self.nodes), dtype=bool)
+        for sl, _ in cyc:
+            need[sl] = True
+        return cyc, need
 
     def rows(self, segs) -> np.ndarray:
-        """S[segs], integrating the rows not yet known in one kernel call."""
-        segs = np.asarray(segs, dtype=int)
-        todo = np.unique(segs[self.nodes[segs] == 0])
+        """S[segs], integrating the rows not yet known in one kernel call;
+        ``segs`` indexes the rows, or is a boolean mask over them."""
+        todo = np.zeros(len(self.nodes), dtype=bool)
+        todo[segs] = True
+        todo = np.flatnonzero(todo & (self.nodes == 0))
         if todo.size:
             vals, self.nodes[todo], self.err[todo] = tanh_sinh(
                 self.q[todo], self.q[todo + 1], self.q, self.tol, power_rows(self.values.shape[1]))
@@ -260,22 +309,23 @@ class SegmentTable:
 
     def periods(self, specs):
         """Monomial periods of each cycle (rows) with its node count and error estimate."""
-        cyc = [self.cycle(s) for s in specs]
-        self.rows([s for segs, _ in cyc for s in segs])
-        vals = np.array([f * self.values[segs].sum(axis=0) for segs, f in cyc])
-        nodes = [int(self.nodes[segs].sum()) for segs, _ in cyc]
-        err = [2.0 * float(self.err[segs].sum()) for segs, _ in cyc]
+        cyc, need = self._segments(specs)
+        self.rows(need)
+        vals = np.array([f * self.values[sl].sum(axis=0) for sl, f in cyc])
+        nodes = [int(self.nodes[sl].sum()) for sl, _ in cyc]
+        err = [2.0 * float(self.err[sl].sum()) for sl, _ in cyc]
         return vals, nodes, err
 
     def integrate(self, specs, rows, tol: float) -> np.ndarray:
         """The periods of the integrand rows ``rows`` (a ``tanh_sinh`` row
         function that reads the node differences), one row per cycle, from one
         kernel call over the cycles' segments to ``tol``; nothing is kept."""
-        cyc = [self.cycle(s) for s in specs]
-        segs = np.unique([s for segs, _ in cyc for s in segs])
-        vals = tanh_sinh(self.q[segs], self.q[segs + 1], self.q, tol, rows, diffs=True)[0]
-        vals = vals / self.phase[segs, None]
-        return np.array([f * vals[np.searchsorted(segs, ss)].sum(axis=0) for ss, f in cyc])
+        cyc, need = self._segments(specs)
+        segs = np.flatnonzero(need)
+        part = tanh_sinh(self.q[segs], self.q[segs + 1], self.q, tol, rows, diffs=True)[0]
+        vals = np.zeros((len(need), part.shape[1]), dtype=complex)
+        vals[segs] = part / self.phase[segs, None]
+        return np.array([f * vals[sl].sum(axis=0) for sl, f in cyc])
 
 
 def _contour_periods(contours, n_monomials: int, tol: float):
@@ -339,6 +389,13 @@ class PeriodData:
         self.quad_report["b_err"].extend(err)
         return B_raw @ np.linalg.inv(self.A_raw)
 
+    def in_marking(self, basis: CanonicalBasis) -> "PeriodData":
+        """The period data of the same curve, to the same tolerance, in the
+        marking ``basis``: what :func:`normalized_basis` returns for it, but
+        assembled on this object's segment table, so a segment either marking
+        needs is integrated once and kept for both."""
+        return _assemble(self.cfg, basis, self.tol, self.segments, self.phi_at)
+
     @cached_property
     def v_coeffs(self) -> np.ndarray:
         """Row m-1: ascending coefficients of the polynomial part of v_m over phi."""
@@ -359,42 +416,59 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     points.  Only the a-cycles are integrated here (on the segment table of
     a real configuration, whose a- and b-cycles are all checked first, or on
     lifted circles of a complex one); the Riemann matrix ``B`` is integrated
-    over the b-cycles on first read.
+    over the b-cycles on first read.  The configuration is validated, its
+    points snapped and sorted once, and the default marking taken from that
+    order; :meth:`PeriodData.in_marking` assembles another marking of the
+    same curve on the same table.
     """
     require_valid(cfg)
-    g = cfg.genus
-    points = cfg.points
-    if basis is None:
-        basis = _cycles.gap_basis(points)
-    report = {"tol": tol, "b_nodes": [], "b_err": []}
+    points = effective_points(cfg.points)
     segments = SegmentTable.of(points, tol)
+    if basis is None:
+        basis = (_cycles.gap_basis(points) if segments is None
+                 else _cycles.gap_marking(tuple(segments.order.tolist())))
+    return _assemble(cfg, basis, tol, segments, phi_values(points))
+
+
+def _assemble(cfg: BranchConfig, basis: CanonicalBasis, tol: float,
+              segments: SegmentTable | None, phis: np.ndarray) -> PeriodData:
+    """The period data of ``cfg`` in the marking ``basis``: its a-periods on
+    ``segments`` (a real configuration's table, on which the b-cycles are
+    checked too) or on lifted circles, C, and omega at the ramification
+    points, from the phi table ``phis``."""
+    g = cfg.genus
+    report = {"tol": tol, "b_nodes": [], "b_err": []}
     if segments is not None:
         for s in basis.b:               # reject a bad marking now, not on the first read of B
             segments.cycle(s)
         A_ext, report["a_nodes"], report["a_err"] = segments.periods(basis.a)
         ca = None
     else:
-        ca = [_cycles.realize(s, points) for s in basis.a]
+        ca = [_cycles.realize(s, cfg.points) for s in basis.a]
         A_ext, report["a_nodes"], report["a_err"] = _contour_periods(ca, g + 1, tol)
     A_raw = A_ext[:, :g]
-    cond = float(np.linalg.cond(A_raw)) if np.all(np.isfinite(A_raw)) else math.inf
-    if cond > 1e12:
+    # the 1-norm condition number from the inverse: one LU factorization
+    try:
+        A_inv = np.linalg.inv(A_raw) if np.isfinite(A_raw).all() else None
+    except np.linalg.LinAlgError:
+        A_inv = None
+    cond = math.inf if A_inv is None else float(
+        np.abs(A_raw).sum(axis=0).max() * np.abs(A_inv).sum(axis=0).max())
+    if not cond <= 1e12:
         raise SingularPeriodMatrix(f"a-period matrix condition {cond:.2e}")
-    C = np.linalg.inv(A_raw).T
+    C = A_inv.T
     report["cond_A"] = cond
 
-    phis = phi_values(points)
-    lam = points
-    omega_at = np.empty((g, 2 * g + 2), dtype=complex)
-    for j in range(g):
-        poly = C[j]
-        omega_at[j, :-1] = np.polyval(poly[::-1], lam) * phis
-        # at infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
-        omega_at[j, -1] = -2.0 * poly[g - 1]
-    pd = PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
-                    omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
-                    segments=segments, contours_a=ca)
-    return pd
+    # omega_j at the finite points by Horner's rule on the whole table; at
+    # infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
+    lam = cfg.points
+    poly = np.zeros((g, len(lam)), dtype=complex)
+    for k in range(g - 1, -1, -1):
+        poly = poly * lam + C[:, k, None]
+    omega_at = np.concatenate((poly * phis, -2.0 * C[:, g - 1, None]), axis=1)
+    return PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
+                      omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
+                      segments=segments, contours_a=ca)
 
 
 @dataclass

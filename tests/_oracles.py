@@ -28,7 +28,11 @@ machinery:
   polynomials on the segments;
 * ``wp_laurent``: the Weierstrass function from its Laurent series at the
   nearest lattice point, against the theta-quotient series of
-  ``wp_function``.
+  ``wp_function``;
+* ``tanh_sinh_levels``: the segment kernel one refinement level per pass,
+  against the one-pass first levels of ``tanh_sinh``;
+* ``first_derivatives_loops`` and ``period_jacobian_loops``: du/dx and the
+  period Jacobian entry by entry, against their array forms in ``flow``.
 """
 
 import cmath
@@ -467,3 +471,86 @@ def wp_laurent(wd, z):
                     -2.0 / zr ** 3 + np.sum(c[1:] * 2 * k * zk / zr)))
     wp, wp_prime = np.array(out).T
     return wp.reshape(np.shape(z)), wp_prime.reshape(np.shape(z))
+
+
+def _tanh_sinh_level(level: int):
+    """The nodes first used at tanh-sinh refinement ``level``: (step, weights,
+    distances to -1 and to 1, x), the step 1/4 halved per level, |tau| <= 4.5."""
+    h = 0.25 / (1 << level)
+    m = int(4.5 / h)
+    j = np.arange(-m, m + 1)
+    if level:
+        j = j[j % 2 == 1]
+    tau = j * h
+    psi = 0.5 * math.pi * np.sinh(tau)
+    e = np.exp(-2.0 * np.abs(psi))
+    near, far = 2.0 * e / (1.0 + e), 2.0 / (1.0 + e)
+    lower = tau < 0
+    return (h, math.pi * np.cosh(tau) * np.sqrt(e) / (1.0 + e),
+            np.where(lower, near, far), np.where(lower, far, near), np.tanh(psi))
+
+
+def tanh_sinh_levels(lo, hi, q, tol, rows, diffs=False):
+    """Loop form of ``periods.tanh_sinh``: the same quadrature and the same
+    acceptance test, evaluating one refinement level per pass over the
+    intervals not yet converged, and each level's nodes on their own.
+
+    Returns (values, nodes, err) as the kernel does; raises RuntimeError
+    beyond 2^17 nodes.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    below = q <= lo[:, None]
+    gap = np.where(below, lo[:, None] - q, q - hi[:, None])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+
+    def level_sum(live, level):
+        h, w, e_lo, e_hi, x = _tanh_sinh_level(level)
+        c = half[live, None]
+        d_lo, d_hi = c * e_lo, c * e_hi
+        t = mid[live, None] + c * x
+        dist = np.where(below[live, None, :], d_lo[..., None], d_hi[..., None])
+        dist += gap[live, None, :]
+        f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=-1))
+        D = np.where(below[live, None, :], dist, -dist) if diffs else None
+        return h * np.einsum("rn,rnk->rk", f, rows(t, D))
+
+    live = np.arange(len(lo))
+    values = level_sum(live, 0)
+    nodes = np.zeros(len(lo), dtype=int)
+    err = np.zeros(len(lo))
+    n, level = len(_tanh_sinh_level(0)[1]), 0
+    while live.size:
+        level += 1
+        n = 2 * n - 1
+        if n > 1 << 17:
+            raise RuntimeError("segment quadrature did not converge within 2^17 nodes")
+        new = 0.5 * values[live] + level_sum(live, level)
+        delta = np.abs(new - values[live]).max(axis=1)
+        done = delta <= tol * np.maximum(1.0, np.abs(new).max(axis=1))
+        values[live] = new
+        nodes[live[done]] = n
+        err[live[done]] = delta[done]
+        live = live[~done]
+    return values, nodes, err
+
+
+def first_derivatives_loops(cfg, pd, om) -> np.ndarray:
+    """du[m-1, j-1] = -v_m(P_{x_j}) Omega(P_{x_j}) / Omega(P_{u_m}), entry by entry."""
+    g = cfg.genus
+    du = np.empty((g, g), dtype=complex)
+    for m in range(1, g + 1):
+        for j in range(1, g + 1):
+            xj = g + j
+            v_at_xj = pd.v_poly_at[m - 1, xj] * pd.phi_at[xj]
+            du[m - 1, j - 1] = -v_at_xj * om.values_at[xj] / om.values_at[m]
+    return du
+
+
+def period_jacobian_loops(cfg, pd, om) -> np.ndarray:
+    """J[j-1, k-1] = pi i Omega(P_{u_j}) omega_k(P_{u_j}), row by row."""
+    g = cfg.genus
+    J = np.empty((g, g), dtype=complex)
+    for j in range(1, g + 1):
+        J[j - 1, :] = 1j * math.pi * om.values_at[j] * pd.omega_at[:, j]
+    return J

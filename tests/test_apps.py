@@ -348,6 +348,29 @@ def test_kdv_report_is_deterministic(g2_traj):
 
 # -- reports on the flow samples' own period data -------------------------------------
 
+def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_calls):
+    # the band marking read on a sample's own segment table is what
+    # normalized_basis computes for it, bit for bit, and the band segments it
+    # integrates are the ones the comb map needs: no segment twice
+    cfg, traj = g2_traj
+    for s in traj.samples:
+        band = band_basis(s.pd.cfg.points)
+        pdb = s.pd.in_marking(band)
+        ref = normalized_basis(s.pd.cfg, basis=band, tol=s.pd.tol)
+        assert pdb.segments is s.pd.segments
+        for key in ("A_raw", "C", "omega_at"):
+            assert np.array_equal(getattr(pdb, key), getattr(ref, key))
+        assert pdb.quad_report["a_nodes"] == ref.quad_report["a_nodes"]
+    fresh = integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
+                           [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=1e-11, macro_step=0.05))
+    segment_calls.clear()
+    kdv_wavevector_report(cfg, fresh, quad_tol=1e-11)
+    comb_invariance_check(cfg, fresh, quad_tol=1e-11)
+    branch = {float(p) for s in fresh.samples for p in s.pd.cfg.points.real}
+    full = [iv for call in segment_calls for iv in call if iv[1] in branch]
+    assert len(full) == 2 * len(fresh.samples) and len(set(full)) == len(full)
+
+
 def _same_report(a, b):
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -377,7 +400,7 @@ def test_reports_reuse_sample_periods_only_when_they_match(case, period_calls):
     period_calls.clear()
     kdv = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
     assert period_calls.count(None) == recomputed
-    assert len(period_calls) == recomputed + n          # one band-marking call per sample
+    assert len(period_calls) == recomputed              # the band marking reads the same table
     period_calls.clear()
     comb = comb_invariance_check(cfg, traj, quad_tol=1e-11)
     assert period_calls == [None] * recomputed

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (rhs_genus1, rhs_genus2_example, rhs_genus_g_loops,
-                      second_difference, w_identity_loops)
+from _oracles import (first_derivatives_loops, period_jacobian_loops, rhs_genus1,
+                      rhs_genus2_example, rhs_genus_g_loops, second_difference,
+                      w_identity_loops)
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 from isoperiod.cycles import gap_basis
@@ -188,6 +189,21 @@ def test_vanishing_omega_detected():
     om.values_at[idx_u(1)] = 0.0
     with pytest.raises(VanishingOmegaAtU):
         first_derivatives(G1, pd, om)
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_first_derivatives_and_jacobian_match_loop_forms(g):
+    # the array forms make the same products as the scalar loops; the bound,
+    # 4 ulp relative, leaves room only for a last-bit difference between
+    # array and scalar complex products
+    rng = np.random.default_rng(50 + g)
+    for alpha in (None, rng.normal(size=g) * 1j):
+        pts = np.cumsum(rng.uniform(0.3, 1.5, 2 * g))
+        cfg = BranchConfig(x=tuple(pts[1::2]), u=tuple(pts[0::2]), real=True)
+        pd, om = _setup(cfg, alpha)
+        for arr, ref in ((first_derivatives(cfg, pd, om), first_derivatives_loops(cfg, pd, om)),
+                         (period_jacobian(cfg, pd, om), period_jacobian_loops(cfg, pd, om))):
+            assert np.max(np.abs(arr - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 # -- Newton projection -----------------------------------------------------------
@@ -533,6 +549,15 @@ def test_rational_macro_step_is_tried_as_one_step(monkeypatch):
                           FlowControl(quad_tol=TOL, macro_step=0.025))
     assert len(traj.samples) == 2
     assert len(calls) <= 13
+
+
+@pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
+def test_leg_of_whole_macro_steps_gets_no_extra_step(mode):
+    # 0.02 / 0.01 reads 2.0000000000000018 after rounding in 3.02 - 3
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=mode), [[3.0, 5.0], [3.02, 5.0]],
+                          FlowControl(quad_tol=TOL, macro_step=0.01))
+    assert len(traj.samples) == 3
+    assert np.allclose([s.x[0] for s in traj.samples], [3.0, 3.01, 3.02], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -9,12 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import real_ellipse
+from _oracles import real_ellipse, tanh_sinh_levels
 
-from isoperiod.comb import boundary_trace, comb_map
+from isoperiod.comb import boundary_trace, comb_map, omega_zeros
 from isoperiod.curves import BranchConfig
 from isoperiod.cycles import band_basis, gap_basis
-from isoperiod.periods import build_omega, integrate_contour, monomial, normalized_basis
+from isoperiod.periods import (_reduced_poles, build_omega, integrate_contour, monomial,
+                               normalized_basis, power_rows, tanh_sinh)
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 TOL = 1e-11
@@ -110,3 +111,44 @@ def test_comb_and_boundary_trace_at_gap_1e8(j):
     # the narrow gap walks its slit: real part at the base mark, height up to h_j
     assert np.max(np.abs(gap.real - region.q[j])) < 1e-9
     assert np.all(gap.imag >= -1e-15) and np.max(gap.imag) <= region.h[j] * (1.0 + 1e-6)
+
+
+def _kernel_cases():
+    """Seeded interleaved curves at g = 1..4 and u_k = 2k - 1, x_k = 2k with one
+    gap narrowed to 1e-1 .. 1e-8: (config, sorted points)."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for g in (1, 2, 3, 4):
+        for _ in range(2):
+            pts = np.cumsum(rng.uniform(0.3, 1.5, 2 * g))
+            cases.append(BranchConfig(x=tuple(pts[1::2]), u=tuple(pts[0::2]), real=True))
+    cases += [_narrow(g, j, 10.0 ** -k) for g in (1, 2, 3) for j in range(g) for k in range(1, 9)]
+    return [(cfg, np.sort(cfg.points.real)) for cfg in cases]
+
+
+@pytest.mark.parametrize("rows", ["powers", "reduced poles", "comb partials"])
+def test_one_pass_kernel_matches_level_by_level_loop(rows):
+    # the first levels of tanh_sinh are one array pass, but every sum is
+    # formed as in the loop, so nodes, error estimates and values are the
+    # loop's bit for bit.  Full segments are accepted inside the first pass
+    # (73 and 145 nodes) and, on narrow gaps, past it; comb partials at 73
+    counts = set()
+    for cfg, q in _kernel_cases():
+        g = cfg.genus
+        lo, hi, diffs = q[:-1], q[1:], rows != "powers"
+        if rows == "powers":
+            f = power_rows(g + 1)
+        elif rows == "reduced poles":
+            f = _reduced_poles(q)
+        else:                           # comb_map's partial integrals up to the zeros
+            zeros = np.sort(omega_zeros(build_omega(cfg, normalized_basis(cfg, tol=TOL))).real)
+            gaps = np.arange(1, 2 * g, 2)
+            offsets = zeros - q[gaps]
+            lo, hi = q[gaps], zeros
+            f = lambda t, D: np.prod(D[..., gaps] - offsets, axis=-1)[..., None]
+        got = tanh_sinh(lo, hi, q, TOL, f, diffs=diffs)
+        ref = tanh_sinh_levels(lo, hi, q, TOL, f, diffs=diffs)
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+        counts |= set(got[1].tolist())
+    assert counts == {73} if rows == "comb partials" else {73, 145, 289, 577} <= counts
