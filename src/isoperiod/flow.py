@@ -157,7 +157,8 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k).
 
     Products over s != m divide the s = m factor out of the full product; the
-    j != m and i not in (k, n) sums are masked with the identity.
+    j != m and i not in (k, n) sums are masked with float masks built once per
+    genus.
     Mixed values are evaluated over all (k, n) and the k < n value is written
     to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
     The terms are grouped and summed in another order than in the
@@ -184,15 +185,15 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     # diagonal entries T[m, k, k]
     line1 = ((-r_x - r_xx.sum(axis=1))[None]
              + 2.0 * (r_xu[None] * off[:, None, :]).sum(axis=-1) + r_xu.T)
-    line2 = UX[:, ar, ar] + r_xu.T
-    diag = 0.5 * (du * (line1 + C[:, ar, ar]) + dd[:, ar, ar] * line2
+    line2 = UX.diagonal(0, 1, 2) + r_xu.T
+    diag = 0.5 * (du * (line1 + C.diagonal(0, 1, 2)) + dd.diagonal(0, 1, 2) * line2
                   - S1[:, None] * Px * Gx - line6 - line7)
 
     # mixed entries, Q[m, k, n] = du[m, k] (1/(x_k - x_n) + 1/(x_n - u_m) + C[m, k, n] / 2)
     Q = du[:, :, None] * (r_xx + r_xu.T[:, None, :] + 0.5 * C)
     val = 0.5 * (Q + np.swapaxes(Q, 1, 2) + dd * UX)
     T = np.where(upper, val, np.swapaxes(val, 1, 2))
-    T[:, ar, ar] = diag
+    T.reshape(g, g * g)[:, ::g + 1] = diag
     return T
 
 

@@ -242,14 +242,6 @@ def _reduced_poles(q: np.ndarray):
     return rows
 
 
-@functools.cache
-def _phases(n: int) -> np.ndarray:
-    """i^(n - s) for the segments s = 0..n-1 of ``SegmentTable``."""
-    phase = np.array([1j ** (n - s) for s in range(n)])
-    phase.flags.writeable = False
-    return phase
-
-
 class SegmentTable:
     """Monomial integrals between consecutive branch points of a real curve.
 
@@ -267,7 +259,7 @@ class SegmentTable:
         n = len(points) - 1
         self.order = np.argsort(points)
         self.q, self.rank, self.tol = points[self.order], np.argsort(self.order), tol
-        self.phase = _phases(n)
+        self.phase = np.array([1j ** (n - s) for s in range(n)])
         self.values = np.zeros((n, n // 2 + 1), dtype=complex)
         self.nodes = np.zeros(n, dtype=int)
         self.err = np.zeros(n)
