@@ -145,8 +145,8 @@ def validate_config(cfg, ordered: bool = False) -> list:
         if not cfg.real or isinstance(cfg, PointCurve):
             violations.append("ordering requested for a non-real x/u configuration")
         else:
-            seq = np.concatenate(([0.0], np.column_stack((pts[1:g + 1].real,
-                                                          pts[g + 1:].real)).ravel()))
+            seq = np.zeros(2 * g + 1)             # 0, u_1, x_1, ..., u_g, x_g
+            seq[1::2], seq[2::2] = pts[1:g + 1].real, pts[g + 1:].real
             bad = np.flatnonzero(~(seq[:-1] < seq[1:]))
             if bad.size:
                 a, b = seq[bad[0]:bad[0] + 2].tolist()
