@@ -66,7 +66,7 @@ class BranchConfig:
     @property
     def points(self) -> np.ndarray:
         """Finite branch points in index order (0, u_1..u_g, x_1..x_g)."""
-        return np.concatenate(([0.0 + 0.0j], np.asarray(self.u), np.asarray(self.x)))
+        return np.array((0j,) + self.u + self.x)
 
     def replace(self, x=None, u=None) -> "BranchConfig":
         return BranchConfig(

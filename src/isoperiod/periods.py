@@ -47,6 +47,8 @@ _MIN_NODES = 64          # first node count of a contour quadrature
 _TAU_MAX = 4.5
 _H0 = 0.25
 _FIRST_LEVELS = 3       # levels 0..2 (145 nodes) share the first array pass
+# _NODES[l]: the nodes of the levels 0..l together, past _MAX_NODES
+_NODES = 2 * int(_TAU_MAX / _H0) * 2 ** np.arange(int(math.log2(_MAX_NODES)) + 1) + 1
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,6 @@ def _tanh_sinh_nodes(first: int, stop: int):
     return (bounds,) + out
 
 
-def _node_count(level):
-    """The nodes of levels 0..level together."""
-    return 2 * int(_TAU_MAX / _H0) * 2 ** level + 1
-
-
 def power_rows(n: int):
     """The ``tanh_sinh`` row function of the monomials t^0..t^(n-1)."""
     powers = np.arange(n)
@@ -204,13 +201,13 @@ def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
         done = ok[k, r]
         k, r, acc = k[done], r[done], live[done]
         values[acc] = est[k + 1, r]
-        nodes[acc] = _node_count(base + 1 + k)
+        nodes[acc] = _NODES[base + 1 + k]
         err[acc] = delta[k, r]
         live = live[~done]
         if not live.size:
             break
         base, stop = stop - 1, stop + 1
-        if _node_count(base + 1) > _MAX_NODES:
+        if _NODES[base + 1] > _MAX_NODES:
             raise NoConvergence(f"segment quadrature did not converge within {_MAX_NODES} nodes")
         est = np.concatenate((est[-1][~done][None], level_sums(live, base + 1, stop)))
     return values, nodes, err
@@ -268,7 +265,7 @@ class SegmentTable:
     def of(cls, points, tol: float) -> "SegmentTable | None":
         """The table of a point set snapped as :func:`effective_points`
         returns it; None for a complex one."""
-        return None if np.any(points.imag != 0.0) else cls(points.real, tol)
+        return None if (points.imag != 0.0).any() else cls(points.real, tol)
 
     def cycle(self, spec: CycleSpec):
         """(slice of the first segments, factor) of a cycle's period.  A real
