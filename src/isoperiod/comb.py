@@ -32,7 +32,7 @@ from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
 from .flow import sample_periods
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations, build_omega,
-                      power_rows, tanh_sinh)
+                      horner, power_rows, tanh_sinh)
 
 
 @dataclass
@@ -47,16 +47,6 @@ class CombRegion:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The polynomial with ascending coefficients c at the points x: the
-    arithmetic of ``np.polynomial.polynomial.polyval``, without its per-call
-    argument handling."""
-    y = c[-1] + x * 0
-    for ci in c[-2::-1]:
-        y = ci + y * x
-    return y
-
-
 def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     """Roots of the monic polynomial defining the second-kind differential.
 
@@ -67,8 +57,8 @@ def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     roots = np.roots(poly[::-1])
     dpoly = np.polynomial.polynomial.polyder(poly)
     for _ in range(newton_steps):
-        roots = roots - _horner(poly, roots) / _horner(dpoly, roots)
-    resid = np.max(np.abs(_horner(poly, roots)))
+        roots = roots - horner(poly, roots) / horner(dpoly, roots)
+    resid = np.max(np.abs(horner(poly, roots)))
     scale = max(1.0, float(np.max(np.abs(roots))) ** len(om.c))
     if resid > 1e-12 * scale:
         raise RootLocalizationFailed(f"root polishing stalled at residual {resid:.2e}")

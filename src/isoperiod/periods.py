@@ -67,6 +67,17 @@ class DifferentialOverMu:
         return out
 
 
+def horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The polynomials with ascending coefficients along the last axis of c
+    (one row, or a table of rows) at the points x, by Horner's rule over whole
+    arrays: the arithmetic of ``np.polyval`` on each row, without its per-call
+    argument handling."""
+    y = c[..., -1, None] + x * 0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        y = c[..., k, None] + y * x
+    return y
+
+
 def monomial(k: int) -> DifferentialOverMu:
     """lambda^k * dlambda / mu."""
     return DifferentialOverMu(poly=(0.0,) * k + (1.0,))
@@ -393,7 +404,7 @@ class PeriodData:
     @cached_property
     def v_poly_at(self) -> np.ndarray:
         """v_m(P_q) = v_poly_at[m-1, q] * phi_at[q] at every finite point q."""
-        return np.array([np.polyval(poly[::-1], self.cfg.points) for poly in self.v_coeffs])
+        return horner(self.v_coeffs, self.cfg.points)
 
 
 def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
@@ -448,13 +459,8 @@ def _assemble(cfg: BranchConfig, basis: CanonicalBasis, tol: float,
     C = A_inv.T
     report["cond_A"] = cond
 
-    # omega_j at the finite points by Horner's rule on the whole table; at
-    # infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
-    lam = cfg.points
-    poly = np.zeros((g, len(lam)), dtype=complex)
-    for k in range(g - 1, -1, -1):
-        poly = poly * lam + C[:, k, None]
-    omega_at = np.concatenate((poly * phis, -2.0 * C[:, g - 1, None]), axis=1)
+    # at infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
+    omega_at = np.concatenate((horner(C, cfg.points) * phis, -2.0 * C[:, g - 1, None]), axis=1)
     return PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
                       omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
                       segments=segments, contours_a=ca)
@@ -524,7 +530,7 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
 
     poly_full = np.concatenate((c, [1.0 + 0.0j]))
     lam = cfg.points
-    base_vals = -0.5 * np.polyval(poly_full[::-1], lam) * pd.phi_at
+    base_vals = -0.5 * horner(poly_full, lam) * pd.phi_at
     values = base_vals + alpha @ pd.omega_at[:, :-1]
     return OmegaDifferential(cfg=cfg, alpha=alpha, c=c, values_at=values, pd=pd, tol=tol)
 
