@@ -55,7 +55,7 @@ def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     """
     poly = om.poly                      # ascending, monic
     roots = np.roots(poly[::-1])
-    dpoly = np.polynomial.polynomial.polyder(poly)
+    dpoly = np.arange(1, len(poly)) * poly[1:]
     for _ in range(newton_steps):
         roots = roots - horner(poly, roots) / horner(dpoly, roots)
     resid = np.max(np.abs(horner(poly, roots)))

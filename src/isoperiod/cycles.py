@@ -68,7 +68,7 @@ def _sorted_real_order(points: np.ndarray) -> np.ndarray:
     from .curves import effective_points
 
     pts = effective_points(points)
-    if np.max(np.abs(pts.imag)) > 0.0:
+    if np.abs(pts.imag).max() > 0.0:
         raise DegenerateConfig("default cycle bases require real branch points")
     return np.argsort(pts.real)
 

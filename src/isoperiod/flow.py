@@ -354,12 +354,13 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     segment x = p + tau (q - p), tau in [0, 1], cut into ceil(|q - p| /
     ``control.macro_step``) equal macro steps (the quotient read with a
     relative slack of 1e-12, so rounding in q - p adds none); samples are
-    recorded at their boundaries.  In implicit mode each macro step is one predictor-corrector
-    step whose final Newton iterate gives the sample's du and drift; in rational
-    mode (u, du) evolves through the second-order rational system, each macro
-    step tried as one DOP853 step under error control, and periods are only
-    recomputed for drift reporting.  Each sample keeps the period data it was
-    checked with (``FlowSample.pd``).  Failed steps are halved.
+    recorded at their boundaries.  In implicit mode each macro step is one
+    predictor-corrector step whose final Newton iterate gives the sample's du
+    and drift; in rational mode (u, du) evolves through the second-order
+    rational system, each macro step tried as one DOP853 step under error
+    control, and periods are only recomputed for drift reporting.  Each
+    sample keeps the period data it was checked with (``FlowSample.pd``).
+    Failed steps are halved.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
     """

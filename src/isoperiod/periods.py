@@ -47,7 +47,7 @@ _MIN_NODES = 64          # first node count of a contour quadrature
 _TAU_MAX = 4.5
 _H0 = 0.25
 _FIRST_LEVELS = 3       # levels 0..2 (145 nodes) share the first array pass
-# _NODES[l]: the nodes of the levels 0..l together, past _MAX_NODES
+# _NODES[l]: the nodes of the levels 0..l together, tabulated beyond _MAX_NODES
 _NODES = 2 * int(_TAU_MAX / _H0) * 2 ** np.arange(int(math.log2(_MAX_NODES)) + 1) + 1
 
 
