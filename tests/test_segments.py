@@ -130,8 +130,9 @@ def _kernel_cases():
 def test_one_pass_kernel_matches_level_by_level_loop(rows):
     # the first levels of tanh_sinh are one array pass, but every sum is
     # formed as in the loop, so nodes, error estimates and values are the
-    # loop's bit for bit.  Full segments are accepted inside the first pass
-    # (73 and 145 nodes) and, on narrow gaps, past it; comb partials at 73
+    # loop's bit for bit.  Full segments are accepted at the first pass (73
+    # nodes) and, on narrow gaps, after one or more further passes; comb
+    # partials at 73
     counts = set()
     for cfg, q in _kernel_cases():
         g = cfg.genus
