@@ -47,30 +47,50 @@ class CombRegion:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _polished_roots(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
+    """Companion-matrix roots of ``om.poly`` after at most ``newton_steps``
+    Newton steps; raises RootLocalizationFailed if polishing stalled.
+
+    A step that leaves every root unchanged bit for bit would repeat itself,
+    so the loop stops there with the value the remaining steps would give.
+    """
+    poly = om.poly                      # ascending, monic
+    roots = np.roots(poly[::-1])
+    dpoly = np.arange(1, len(poly)) * poly[1:]
+    for _ in range(newton_steps):
+        new = roots - horner(poly, roots) / horner(dpoly, roots)
+        if new.tobytes() == roots.tobytes():
+            break
+        roots = new
+    resid = np.max(np.abs(horner(poly, roots)))
+    scale = max(1.0, float(np.max(np.abs(roots))) ** len(om.c))
+    if resid > 1e-12 * scale:
+        raise RootLocalizationFailed(f"root polishing stalled at residual {resid:.2e}")
+    return roots
+
+
+def _one_per_gap(cfg: BranchConfig, roots: np.ndarray) -> np.ndarray:
+    """The roots in ascending real order, checked to be one real root inside
+    each gap (u_j, x_j) of the ordered real configuration ``cfg``."""
+    roots = roots[np.argsort(roots.real)]
+    for j, r in enumerate(roots):
+        uj, xj = cfg.u[j].real, cfg.x[j].real
+        if not (abs(r.imag) < 1e-9 and uj < r.real < xj):
+            raise RootLocalizationFailed(
+                f"expected one real zero in gap ({uj}, {xj}), found {r}")
+    return roots
+
+
 def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     """Roots of the monic polynomial defining the second-kind differential.
 
     Companion-matrix eigenvalues polished by Newton iteration; for ordered
     real configurations asserts exactly one root inside each gap (u_j, x_j).
     """
-    poly = om.poly                      # ascending, monic
-    roots = np.roots(poly[::-1])
-    dpoly = np.arange(1, len(poly)) * poly[1:]
-    for _ in range(newton_steps):
-        roots = roots - horner(poly, roots) / horner(dpoly, roots)
-    resid = np.max(np.abs(horner(poly, roots)))
-    scale = max(1.0, float(np.max(np.abs(roots))) ** len(om.c))
-    if resid > 1e-12 * scale:
-        raise RootLocalizationFailed(f"root polishing stalled at residual {resid:.2e}")
+    roots = _polished_roots(om, newton_steps)
     cfg = om.cfg
     if cfg.real and not validate_config(cfg, ordered=True):
-        order = np.argsort([r.real for r in roots])
-        roots = roots[order]
-        for j, r in enumerate(roots):
-            uj, xj = cfg.u[j].real, cfg.x[j].real
-            if not (abs(r.imag) < 1e-9 and uj < r.real < xj):
-                raise RootLocalizationFailed(
-                    f"expected one real zero in gap ({uj}, {xj}), found {r}")
+        roots = _one_per_gap(cfg, roots)
     return roots
 
 
@@ -89,7 +109,8 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     g = cfg.genus
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
     table = pd.segments
-    zeros = np.sort(omega_zeros(om).real)
+    # cfg is checked ordered above; om is built on it
+    zeros = np.sort(_one_per_gap(cfg, _polished_roots(om)).real)
 
     seg_vals = table.rows(np.arange(2 * g)) @ poly          # phase included
     theta_nodes = 0.5 * np.cumsum(seg_vals)

@@ -28,20 +28,30 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import cycles as _cycles
 from .curves import BranchConfig, idx_u, idx_x, idx_zero
 from .errors import (DegenerateConfig, DriftExceeded, NoProgress, SingularJacobian,
                      SingularLocus, VanishingOmegaAtU)
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
-                      build_omega, normalized_basis, w_constants, w_value)
+                      build_omega, default_marking, normalized_basis, w_constants,
+                      w_value)
 
 IMPLICIT = "implicit"
 RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call.
+
+    Only rational mode integrates with it, and importing scipy.integrate
+    costs about 0.8 s of CPU and 40 MB of memory, which every other use of
+    the package (and every other CLI command) would pay at import.
+    """
+    import scipy.integrate
+    return scipy.integrate.solve_ivp(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +315,7 @@ def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
     c = cfg.replace(x=s.x, u=s.u)
     pd = s.pd
     if (pd is not None and pd.cfg == c and pd.tol == tol
-            and pd.basis == _cycles.gap_basis(c.points)):
+            and pd.basis == default_marking(c, pd.segments)):
         return pd
     return normalized_basis(c, tol=tol)
 

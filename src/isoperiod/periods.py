@@ -419,9 +419,16 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     points = effective_points(cfg.points)
     segments = SegmentTable.of(points, tol)
     if basis is None:
-        basis = (_cycles.gap_basis(points) if segments is None
-                 else _cycles.gap_marking(tuple(segments.order.tolist())))
+        basis = default_marking(cfg, segments)
     return _assemble(cfg, basis, tol, segments, phi_values(points))
+
+
+def default_marking(cfg: BranchConfig, segments: SegmentTable | None) -> CanonicalBasis:
+    """The default gap marking of ``cfg``; on a real curve it is read from
+    the sorted order that its segment table ``segments`` already holds."""
+    if segments is None:
+        return _cycles.gap_basis(cfg.points)
+    return _cycles.gap_marking(tuple(segments.order.tolist()))
 
 
 def _assemble(cfg: BranchConfig, basis: CanonicalBasis, tol: float,

@@ -32,7 +32,10 @@ machinery:
 * ``tanh_sinh_levels``: the segment kernel one refinement level per pass,
   against the one-pass first levels of ``tanh_sinh``;
 * ``first_derivatives_loops`` and ``period_jacobian_loops``: du/dx and the
-  period Jacobian entry by entry, against their array forms in ``flow``.
+  period Jacobian entry by entry, against their array forms in ``flow``;
+* ``omega_zeros_fixed_steps``: the zeros of the comb polynomial after a
+  fixed number of Newton steps, against ``comb.omega_zeros``, which stops at
+  a fixed point.
 """
 
 import cmath
@@ -554,3 +557,17 @@ def period_jacobian_loops(cfg, pd, om) -> np.ndarray:
     for j in range(1, g + 1):
         J[j - 1, :] = 1j * math.pi * om.values_at[j] * pd.omega_at[:, j]
     return J
+
+
+def omega_zeros_fixed_steps(om, newton_steps: int = 8) -> np.ndarray:
+    """Companion-matrix roots of the monic ``om.poly`` after exactly
+    ``newton_steps`` Newton steps, sorted by real part on a real configuration."""
+    poly = np.asarray(om.poly)[::-1]        # descending, for np.polyval
+    dpoly = np.polyder(poly)
+    roots = np.roots(poly)
+    for _ in range(newton_steps):
+        roots = roots - np.polyval(poly, roots) / np.polyval(dpoly, roots)
+    cfg = om.cfg
+    if cfg.real:
+        roots = roots[np.argsort(roots.real)]
+    return roots

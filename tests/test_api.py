@@ -2,11 +2,16 @@
 
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import isoperiod
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _span_targets():
@@ -32,3 +37,24 @@ def test_traced_benchmark_targets_resolve():
         if obj is None:
             missing.append(f"isoperiod.{key.split('.')[0]}.{attr}")
     assert missing == []
+
+
+def test_scipy_is_imported_by_the_first_rational_step_only():
+    # a fresh interpreter: the package and its CLI load without scipy.integrate,
+    # and a rational-mode flow loads it on its first step
+    script = textwrap.dedent("""
+        import sys
+        import isoperiod, isoperiod.cli
+        from isoperiod.flow import RATIONAL, DeformationState, integrate_flow
+        assert "scipy.integrate" not in sys.modules, "loaded at import"
+        G2 = isoperiod.BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+        traj = integrate_flow(DeformationState(G2, [0.0, 0.0], mode=RATIONAL),
+                              [[3.0, 5.0], [3.02, 5.0]])
+        assert len(traj.samples) == 3 and traj.max_drift() < 1e-8
+        assert "scipy.integrate" in sys.modules, "not loaded by the flow"
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -371,6 +371,24 @@ def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_cal
     assert len(full) == 2 * len(fresh.samples) and len(set(full)) == len(full)
 
 
+def test_reports_take_the_default_marking_from_the_sample_table(g2_traj, period_calls,
+                                                               monkeypatch):
+    # a real sample's segment table holds the sorted order of the default
+    # marking, so reading the sample's own period data rebuilds no marking
+    import isoperiod.cycles as cycles_module
+
+    cfg, traj = g2_traj
+    assert all(s.pd is not None and s.pd.segments is not None for s in traj.samples)
+    calls = []
+    original = cycles_module.gap_basis
+    monkeypatch.setattr(cycles_module, "gap_basis",
+                        lambda points: calls.append(points) or original(points))
+    period_calls.clear()
+    kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+    comb_invariance_check(cfg, traj, quad_tol=1e-11)
+    assert period_calls == [] and calls == []
+
+
 def _same_report(a, b):
     return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
 

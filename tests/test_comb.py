@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import isoperiod.comb as comb_module
 from isoperiod.comb import (boundary_trace, comb_invariance_check, comb_map,
                             omega_zeros)
-from isoperiod.curves import BranchConfig
+from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.errors import OrderingViolation
 from isoperiod.flow import IMPLICIT, DeformationState, FlowControl, integrate_flow
-from isoperiod.periods import build_omega, normalized_basis
+from isoperiod.periods import build_omega, horner, normalized_basis
+
+from _oracles import omega_zeros_fixed_steps
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
 G2 = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
@@ -46,6 +49,30 @@ def test_zeros_perturbation_conditioning():
     dpoly = np.polynomial.polynomial.polyder(om.poly)
     deriv = abs(np.polynomial.polynomial.polyval(z1, dpoly))
     assert abs(z1 - z0) < 10.0 * 1e-10 / deriv + 1e-14
+
+
+def test_zeros_equal_the_fixed_step_loop(monkeypatch):
+    # stopping at a fixed point of the Newton step returns what all 8 steps
+    # return, bit for bit; referee: the loop that always takes 8 steps.  Seeded
+    # interleaved curves with wide gaps and with every gap 1e-8 wide
+    steps = []
+    monkeypatch.setattr(comb_module, "horner",
+                        lambda c, x: steps.append(1) or horner(c, x))
+    taken = []
+    for g in range(1, 5):
+        rng = np.random.default_rng(70 + g)
+        for width in (None, 1e-8):
+            for _ in range(4):
+                bands = rng.uniform(0.5, 2.0, g)
+                gaps = rng.uniform(0.5, 2.0, g) if width is None else np.full(g, width)
+                u = np.cumsum(bands) + np.concatenate(([0.0], np.cumsum(gaps)[:-1]))
+                cfg = BranchConfig(x=list(u + gaps), u=list(u), real=True)
+                _, om = _setup(cfg)
+                steps.clear()
+                zeros = omega_zeros(om)
+                taken.append((len(steps) - 1) // 2)     # two evaluations a step, one residual
+                assert np.array_equal(zeros, omega_zeros_fixed_steps(om))
+    assert min(taken) < 8 and max(taken) == 8           # both exits are exercised
 
 
 # -- the map ------------------------------------------------------------------------
@@ -121,6 +148,17 @@ def test_slit_heights_on_a_narrow_gap_match_mpmath(j):
         with mp.workdps(30):
             ref = 0.5 * abs(mp.quad(f, [0, mp.sqrt(mp.mpf(xi) - lo)]))
         assert abs(region.h[k] - ref) <= 5e-11 * ref
+
+
+def test_comb_map_checks_the_ordering_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(comb_module, "validate_config",
+                        lambda *a, **k: calls.append(k) or validate_config(*a, **k))
+    pd, om = _setup(G2)
+    comb_map(G2, pd, om, tol=TOL)
+    assert calls == [{"ordered": True}]
+    omega_zeros(om)                     # called on its own, it checks the gaps itself
+    assert len(calls) == 2
 
 
 def test_comb_requires_ordered_real_config():
