@@ -10,8 +10,9 @@ modes are provided:
   data and the rational second derivative, then Newton-projects it back onto
   the constant-b-period manifold (unless ``correct`` is off).
 * ``rational``: the second-order system with rational coefficients is
-  integrated directly, each macro step tried as one DOP853 step under error
-  control; no period computations happen inside the stepper.
+  integrated directly, each macro step tried as one DOP853 step
+  (:func:`solve_ivp`); a step whose embedded error estimate is too large is
+  rejected and halved.  No period computations happen inside the stepper.
   Each sample's drift is read from evaluations, 2 pi i omega(P_inf) + alpha B,
   so the b-cycles are integrated (for B) only when alpha is nonzero.
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,15 +45,80 @@ NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
-def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on the first call.
+# ---------------------------------------------------------------------------
+# one Dormand-Prince 8(5,3) step (Hairer, Norsett & Wanner, Solving ODEs I, II.10)
+# ---------------------------------------------------------------------------
 
-    Only rational mode integrates with it, and importing scipy.integrate
-    costs about 0.8 s of CPU and 40 MB of memory, which every other use of
-    the package (and every other CLI command) would pay at import.
+# row s holds a[s, :s], zeros included: every stage sums over all earlier ones
+_DOP_A_ROWS = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+)
+DOP_A = np.array([row + (0,) * (12 - len(row)) for row in _DOP_A_ROWS], dtype=float)
+DOP_B = np.array([0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+                  -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+                  0.20136540080403034, 0.04471061572777259])
+DOP_C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+                  0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+                  0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+# the embedded 3rd- and 5th-order error weights
+DOP_E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+                   -5.801203960010585, -0.4226823213237919, -0.1521609496625161,
+                   0.20136540080403034, 0.02265179219836082])
+DOP_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                   1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                   0.08192320648511571, -0.022355307863886294])
+
+
+class DOP853Step(NamedTuple):
+    y: np.ndarray           # the state at the step's end
+    error_norm: float       # the step is accepted when below 1
+    nfev: int               # right-hand-side evaluations
+
+
+def solve_ivp(fun, t_span, y0) -> DOP853Step:
+    """One DOP853 step of y' = fun(t, y) from t_span[0] to t_span[1], with the
+    embedded 5th/3rd-order error norm at ``RK_RTOL`` / ``RK_ATOL``.
+
+    The 12 stages and the norm are formed as scipy.integrate's DOP853 forms
+    them, so an accepted step is bit for bit the result of
+    ``scipy.integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=RK_RTOL,
+    atol=RK_ATOL, first_step=t_span[1] - t_span[0])`` whenever that takes one
+    step; f at the step's end, which scipy computes and the error weights
+    multiply by 0, is not evaluated.  The caller halves a rejected step.
+    Rational mode needs nothing else from scipy, whose import cost about
+    0.5 s of CPU and 40 MB.  The name is kept: the traced benchmark wraps
+    ``flow.solve_ivp`` and reads ``nfev`` from its result.
     """
-    import scipy.integrate
-    return scipy.integrate.solve_ivp(*args, **kwargs)
+    t0, t1 = t_span
+    h = t1 - t0
+    y0 = np.asarray(y0)
+    K = np.empty((len(DOP_B), y0.size), dtype=y0.dtype)
+    K[0] = fun(t0, y0)
+    for s in range(1, len(DOP_B)):
+        K[s] = fun(t0 + DOP_C[s] * h, y0 + np.dot(K[:s].T, DOP_A[s, :s]) * h)
+    y1 = y0 + h * np.dot(K.T, DOP_B)
+    scale = RK_ATOL + np.maximum(np.abs(y0), np.abs(y1)) * RK_RTOL
+    err5 = np.linalg.norm(np.dot(K.T, DOP_E5) / scale) ** 2
+    err3 = np.linalg.norm(np.dot(K.T, DOP_E3) / scale) ** 2
+    norm = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * len(scale)) if err5 or err3 else 0.0
+    return DOP853Step(y1, float(norm), len(DOP_B))
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +434,12 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     recorded at their boundaries.  In implicit mode each macro step is one
     predictor-corrector step whose final Newton iterate gives the sample's du
     and drift; in rational mode (u, du) evolves through the second-order
-    rational system, each macro step tried as one DOP853 step under error
-    control, and periods are only recomputed for drift reporting.  Each
-    sample keeps the period data it was checked with (``FlowSample.pd``).
-    Failed steps are halved.
+    rational system, each macro step tried as one DOP853 step, and periods
+    are only recomputed for drift reporting.  Each sample keeps the period
+    data it was checked with (``FlowSample.pd``).  Failed steps, and in
+    rational mode steps that the embedded error estimate rejects, are halved,
+    at most ``control.max_halvings`` times per macro step; ``info["halvings"]``
+    records how often.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
     """
@@ -421,13 +490,12 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                         u = np.asarray(cfg_now.u, dtype=complex)
                         iters += n
                     else:
-                        y = np.concatenate((u, du.reshape(-1)))
-                        sol = solve_ivp(rhs, (sub_from, target), y, method="DOP853",
-                                        rtol=RK_RTOL, atol=RK_ATOL, first_step=target - sub_from)
-                        if not sol.success:
-                            raise SingularLocus(f"integrator failed on leg [{sub_from}, {target}]: "
-                                                f"{sol.message}")
-                        u, du = sol.y[:g, -1], sol.y[g:, -1].reshape(g, g)
+                        step = solve_ivp(rhs, (sub_from, target),
+                                         np.concatenate((u, du.reshape(-1))))
+                        if not step.error_norm < 1.0:         # NaN fails too
+                            raise SingularLocus(f"step [{sub_from}, {target}] rejected: "
+                                                f"error norm {step.error_norm:.3g}")
+                        u, du = step.y[:g], step.y[g:].reshape(g, g)
                 except (SingularLocus, NoProgress, SingularJacobian, VanishingOmegaAtU,
                         DegenerateConfig) as exc:
                     # any failed step is halved, as a collision is
@@ -442,9 +510,9 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                 sub_from, target = target, b
 
             x_now = p + b * d
-            info = {"leg": leg_no}
+            info = {"leg": leg_no, "halvings": halvings}
             if state.mode == IMPLICIT:
-                info.update(newton_iters=iters, halvings=halvings)
+                info["newton_iters"] = iters
             else:
                 cfg_now = state.cfg.replace(x=x_now, u=u)
                 pd = normalized_basis(cfg_now, basis=state.basis, tol=control.quad_tol)

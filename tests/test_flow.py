@@ -548,7 +548,16 @@ def test_rational_macro_step_is_tried_as_one_step(monkeypatch):
                           [cfg.x, cfg.x + np.array([step, 0.0, 0.0])],
                           FlowControl(quad_tol=TOL, macro_step=0.025))
     assert len(traj.samples) == 2
-    assert len(calls) <= 13
+    assert len(calls) == 12
+
+
+def test_rational_leg_of_two_macro_steps_takes_24_evaluations(monkeypatch):
+    # no evaluation at a step's end: 12 per accepted macro step
+    calls = _count_rhs_calls(monkeypatch)
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=RATIONAL),
+                          [[3.0, 5.0], [3.02, 5.0]], FlowControl(quad_tol=TOL, macro_step=0.01))
+    assert len(traj.samples) == 3 and all(s.info["halvings"] == 0 for s in traj.samples[1:])
+    assert len(calls) == 24
 
 
 @pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
@@ -580,10 +589,56 @@ def test_rational_long_macro_step_stays_under_error_control(monkeypatch):
     rat = integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path,
                          FlowControl(quad_tol=TOL, macro_step=0.5))
     assert len(rat.samples) == 2 and len(calls) > 13
+    assert rat.samples[-1].info["halvings"] >= 1
     imp = integrate_flow(DeformationState(cfg, np.zeros(3), mode=IMPLICIT), path,
                          FlowControl(quad_tol=TOL, macro_step=0.025))
     assert rat.max_drift() <= 1e-9
     assert np.max(np.abs(rat.samples[-1].u - imp.samples[-1].u)) <= 1e-9
+
+
+def test_dop853_tableau_equals_scipy():
+    integrate = pytest.importorskip("scipy.integrate")
+    ref = integrate.DOP853
+    assert np.array_equal(flow_module.DOP_A, ref.A)
+    assert np.array_equal(flow_module.DOP_B, ref.B)
+    assert np.array_equal(flow_module.DOP_C, ref.C)
+    assert np.array_equal(flow_module.DOP_E3, ref.E3[:12])
+    assert np.array_equal(flow_module.DOP_E5, ref.E5[:12])
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_dop853_step_equals_scipy(g, monkeypatch):
+    # each macro step of a rational flow against scipy's DOP853 taking the same first step
+    integrate = pytest.importorskip("scipy.integrate")
+    steps = []
+    original = flow_module.solve_ivp
+
+    def recording(fun, t_span, y0):
+        out = original(fun, t_span, y0)
+        steps.append((fun, t_span, y0, out))
+        return out
+
+    monkeypatch.setattr(flow_module, "solve_ivp", recording)
+    x, u = _interleaved(np.random.default_rng(60 + g), g, complex_perturbed=False)
+    cfg = BranchConfig(x=x, u=u, real=True)
+    leg = 0.02 * (1.0 - 1e-9) / math.sqrt(g) * np.ones(g)
+    integrate_flow(DeformationState(cfg, np.zeros(g), mode=RATIONAL), [x, x + leg],
+                   FlowControl(quad_tol=TOL, macro_step=0.01))
+    assert len(steps) == 2
+    rtol, atol = flow_module.RK_RTOL, flow_module.RK_ATOL
+    for fun, t_span, y0, out in steps:
+        h = t_span[1] - t_span[0]
+        ref = integrate.solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
+                                  first_step=h)
+        assert ref.t.size == 2 and out.error_norm < 1.0       # one accepted step each
+        assert (out.nfev, ref.nfev) == (12, 13)
+        assert np.array_equal(out.y, ref.y[:, -1])
+        # the norm scipy accepted the step with; its 13th stage has weight 0
+        solver = integrate.DOP853(fun, t_span[0], y0, t_span[1], rtol=rtol, atol=atol, first_step=h)
+        solver.step()
+        scale = atol + np.maximum(np.abs(y0), np.abs(out.y)) * rtol
+        norm = solver._estimate_error_norm(solver.K, h, scale)
+        assert out.error_norm == pytest.approx(norm, rel=1e-12)
 
 
 def test_flow_reality_preserved(g1_flows):
