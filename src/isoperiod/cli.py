@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -424,6 +425,17 @@ def _args_record(args):
     return _clean(rec)
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of the tolerance options: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, not {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="isoperiod",
                                  description="periods and isoperiodic deformations "
@@ -433,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, config=True):
         if config:
             p.add_argument("config", help="JSON branch-point configuration")
-        p.add_argument("--tol-quad", type=float, default=1e-10,
+        p.add_argument("--tol-quad", type=_tolerance, default=1e-10,
                        help="quadrature tolerance")
         p.add_argument("--out", default="out", help="output directory")
 
@@ -449,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=[flow.IMPLICIT, flow.RATIONAL],
                    default=flow.IMPLICIT)
     p.add_argument("--alpha", default=None)
-    p.add_argument("--tol-flow", type=float, default=None,
+    p.add_argument("--tol-flow", type=_tolerance, default=None,
                    help="abort when period drift exceeds this")
     p.add_argument("--macro-step", type=float, default=0.01)
     p.add_argument("--correct", dest="correct", action="store_true", default=True)
@@ -471,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="also write a boundary trace CSV")
     p.add_argument("--trajectory", default=None,
                    help="trajectory CSV: also run the base-invariance report")
-    p.add_argument("--tol-invariance", type=float, default=1e-6)
+    p.add_argument("--tol-invariance", type=_tolerance, default=1e-6)
     p.set_defaults(func=cmd_comb)
 
     p = sub.add_parser("examples", help="canned reference runs")

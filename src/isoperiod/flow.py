@@ -24,7 +24,6 @@ the same family.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -148,129 +147,130 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) 
 
 def _differences(x, u) -> np.ndarray:
     """The pairwise table D[a, b] = p_a - p_b over p = (0, x, u)."""
-    pts = np.concatenate(([0.0], np.asarray(x, dtype=complex), np.asarray(u, dtype=complex)))
-    return pts[:, None] - pts[None, :]
+    pts = np.concatenate(([0j], x, u))
+    return np.subtract.outer(pts, pts)
 
 
 def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray:
     """Raise SingularLocus at the first pair (row-major, i < j) of p = (0, x, u)
     closer than ``threshold`` relative; return the table D of :func:`_differences`."""
     D = _differences(x, u)
-    pts = D[:, 0]
-    scale = max(1.0, float(np.abs(pts).max()))
-    close = np.abs(D) < threshold * scale
-    if np.count_nonzero(close) > len(pts):         # more than the diagonal
+    dist = np.abs(D)
+    scale = max(1.0, float(np.maximum.reduce(dist[:, 0])))
+    close = dist < threshold * scale
+    if np.count_nonzero(close) > len(D):            # more than the diagonal
         i, j = np.argwhere(np.triu(close, 1))[0]
-        raise SingularLocus(f"branch points {pts[i]} and {pts[j]} within {threshold * scale}")
+        raise SingularLocus(f"branch points {D[i, 0]} and {D[j, 0]} within {threshold * scale}")
     return D
 
 
-@functools.cache
-def _index_tables(g: int):
-    """The genus-g tables of :func:`rhs_genus_g`, built once: ar = 0..g-1,
-    the float masks off[m, s] = (s != m) and kn[k, n, i] = (i not in (k, n)),
-    and the strict upper triangle k < n."""
-    ar = np.arange(g)
-    off = 1.0 - np.eye(g)
-    out = (ar, off, off[:, None, :] * off[None], ar[:, None] < ar)
-    for a in out:
-        a.flags.writeable = False
-    return out
-
-
 def _coefficients(D: np.ndarray, du: np.ndarray):
-    """The tables (R, S1, lag, G, Gx, Px, H, line6, line7) of :func:`rhs_genus_g`
-    from du and the table D of :func:`_differences`; R = 1 / D, 0 on the diagonal.
-    :func:`verify_identities` checks the W residue sums against the same tables."""
+    """The tables (R, S1, Mu, Mx) of :func:`rhs_genus_g` from du and the table
+    D of :func:`_differences`.
+
+    R = 1 / D with 0 on the diagonal, S1[m] = sum_j du[m, j] - 1, and the
+    inhomogeneous parts of the u-rows and the x-rows of the system,
+
+        Mu[m] = S1[m] G[m] / lag[m] + H[m],
+        Mx[m, k] = S1[m] Px[m, k] Gx[k] + line6[m, k] + line7[m, k],
+
+    in the notation of :func:`rhs_genus_g`.  :func:`verify_identities` checks
+    the Omega-weighted row sums of W against Mu and Mx.
+    """
     g = len(du)
     n = 2 * g + 1
+    X, U = slice(1, g + 1), slice(g + 1, n)
     D1 = D.copy()
     D1.flat[::n + 1] = 1.0                              # safe diagonal
     R = 1.0 / D1
     R.flat[::n + 1] = 0.0                               # reciprocals, 0 on the diagonal
-    X, U = slice(1, g + 1), slice(g + 1, n)
-    u = D[U, 0]
-    xu = D[X, U]
-    r_x, r_u, r_xx, r_xu, r_ux, r_uu = R[X, 0], R[U, 0], R[X, X], R[X, U], R[U, X], R[U, U]
-    prod_u = u.prod()
-    # px[k] = prod_s (x_k - u_s) and den[i] = prod_{s != i} (u_i - u_s), one reduction
-    px_den = D1[1:, U].prod(axis=1)
-    px, den = px_den[:g], px_den[g:]
-    lag = prod_u / (u * (-1) ** (g - 1) * den)
-    Gx_G = R[1:, 0] - R[1:, U] @ lag                    # rows x, then rows u
-    Gx, G = Gx_G[:g], Gx_G[g:]
-    Px = (-1) ** g * px * u[:, None] * r_ux / prod_u
-    pref = px[:, None] * r_xu / den
-    term = den[:, None] / px
-    inner = xu.T * ((r_uu * den[:, None] / den[None, :]) @ r_xu.T)
-    H = (du * (term + inner)).sum(axis=1)
-    S1 = du.sum(axis=1) - 1.0
-    dxu = du * xu.T
-    line6 = r_xu.T * px * ((dxu / px) @ r_xx)
-    line7 = r_xu.T * (dxu @ (r_xu @ pref.T))
-    return R, S1, lag, G, Gx, Px, H, line6, line7
+    # q[0] = prod_s (-u_s), px[k] = prod_s (x_k - u_s), den[i] = prod_{s != i} (u_i - u_s)
+    q = np.multiply.reduce(D1[:, U], axis=1)
+    q0, px, den = q[0], q[X], q[U]
+    # lag[j] = -q0 / (u_j den[j]), so with M = (R[1:, U] / den) @ R[U, :g+1] the
+    # sums over lag are M[:, 0] = sum_j R[a, u_j] / (u_j den[j]), and M[:, 1:]
+    # holds sum_i R[a, u_i] / (den[i] (u_i - x_k)) for line7 (rows x) and H (rows u)
+    M = (R[1:, U] / den) @ R[U, :g + 1]
+    Gx_G = R[1:, 0] + q0 * M[:, 0]                      # rows x: Gx, then rows u: G
+    S1 = np.add.reduce(du, axis=1) - 1.0
+    s = S1 * D[U, 0] / -q0                              # S1[m] / (lag[m] den[m])
+    e = du * D[U, X]                                    # du[m, j] (u_m - x_j)
+    ipx = 1.0 / px
+    Mu = den * (s * Gx_G[g:] + np.add.reduce(du * ipx + e * M[g:, 1:], axis=1))
+    Mx = R[U, X] * px * (e @ (R[X, X] * ipx[:, None] - M[:g, 1:]) - s[:, None] * Gx_G[:g])
+    return R, S1, Mu, Mx
 
 
 def rhs_genus_g(x, u, du) -> np.ndarray:
     """Full second-derivative tensor T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
 
-    Rational in (x, u, du) and valid for every genus >= 1.
+    Rational in (x, u, du) and valid for every genus >= 1.  Entry by entry,
+    with S[m] = sum_j du[m, j],
+
+        T[m, k, k] = (du[m, k] (line1 + C[m, k, k]) + du[m, k]^2 (UX[m, k, k] + 1/(x_k - u_m))
+                      - (S[m] - 1) Px[m, k] Gx[k] - line6[m, k] - line7[m, k]) / 2,
+        T[m, k, n] = (Q[m, k, n] + Q[m, n, k] + du[m, k] du[m, n] UX[m, k, n]) / 2,  k != n,
+
+    where Q[m, k, n] = du[m, k] (1/(x_k - x_n) + 1/(x_n - u_m) + C[m, k, n] / 2) and
+
+    * line1[m, k] = -1/x_k - sum_{n != k} 1/(x_k - x_n) + 2 sum_{j != m} 1/(x_k - u_j)
+      + 1/(x_k - u_m);
+    * UX[m, k, n] = 1/u_m + sum_{i not in (k, n)} 1/(u_m - x_i) - 2 sum_{j != m} 1/(u_m - u_j)
+      - (S[m] - 1) P[m] G[m] - H[m];
+    * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n];
+    * lag[j] = prod_{s != j} u_s / (u_s - u_j), P[m] = 1 / lag[m],
+      G[m] = 1/u_m - sum_{j != m} lag[j] / (u_m - u_j), Gx[k] = 1/x_k - sum_j lag[j] / (x_k - u_j);
+    * Px[m, k] = prod_{s != m} (u_s - x_k) / u_s, den[i] = prod_{s != i} (u_i - u_s);
+    * H[m] = sum_j du[m, j] (1/(x_j - u_m) prod_{s != m} (u_m - u_s)/(x_j - u_s)
+      + sum_{i != m} (x_j - u_m) den[m] / (den[i] (x_j - u_i)(u_m - u_i)));
+    * line6[m, k] = sum_{j != k} du[m, j] / (x_j - x_k) prod_{s != m} (x_k - u_s) / (x_j - u_s),
+      line7[m, k] = sum_{i, j} du[m, j] pref[k, i] (x_j - u_m) / ((x_j - u_i)(x_k - u_m))
+      with pref[k, i] = prod_{s != i} (x_k - u_s) / (u_i - u_s).
 
     Array form: the singular-locus check returns the pairwise table
-    D[a, b] = p_a - p_b over p = (0, x, u), whose blocks are x_a - x_b,
-    x_a - u_b and u_a - u_b, and one division gives all their reciprocals
-    (0 on the diagonal).  Every factor is built from them once per call, all
-    but C by :func:`_coefficients`:
+    D[a, b] = p_a - p_b over p = (0, x, u), and :func:`_coefficients` takes
+    from it the reciprocals R (0 on the diagonal), S1 = S - 1 and the
+    inhomogeneous tables Mu = S1 P G + H and Mx = S1 Px Gx + line6 + line7.
+    As R is 0 on its diagonal, a sum over j != m or i not in (k, n) is the
+    full sum less the excluded terms.  With the block row sums of R,
 
-    * lag[j] = prod_{s != j} u_s / (u_s - u_j), P[m] = prod_{s != m} (u_s - u_m) / u_s
-      = 1 / lag[m], den[i] = prod_{s != i} (u_i - u_s) and R[m, i] = den[m] / den[i];
-    * G[m] = 1/u_m - sum_{j != m} lag[j] / (u_m - u_j), Gx[k] = 1/x_k - sum_j lag[j] / (x_k - u_j);
-    * Px[m, k] = prod_{s != m} (u_s - x_k) / u_s,
-      pref[k, i] = prod_{s != i} (x_k - u_s) / (u_i - u_s);
-    * H[m] = sum_j du[m, j] (1/(x_j - u_m) prod_{s != m} (u_m - u_s)/(x_j - u_s)
-      + sum_{i != m} (x_j - u_m) R[m, i] / ((x_j - u_i)(u_m - u_i)));
-    * line6[m, k] = sum_{j != k} du[m, j] / (x_j - x_k) prod_{s != m} (x_k - u_s) / (x_j - u_s),
-      line7[m, k] = sum_{i, j} du[m, j] pref[k, i] (x_j - u_m) / ((x_j - u_i)(x_k - u_m));
-    * C[m, k, n] = sum_{j != m} (1/(u_m - u_j) - 1/(x_k - u_j)) du[j, n] (line 3 at n = k).
+        a[k] = -1/x_k - sum_n 1/(x_k - x_n) + 2 sum_j 1/(x_k - u_j),
+        b[m] = 1/u_m + sum_i 1/(u_m - x_i) - 2 sum_j 1/(u_m - u_j) - Mu[m],
 
-    Products over s != m divide the s = m factor out of the full product; the
-    j != m and i not in (k, n) sums are masked with float masks built once per
-    genus.
-    Mixed values are evaluated over all (k, n) and the k < n value is written
-    to both T[m, k, n] and T[m, n, k], so T is exactly symmetric in (k, n).
-    The terms are grouped and summed in another order than in the
+    line1[m, k] = a[k] - 1/(x_k - u_m) and, for k != n,
+    UX[m, k, n] = b[m] + 1/(x_k - u_m) + 1/(x_n - u_m), which at k = n is the
+    du[m, k]^2 coefficient UX[m, k, k] + 1/(x_k - u_m) of the diagonal.  C is
+    two g x g products, C[m, k, n] = (R_uu du)[m, n] - (R_xu du)[k, n]
+    + du[m, n] / (x_k - u_m).  Collecting the terms of an entry by the factor
+    du[m, k] or du[m, n] gives T[m, k, n] = P[m, k, n] + P[m, n, k] with
+
+        P[m, k, n] = du[m, k] (F[k, n] + V[m, n]) / 2,
+        F[k, n] = 1/(x_k - x_n) - (R_xu du)[k, n] / 2,
+        V[m, n] = 1/(x_n - u_m) + (R_uu du)[m, n] / 2 + du[m, n] (b[m] + 3/(x_n - u_m)) / 2,
+
+    and the diagonal adds (du[m, k] (a[k] - 3/(x_k - u_m)) - Mx[m, k]) / 2.
+    T is that sum of P and its transpose, so it is exactly symmetric in
+    (k, n).  The terms are grouped and summed in another order than in the
     entry-by-entry loop form of the system, so the two agree to rounding
-    (about 1e-14 relative for g <= 6), not bit for bit.
+    (about 1e-13 relative for g <= 8), not bit for bit.
     """
     du = np.asarray(du, dtype=complex)
     g = len(du)
-    R, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_check_regular(x, u, 1e-8), du)
-    ar, off, kn, upper = _index_tables(g)
+    D = _check_regular(x, u, 1e-8)
+    R, S1, Mu, Mx = _coefficients(D, du)
     X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
-    r_x, r_u = R[X, 0], R[U, 0]
-    r_xx, r_xu, r_ux, r_uu = R[X, X], R[X, U], R[U, X], R[U, U]
-
-    Cm = r_uu[:, None, :] - r_xu[None]                  # over (m, k, j)
-    Cm[ar, :, ar] = 0.0                                 # j != m
-    C = Cm @ du
-    # P_m = 1 / lag[m]; base collects the m-only part of the du^2 coefficients,
-    # and UX[m, k, n] adds sum_{i not in (k, n)} 1/(u_m - x_i) to it
-    base = r_u - 2.0 * r_uu.sum(axis=1) - S1 * G / lag - H
-    UX = base[:, None, None] + (r_ux[:, None, None, :] * kn).sum(axis=-1)
-    dd = du[:, :, None] * du[:, None, :]                # du[m, k] du[m, n]
-
-    # diagonal entries T[m, k, k]
-    line1 = ((-r_x - r_xx.sum(axis=1))[None]
-             + 2.0 * (r_xu[None] * off[:, None, :]).sum(axis=-1) + r_xu.T)
-    line2 = UX.diagonal(0, 1, 2) + r_xu.T
-    diag = 0.5 * (du * (line1 + C.diagonal(0, 1, 2)) + dd.diagonal(0, 1, 2) * line2
-                  - S1[:, None] * Px * Gx - line6 - line7)
-
-    # mixed entries, Q[m, k, n] = du[m, k] (1/(x_k - x_n) + 1/(x_n - u_m) + C[m, k, n] / 2)
-    Q = du[:, :, None] * (r_xx + r_xu.T[:, None, :] + 0.5 * C)
-    val = 0.5 * (Q + np.swapaxes(Q, 1, 2) + dd * UX)
-    T = np.where(upper, val, np.swapaxes(val, 1, 2))
-    T.reshape(g, g * g)[:, ::g + 1] = diag
+    r_ux = R[U, X]                                      # 1/(u_m - x_k) = -1/(x_k - u_m)
+    # block row sums: rows x give sum_n 1/(x_k - x_n) and sum_j 1/(x_k - u_j), rows u
+    # sum_i 1/(u_m - x_i) and sum_j 1/(u_m - u_j); z is -a on rows x, b + Mu on rows u
+    rs = np.add.reduce(R[1:, 1:].reshape(2 * g, 2, g), axis=2)
+    z = R[1:, 0] + rs[:, 0] - 2.0 * rs[:, 1]
+    hd = 0.5 * du
+    E = R[1:, U] @ hd                                   # half of R_xu du (rows x), R_uu du (rows u)
+    r3 = 3.0 * r_ux
+    V = E[g:] - r_ux + hd * ((z[g:] - Mu)[:, None] - r3)
+    P = hd[:, :, None] * (R[X, X] - E[:g] + V[:, None, :])
+    T = P + np.swapaxes(P, 1, 2)
+    T.reshape(g, g * g)[:, ::g + 1] += hd * (r3 - z[:g]) - 0.5 * Mx
     return T
 
 
@@ -333,8 +333,12 @@ class FlowControl:
     max_halvings: int = 40              # per macro step, on a failed step
 
     def __post_init__(self):
-        if not (math.isfinite(self.macro_step) and self.macro_step > 0):
-            raise ValueError(f"macro_step must be finite and positive, not {self.macro_step!r}")
+        checked = {"quad_tol": self.quad_tol, "macro_step": self.macro_step}
+        if self.drift_tol is not None:
+            checked["drift_tol"] = self.drift_tol
+        for name, value in checked.items():
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, not {value!r}")
 
 
 @dataclass
@@ -442,11 +446,16 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     records how often.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
+    A path point that does not have one coordinate per x_j raises ValueError.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
     g = cfg0.genus
-    path = [np.atleast_1d(np.asarray(p, dtype=complex)) for p in path]
+    raw, path = path, [np.atleast_1d(np.asarray(p, dtype=complex)) for p in path]
+    for i, p in enumerate(path):
+        if p.shape != (g,):
+            raise ValueError(f"path point {i} ({raw[i]!r}) has {p.size} coordinates, "
+                             f"not the {g} of genus {g}")
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
     legs = [(p, q - p) for p, q in zip(path, path[1:]) if np.any(q != p)]
@@ -591,7 +600,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         report["second_kind_residue_sum"] = float(abs(np.sum(w_at[0, :-1] * om_at)))
 
     du = first_derivatives(cfg, pd, om)
-    R, S1, lag, G, Gx, Px, H, line6, line7 = _coefficients(_differences(x, u), du)
+    R, S1, Mu, Mx = _coefficients(_differences(x, u), du)
     # vanishing residue sum of the dual-basis-weighted second-kind values
     v0 = om_at[idx_zero()] * v_at_tab[:, idx_zero()]
     report["dual_weighted_residue_sum"] = float(np.max(np.abs(
@@ -636,7 +645,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     # the vanishing sums of W(P_a, q) Omega(q) / Omega(P_a) over q != P_a
     W_sum = np.where(np.eye(n_pts, dtype=bool), 0.0, W) @ om_at / om_at
     report["w_residue_sum_at_u"] = float(np.max(np.abs(
-        W_sum[U] + S1 * G / lag + H + I[U].diagonal())))
+        W_sum[U] + Mu + I[U].diagonal())))
     report["w_residue_sum_at_x"] = float(np.max(np.abs(
-        du * W_sum[X] - (S1[:, None] * Px * Gx + line6 + line7) + du * Iv_x)))
+        du * W_sum[X] - Mx + du * Iv_x)))
     return report

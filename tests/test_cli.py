@@ -122,6 +122,21 @@ def test_deform_non_positive_macro_step_exit_2(tmp_path, capsys, step):
     assert "macro_step must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, option, value", [
+    ("deform", "--tol-quad", "0"), ("deform", "--tol-quad", "nan"),
+    ("deform", "--tol-quad", "-1"), ("deform", "--tol-quad", "tight"),
+    ("deform", "--tol-flow", "-1"), ("deform", "--tol-flow", "inf"),
+    ("comb", "--tol-invariance", "nan"), ("verify", "--tol-quad", "1e-400")])
+def test_invalid_tolerance_exit_2(tmp_path, capsys, command, option, value):
+    # each is parsed as a finite positive float before any quadrature runs
+    cfg = _write_config(tmp_path, G1)
+    extra = ["--path", "[[2.0],[2.1]]"] if command == "deform" else []
+    assert main([command, str(cfg), option, value, "--out", str(tmp_path / "o")] + extra) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: must be a finite positive number, not {value!r}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_deform_alpha_breaking_reality_exit_3(tmp_path, capsys):
     cfg = _write_config(tmp_path, G2)
     rc = main(["deform", str(cfg), "--path", "[[3.0,5.0],[3.1,5.0]]", "--alpha", "[0.01, 0.02]",

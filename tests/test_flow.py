@@ -112,7 +112,7 @@ def _interleaved(rng, g, complex_perturbed):
     return pts[1::2], pts[0::2]            # x, u with u_1 < x_1 < u_2 < ...
 
 
-@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("g", range(1, 9))
 def test_rhs_matches_loop_form(g):
     rng = np.random.default_rng(100 + g)
     for trial in range(20):
@@ -520,6 +520,24 @@ def test_flow_rational_mode_du_consistency_recorded():
     # carried du of the second-order system vs fresh first_derivatives
     for s in traj.samples[1:]:
         assert s.info["du_consistency"] < 1e-6
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quad_tol", 0.0), ("quad_tol", -1e-11), ("quad_tol", math.nan), ("quad_tol", math.inf),
+    ("drift_tol", -1.0), ("drift_tol", 0.0), ("drift_tol", math.nan)])
+def test_flow_control_rejects_non_positive_or_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
+        FlowControl(**{field: value})
+
+
+def test_path_point_of_wrong_length_rejected():
+    # a 1-point leg at genus 2 is not broadcast to (3.02, 3.02)
+    state = DeformationState(G2, np.zeros(2), mode=RATIONAL)
+    with pytest.raises(ValueError, match=r"path point 1 \(\[3\.02\]\) has 1 coordinates, "
+                                         r"not the 2 of genus 2"):
+        integrate_flow(state, [[3.0, 5.0], [3.02]], FlowControl(quad_tol=TOL))
+    with pytest.raises(ValueError, match="path point 0"):
+        integrate_flow(state, [[3.0, 5.0, 7.0], [3.02, 5.0]], FlowControl(quad_tol=TOL))
 
 
 def _count_rhs_calls(monkeypatch):
