@@ -10,7 +10,7 @@ wavevector/periodicity reports, and comb regions.
 
 __version__ = "0.1.0"
 
-from .curves import BranchConfig, PointCurve, validate_config
+from .curves import BranchConfig, validate_config
 from .cycles import CanonicalBasis, CycleSpec, band_basis, gap_basis, intersection_matrix
 from .periods import (DifferentialOverMu, OmegaDifferential, PeriodData,
                       beta_from_evaluations, build_omega, normalized_basis,
@@ -26,7 +26,7 @@ from .apps import (WeierstrassData, cnoidal_period_report,
 
 __all__ = [
     "apps", "comb", "curves", "cycles", "errors", "flow", "periods",
-    "BranchConfig", "PointCurve", "validate_config",
+    "BranchConfig", "validate_config",
     "CanonicalBasis", "CycleSpec", "band_basis", "gap_basis", "intersection_matrix",
     "DifferentialOverMu", "OmegaDifferential", "PeriodData", "beta_from_evaluations",
     "build_omega", "normalized_basis", "wavevector_U",

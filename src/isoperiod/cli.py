@@ -12,6 +12,7 @@ singularity, 5 period drift exceeded.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import json
 import math
@@ -66,6 +67,15 @@ def _vector(v, n: int, what: str) -> list:
     if not isinstance(v, list) or len(v) != n:
         raise ValueError(f"{what} must be a JSON list of {n} numbers, got {v!r}")
     return [j2c(z) for z in v]
+
+
+def _finite_vector(v, n: int, what: str) -> list:
+    """:func:`_vector`, rejecting NaN and infinite entries, which ``json``
+    reads from NaN, Infinity and out-of-range literals such as 1e400."""
+    out = _vector(v, n, what)
+    if not all(map(cmath.isfinite, out)):
+        raise ValueError(f"{what} must have finite entries, got {v!r}")
+    return out
 
 
 def matrix_json(m):
@@ -216,7 +226,10 @@ def cmd_verify(args) -> int:
     report = flow.verify_identities(cfg, pd, om, tol=args.tol_quad)
     hill = None
     if args.hill_T is not None:
-        hc = flow.hill_check(cfg, pd, j2c(json.loads(args.hill_T)))
+        T = j2c(json.loads(args.hill_T))
+        if not (cmath.isfinite(T) and T):
+            raise ValueError(f"--hill-T must be a finite nonzero number, got {args.hill_T!r}")
+        hc = flow.hill_check(cfg, pd, T)
         hill = {"is_hill": hc["is_hill"], "n": [int(v) for v in hc["n"]],
                 "residuals": [float(v) for v in hc["residuals"]],
                 "T": c2j(hc["T"])}
@@ -368,7 +381,7 @@ def cmd_examples(args) -> int:
 
 def _parse_alpha(args, genus):
     if args.alpha:
-        return np.array(_vector(json.loads(args.alpha), genus, "--alpha"), dtype=complex)
+        return np.array(_finite_vector(json.loads(args.alpha), genus, "--alpha"), dtype=complex)
     return np.zeros(genus, dtype=complex)
 
 
@@ -377,7 +390,7 @@ def _parse_path(text, genus):
     points = json.loads(text)
     if not isinstance(points, list) or not points:
         raise ValueError(f"--path must be a non-empty JSON list of x-points, got {points!r}")
-    return [_vector(p if isinstance(p, list) else [p], genus, "each --path point")
+    return [_finite_vector(p if isinstance(p, list) else [p], genus, "each --path point")
             for p in points]
 
 

@@ -80,35 +80,6 @@ class BranchConfig:
         return float(np.max(np.abs(self.points[1:])))
 
 
-@dataclass(frozen=True)
-class PointCurve:
-    """A curve mu^2 = prod(lambda - p_i) over an arbitrary distinct point set.
-
-    Used where the fixed-zero family is too rigid (for instance variational
-    checks that move the branch point at the origin).  Exposes the same small
-    surface the period engine needs from :class:`BranchConfig`.
-    """
-
-    pts: tuple
-    real: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "pts", tuple(complex(v) for v in self.pts))
-        if len(self.pts) % 2 == 0:
-            raise DegenerateConfig("need an odd number of finite branch points")
-
-    @property
-    def genus(self) -> int:
-        return (len(self.pts) - 1) // 2
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.asarray(self.pts)
-
-    def scale(self) -> float:
-        return float(np.max(np.abs(self.points)))
-
-
 def validate_config(cfg, ordered: bool = False) -> list:
     """Report invariant violations of a configuration.
 
@@ -122,8 +93,6 @@ def validate_config(cfg, ordered: bool = False) -> list:
     g = cfg.genus
 
     def name(i):
-        if isinstance(cfg, PointCurve):
-            return f"p_{i}"
         return "0" if i == 0 else f"u_{i}" if i <= g else f"x_{i - g}"
 
     finite = np.isfinite(pts)
@@ -142,7 +111,7 @@ def validate_config(cfg, ordered: bool = False) -> list:
             violations += [f"real flag set but {name(i)} = {pts[i]} is not real"
                            for i in np.flatnonzero(off[1:]) + 1]
     if ordered:
-        if not cfg.real or isinstance(cfg, PointCurve):
+        if not cfg.real:
             violations.append("ordering requested for a non-real x/u configuration")
         else:
             seq = np.zeros(2 * g + 1)             # 0, u_1, x_1, ..., u_g, x_g

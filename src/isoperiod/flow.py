@@ -24,6 +24,7 @@ the same family.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -41,6 +42,7 @@ IMPLICIT = "implicit"
 RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
+MAX_HALVINGS = 40                       # per macro step, on a failed step
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
@@ -137,8 +139,7 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) 
     if (vanishing := np.flatnonzero(np.abs(om_u) < OMEGA_ZERO_TOL * scale)).size:
         m = int(vanishing[0])
         raise VanishingOmegaAtU(m + 1, om_u[m])
-    v_at_x = pd.v_poly_at[:, X] * pd.phi_at[X]          # v_m(P_{x_j})
-    return -v_at_x * om.values_at[X] / om_u[:, None]
+    return -pd.v_at[:, X] * om.values_at[X] / om_u[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +331,6 @@ class FlowControl:
     macro_step: float = 0.01            # largest sample spacing along a leg
     correct: bool = True                # implicit mode: Newton after the Taylor predictor
     drift_tol: float | None = None      # raise DriftExceeded beyond this
-    max_halvings: int = 40              # per macro step, on a failed step
 
     def __post_init__(self):
         checked = {"quad_tol": self.quad_tol, "macro_step": self.macro_step}
@@ -355,6 +355,8 @@ class DeformationState:
         g = self.cfg.genus
         if self.alpha.shape != (g,):
             raise ValueError(f"alpha must be of shape ({g},), not {self.alpha.shape}")
+        if not np.isfinite(self.alpha).all():
+            raise ValueError(f"alpha must be finite, not {self.alpha}")
 
 
 @dataclass
@@ -442,11 +444,12 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     are only recomputed for drift reporting.  Each sample keeps the period
     data it was checked with (``FlowSample.pd``).  Failed steps, and in
     rational mode steps that the embedded error estimate rejects, are halved,
-    at most ``control.max_halvings`` times per macro step; ``info["halvings"]``
+    at most ``MAX_HALVINGS`` times per macro step; ``info["halvings"]``
     records how often.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
-    A path point that does not have one coordinate per x_j raises ValueError.
+    A path point that does not have one coordinate per x_j, or that is not
+    finite, raises ValueError.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
@@ -456,6 +459,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
         if p.shape != (g,):
             raise ValueError(f"path point {i} ({raw[i]!r}) has {p.size} coordinates, "
                              f"not the {g} of genus {g}")
+        if not np.isfinite(p).all():
+            raise ValueError(f"path point {i} ({raw[i]!r}) is not finite")
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
     legs = [(p, q - p) for p, q in zip(path, path[1:]) if np.any(q != p)]
@@ -509,7 +514,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                         DegenerateConfig) as exc:
                     # any failed step is halved, as a collision is
                     halvings += 1
-                    if halvings > control.max_halvings:
+                    if halvings > MAX_HALVINGS:
                         raise SingularLocus(f"flow stopped near x = {p + sub_from * d}: "
                                             "singular locus") from exc
                     target = sub_from + 0.5 * (target - sub_from)
@@ -550,8 +555,11 @@ def hill_check(cfg: BranchConfig, pd: PeriodData, T, tol: float = 1e-8) -> dict:
     """Test whether the zero-a-period differential has b-periods 2 pi i n / T.
 
     Returns integer candidates n_j, their residuals, and ambiguity flags for
-    residuals in (tol, 0.25).
+    residuals in (tol, 0.25).  A period T that is zero or not finite raises
+    ValueError.
     """
+    if not (cmath.isfinite(T) and T):
+        raise ValueError(f"the period T must be finite and nonzero, not {T!r}")
     beta = beta_from_evaluations(pd, None)
     n_exact = T * beta / (2j * math.pi)
     n = np.array([_round_half_away(v.real) for v in n_exact])
@@ -593,7 +601,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     w_at = pd.omega_at
     n_pts = 2 * g + 1
     U, X = slice(1, g + 1), slice(g + 1, n_pts)
-    v_at_tab = pd.v_poly_at * pd.phi_at
+    v = pd.v_at                             # v[m-1, q] = v_m(P_q)
 
     if g == 1:
         report["omega_squares_sum"] = float(abs(np.sum(w_at[0, :-1] ** 2)))
@@ -602,9 +610,9 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     du = first_derivatives(cfg, pd, om)
     R, S1, Mu, Mx = _coefficients(_differences(x, u), du)
     # vanishing residue sum of the dual-basis-weighted second-kind values
-    v0 = om_at[idx_zero()] * v_at_tab[:, idx_zero()]
+    v0 = om_at[idx_zero()] * v[:, idx_zero()]
     report["dual_weighted_residue_sum"] = float(np.max(np.abs(
-        v0 + v_at_tab[:, X] @ om_at[X] + om_at[U])))
+        v0 + v[:, X] @ om_at[X] + om_at[U])))
     report["derivative_sum_rule"] = float(np.max(np.abs(v0 / om_at[U] - S1)))
 
     I = w_constants(cfg, pd, tol)
@@ -625,11 +633,11 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
         e2 = (1.0 / ((u1 - x1) * wx) + Ix) * wu
         report["W_xu_two_forms"] = float(abs(e1 - e2))
 
-    Iv_x = (I[X] * v_at_tab[:, X].T).sum(axis=1)
+    Iv_x = (I[X] * v[:, X].T).sum(axis=1)
     if g >= 2:
         # R is in the order (0, x, u): r_xx[k, n] = 1/(x_k - x_n), r_xu[n, m] = 1/(x_n - u_m)
         r_xx, r_xu, r_uu = R[1:g + 1, 1:g + 1], R[1:g + 1, g + 1:], R[g + 1:, g + 1:]
-        vx = v_at_tab[:, X]                 # vx[j, n] = v_j(P_{x_n})
+        vx = v[:, X]                        # vx[j, n] = v_j(P_{x_n})
         # lhs[n, k] = sum_j W(P_{u_j}, P_{x_k}) v_j(P_{x_n}); its diagonal serves _diag
         lhs = vx.T @ W[U, X]
         px = pd.phi_at[X] * np.prod(x[:, None] - u, axis=1)

@@ -35,8 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from . import cycles as _cycles
-from .curves import (BranchConfig, effective_points, phi_values, require_valid,
-                     v_polynomial)
+from .curves import BranchConfig, effective_points, phi_values, require_valid
 from .cycles import CanonicalBasis, CycleSpec, EllipseContour
 from .errors import DegenerateConfig, NoConvergence, SingularPeriodMatrix
 
@@ -340,12 +339,11 @@ class PeriodData:
     point q (columns follow the package point indexing; the final column is
     the point at infinity).  ``segments`` is the segment table of a real
     configuration; on a complex one it is None and ``contours_a`` holds the
-    realized a-contours.  ``B``, the b-contours
-    ``contours_b`` and the dual-basis tables ``v_coeffs`` and ``v_poly_at``
-    are built on first read, so a caller that never reads them does not pay
-    for them; on the segment path the b-cycles' segments are integrated on
-    the first read of ``B``, an ``OmegaDifferential.beta`` or the comb map,
-    and shared by all of them.
+    realized a-contours.  ``B``, the b-contours ``contours_b`` and the
+    dual-basis table ``v_at`` are built on first read, so a caller that never
+    reads them does not pay for them; on the segment path the b-cycles'
+    segments are integrated on the first read of ``B``, an
+    ``OmegaDifferential.beta`` or the comb map, and shared by all of them.
     """
 
     cfg: BranchConfig
@@ -391,14 +389,14 @@ class PeriodData:
         return _assemble(self.cfg, basis, self.tol, self.segments, self.phi_at)
 
     @cached_property
-    def v_coeffs(self) -> np.ndarray:
-        """Row m-1: ascending coefficients of the polynomial part of v_m over phi."""
-        return np.array([v_polynomial(self.cfg, m, self.phi_at) for m in range(1, self.genus + 1)])
-
-    @cached_property
-    def v_poly_at(self) -> np.ndarray:
-        """v_m(P_q) = v_poly_at[m-1, q] * phi_at[q] at every finite point q."""
-        return horner(self.v_coeffs, self.cfg.points)
+    def v_at(self) -> np.ndarray:
+        """v_at[m-1, q] = v_m(P_q) at every finite point q, in product form over
+        the point differences, v_m = phi prod_{i != m} (lambda - u_i) /
+        (phi(P_{u_m}) prod_{i != m} (u_m - u_i)): exactly 0 at u_i, i != m."""
+        g, pts = self.genus, self.cfg.points
+        D = pts[:, None] - pts[1:g + 1]                 # D[q, i] = p_q - u_i
+        num = np.where(np.eye(g, dtype=bool)[:, None], 1.0, D).prod(axis=2) * self.phi_at
+        return num / num[:, 1:g + 1].diagonal()[:, None]
 
 
 def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
@@ -548,8 +546,11 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
     """Normalization constants I of the bidifferential W in the dual-basis expansion.
 
     W(P, P_k) = phi(P) / (phi(P_k) (lambda(P) - lambda_k)) + sum_i I[k, i] v_i(P),
-    with row k fixed by the vanishing a-periods of W(., P_k), and one linear
-    solve for all 2g+1 rows.
+    with row k fixed by the vanishing a-periods of W(., P_k).  A holomorphic
+    differential eta is sum_m eta(P_{u_m}) v_m, so omega = Omega_u v with
+    Omega_u = omega_at[:, u], the a-periods of v are (Omega_u^-1)^T, and with
+    w[j, k] the a_j-period of the k-th pole differential, I = -w^T Omega_u:
+    one product for all 2g+1 rows, with no linear solve.
 
     The pole differential dlambda / ((lambda - lambda_k) mu) is not
     integrable at a segment endpoint, so on the segment path it is reduced by
@@ -575,8 +576,7 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
         poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
                  for lam, phi in zip(cfg.points, pd.phi_at)]
         w = np.array([integrate_contour(contour, poles, tol)[0] for contour in pd.contours_a])
-    V = pd.A_raw @ pd.v_coeffs.T            # a-periods of v_i, columns i
-    return np.linalg.solve(V, -w).T
+    return -w.T @ pd.omega_at[:, 1:cfg.genus + 1]
 
 
 def w_value(cfg: BranchConfig, pd: PeriodData, I: np.ndarray) -> np.ndarray:
@@ -587,7 +587,7 @@ def w_value(cfg: BranchConfig, pd: PeriodData, I: np.ndarray) -> np.ndarray:
     """
     lam, phi = cfg.points, pd.phi_at
     E = np.eye(len(lam), dtype=bool)
-    W = phi[:, None] / (phi * np.where(E, 1.0, lam[:, None] - lam)) + (pd.v_poly_at * phi).T @ I.T
+    W = phi[:, None] / (phi * np.where(E, 1.0, lam[:, None] - lam)) + pd.v_at.T @ I.T
     W[E] = np.nan
     return W
 

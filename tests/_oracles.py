@@ -11,8 +11,11 @@ machinery:
   factor arguments, against the contour branch tracking of ``cycles``;
 * ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
   against the closed-form evaluations of ``periods``;
+* ``PointCurve``: a curve over an arbitrary odd point set, for variational
+  checks that move the branch point at the origin, which the package's
+  fixed-zero ``BranchConfig`` cannot;
 * ``v_at``: the dual-basis differential v_m at one ramification point from
-  its closed form, against the table ``PeriodData.v_poly_at``;
+  its closed form, against the table ``PeriodData.v_at``;
 * ``rhs_genus1`` and ``rhs_genus2_example``: hand-derived genus-one and
   genus-two closed forms of the second derivatives, against the general
   ``rhs_genus_g`` and finite differences of the flows;
@@ -25,7 +28,9 @@ machinery:
   only; the package's contour quadrature on them referees the segment
   periods, and ``ellipse_w_constants`` integrates the pole differentials of
   ``w_constants`` themselves on the circles, against their reduced pole
-  polynomials on the segments;
+  polynomials on the segments, and solves with the a-periods of the dual
+  basis from its monomial coefficients (``curves.v_polynomial``), against
+  the product with Omega at the u_m;
 * ``wp_laurent``: the Weierstrass function from its Laurent series at the
   nearest lattice point, against the theta-quotient series of
   ``wp_function``;
@@ -40,6 +45,7 @@ machinery:
 
 import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,6 +174,37 @@ def eval_at_infinity(points, rational_part, radius_factor: float = 10.0, n: int 
     c2 = fit(2.0 * R)
     resid = max(abs(c1[k] - c2[k]) for k in (-2, -1, 0))
     return c2, c2[0], c2[-2], resid
+
+
+@dataclass(frozen=True)
+class PointCurve:
+    """A curve mu^2 = prod(lambda - p_i) over an arbitrary distinct point set.
+
+    Exposes the surface the period engine reads from a ``BranchConfig``
+    (``points``, ``genus``, ``real``, ``scale``), so ``normalized_basis``
+    takes it; an even point count raises DegenerateConfig.
+    """
+
+    pts: tuple
+    real: bool = False
+
+    def __post_init__(self):
+        from isoperiod.errors import DegenerateConfig
+
+        object.__setattr__(self, "pts", tuple(complex(v) for v in self.pts))
+        if len(self.pts) % 2 == 0:
+            raise DegenerateConfig("need an odd number of finite branch points")
+
+    @property
+    def genus(self) -> int:
+        return (len(self.pts) - 1) // 2
+
+    @property
+    def points(self) -> np.ndarray:
+        return np.asarray(self.pts)
+
+    def scale(self) -> float:
+        return float(np.max(np.abs(self.points)))
 
 
 def v_at(cfg, m: int, q: int) -> complex:
@@ -349,7 +386,7 @@ def w_identity_loops(cfg, pd, W, I) -> dict:
     x, u = np.asarray(cfg.x), np.asarray(cfg.u)
     n_pts = 2 * g + 1                      # u_j is point j and x_k is point g + k
     phi = pd.phi_at
-    v = pd.v_poly_at * phi                 # v[j - 1, q] = v_j(P_q)
+    v = pd.v_at                            # v[j - 1, q] = v_j(P_q)
     out = {"W_symmetry": max(abs(W[a, b] - W[b, a])
                              for a in range(n_pts) for b in range(a + 1, n_pts))}
     if g < 2:
@@ -425,7 +462,9 @@ def ellipse_w_constants(cfg, pd, contours, tol):
     """The constants I of ``w_constants`` from quadrature on the lifted
     a-contours ``contours``: the pole differentials phi / (phi_k (lambda - lambda_k))
     and the monomial a-periods A_raw on the same contours, then
-    I = solve(A_raw v_coeffs^T, -w)^T."""
+    I = solve(A_raw v_coeffs^T, -w)^T, with row m-1 of v_coeffs the monomial
+    coefficients of v_m over phi."""
+    from isoperiod.curves import v_polynomial
     from isoperiod.periods import DifferentialOverMu, integrate_contour, monomial
 
     g = cfg.genus
@@ -434,7 +473,8 @@ def ellipse_w_constants(cfg, pd, contours, tol):
     poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
              for lam, phi in zip(cfg.points, pd.phi_at)]
     w = np.array([integrate_contour(c, poles, tol)[0] for c in contours])
-    return np.linalg.solve(A @ pd.v_coeffs.T, -w).T
+    v_coeffs = np.array([v_polynomial(cfg, m, pd.phi_at) for m in range(1, g + 1)])
+    return np.linalg.solve(A @ v_coeffs.T, -w).T
 
 
 def wp_laurent(wd, z):
@@ -545,8 +585,7 @@ def first_derivatives_loops(cfg, pd, om) -> np.ndarray:
     for m in range(1, g + 1):
         for j in range(1, g + 1):
             xj = g + j
-            v_at_xj = pd.v_poly_at[m - 1, xj] * pd.phi_at[xj]
-            du[m - 1, j - 1] = -v_at_xj * om.values_at[xj] / om.values_at[m]
+            du[m - 1, j - 1] = -pd.v_at[m - 1, xj] * om.values_at[xj] / om.values_at[m]
     return du
 
 

@@ -10,11 +10,11 @@ import time
 
 import numpy as np
 
-from _oracles import ellipk_agm, rhs_genus1, second_difference
+from _oracles import PointCurve, ellipk_agm, rhs_genus1, second_difference
 
 from isoperiod.apps import cnoidal_period_report, kdv_wavevector_report
 from isoperiod.comb import comb_invariance_check
-from isoperiod.curves import BranchConfig, PointCurve
+from isoperiod.curves import BranchConfig
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, integrate_flow, newton_correct,
                             period_jacobian, rhs_genus_g, verify_identities)

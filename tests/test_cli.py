@@ -57,12 +57,21 @@ def test_periods_duplicate_points_exit_3(tmp_path):
     (G1, ["--alpha", "0.5"]),
     (G1, ["--path", "5"]),
     (G1, ["--path", "[]"]),
+    (G2, ["--alpha", "[NaN, 0]"]),
+    (G2, ["--alpha", "[Infinity, 0]", "--path", "[[3, 5], [3.02, 5]]"]),
+    (G2, ["--path", "[[3, 5], [3.02, 1e400]]"]),
+    (G2, ["--path", "[[3, 5], [3.02, NaN]]"]),
+    (G1, ["--hill-T", "0"]),
+    (G1, ["--hill-T", "1e400"]),
 ], ids=["x-scalar", "top-level-list", "real-string", "nested-pair", "int-overflow",
-        "alpha-scalar", "path-scalar", "path-empty"])
-def test_malformed_input_exit_2(tmp_path, payload, extra):
+        "alpha-scalar", "path-scalar", "path-empty", "alpha-nan", "alpha-infinity",
+        "path-overflow", "path-nan", "hill-T-zero", "hill-T-overflow"])
+def test_malformed_input_exit_2(tmp_path, capsys, payload, extra):
     cfg = _write_config(tmp_path, payload)
-    cmd = "deform" if "--path" in extra else "periods"
+    cmd = "deform" if "--path" in extra else "verify" if "--hill-T" in extra else "periods"
     assert main([cmd, str(cfg), "--out", str(tmp_path / "o")] + extra) == 2
+    if extra:                               # the message names the offending option
+        assert extra[0] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity"])

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import BranchOfMu, mu_along_path, v_at
+from _oracles import BranchOfMu, PointCurve, mu_along_path, v_at
 
-from isoperiod.curves import (BranchConfig, PointCurve, idx_u, idx_x, idx_zero,
+from isoperiod.curves import (BranchConfig, idx_u, idx_x, idx_zero,
                               phi_values, require_valid, validate_config)
 from isoperiod.errors import DegenerateConfig
 

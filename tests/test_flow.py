@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (first_derivatives_loops, period_jacobian_loops, rhs_genus1,
-                      rhs_genus2_example, rhs_genus_g_loops, second_difference,
-                      w_identity_loops)
+from _oracles import (ellipse_w_constants, first_derivatives_loops, hint_circle,
+                      period_jacobian_loops, rhs_genus1, rhs_genus2_example,
+                      rhs_genus_g_loops, second_difference, w_identity_loops)
 
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 from isoperiod.cycles import gap_basis
@@ -344,7 +344,7 @@ def test_flow_stops_at_singular_locus_with_location():
     with pytest.raises(SingularLocus, match="x = \\["):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=RATIONAL),
                        [[2.0], [1.02]],
-                       FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
+                       FlowControl(quad_tol=TOL, macro_step=0.05))
 
 
 def test_implicit_flow_stops_at_singular_locus_with_location():
@@ -352,7 +352,7 @@ def test_implicit_flow_stops_at_singular_locus_with_location():
     with pytest.raises(SingularLocus, match="x = \\[1\\.435"):
         integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                        [[2.0], [1.02]],
-                       FlowControl(quad_tol=TOL, macro_step=0.05, max_halvings=10))
+                       FlowControl(quad_tol=TOL, macro_step=0.05))
 
 
 def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
@@ -408,6 +408,12 @@ def test_deformation_state_rejects_unknown_mode():
 def test_deformation_state_rejects_misshapen_alpha(alpha):
     with pytest.raises(ValueError, match=r"alpha must be of shape \(2,\)"):
         DeformationState(G2, alpha, mode=IMPLICIT)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_alpha_rejected(bad):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        DeformationState(G2, [bad, 0.0])
 
 
 def test_rational_samples_realize_b_contours_only_for_nonzero_alpha(monkeypatch):
@@ -538,6 +544,14 @@ def test_path_point_of_wrong_length_rejected():
         integrate_flow(state, [[3.0, 5.0], [3.02]], FlowControl(quad_tol=TOL))
     with pytest.raises(ValueError, match="path point 0"):
         integrate_flow(state, [[3.0, 5.0, 7.0], [3.02, 5.0]], FlowControl(quad_tol=TOL))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(3.02, math.nan)])
+def test_non_finite_path_point_rejected(bad):
+    # before the leg count, which read ceil(inf) or ceil(nan)
+    state = DeformationState(G2, np.zeros(2), mode=RATIONAL)
+    with pytest.raises(ValueError, match=r"path point 1 \(.*\) is not finite"):
+        integrate_flow(state, [[3.0, 5.0], [3.02, bad]], FlowControl(quad_tol=TOL))
 
 
 def _count_rhs_calls(monkeypatch):
@@ -684,6 +698,14 @@ def test_hill_random_period_fails():
     assert float(np.max(out["residuals"])) > 1e-3
 
 
+@pytest.mark.parametrize("T", [0.0, 0j, math.inf, math.nan, complex(1.0, math.inf)])
+def test_hill_check_rejects_zero_or_non_finite_period(T):
+    # T = 0 read as n = 0, a Hill point; a non-finite T failed in the rounding
+    pd, _ = _setup(G1)
+    with pytest.raises(ValueError, match="period T must be finite and nonzero"):
+        hill_check(G1, pd, T)
+
+
 def test_hill_point_preserved_along_flow():
     # manufacture a genus-2 Hill point: force beta = 2 pi i (1, 2) / T
     pd, om = _setup(G2)
@@ -747,6 +769,27 @@ def test_identity_suite_keys_and_bounds_by_genus(g):
             assert val < 1e-9, f"{name}: {val}"
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_w_constants_match_v_solve_route(g):
+    # I = -w^T Omega_u against a solve with the a-periods of the dual basis from
+    # its monomial coefficients, on the inputs of the identity suite: the pole
+    # periods on hinted circles of the real curves, and on the engine's own
+    # a-contours of the complex-perturbed one
+    from isoperiod.periods import w_constants
+
+    rng = np.random.default_rng(300 + g)
+    for trial in range(4):
+        x, u = _interleaved(rng, g, complex_perturbed=trial == 3)
+        cfg = BranchConfig(x=x, u=u, real=trial < 3)
+        pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=1e-12)
+        contours = (pd.contours_a if pd.segments is None
+                    else [hint_circle(s, cfg.points) for s in pd.basis.a])
+        I = w_constants(cfg, pd, 1e-12)
+        ref = ellipse_w_constants(cfg, pd, contours, 1e-12)
+        bound = 1e-13 if g <= 4 else 1e-11
+        assert np.max(np.abs(I - ref)) <= bound * np.max(np.abs(ref)), trial
+
+
 def test_verify_identities_builds_tables_once(monkeypatch):
     import sys
     import isoperiod.curves
@@ -778,7 +821,7 @@ def test_verify_identities_builds_tables_once(monkeypatch):
                 monkeypatch.setattr(mod, name, wrapped)
     rep = verify_identities(cfg, pd, om, tol=TOL)
     assert counts["phi_values"] == 0
-    assert counts["v_polynomial"] <= g
+    assert counts["v_polynomial"] == 0      # the v table is in product form
     # one table; on a real curve the 2g+1 poles are integrated on the
     # segments, so no contour is realized or integrated
     assert counts["w_constants"] == 1

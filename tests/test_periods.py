@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from _oracles import (BranchOfMu, ellipk_agm, ellipse_w_constants, eval_at_infinity,
-                      gap_period_integral, hint_circle, v_at)
+from _oracles import (BranchOfMu, PointCurve, ellipk_agm, ellipse_w_constants,
+                      eval_at_infinity, gap_period_integral, hint_circle, v_at)
 
-from isoperiod.curves import BranchConfig, PointCurve
+from isoperiod.curves import BranchConfig
 from isoperiod.cycles import (CanonicalBasis, CycleSpec, band_basis, gap_basis,
                               intersection_matrix, realize)
 from isoperiod.errors import DegenerateConfig
@@ -403,14 +403,22 @@ def test_w_value_diagonal_raises(pd2):
     assert np.all(np.isfinite(W[~np.eye(5, dtype=bool)]))
 
 
-@pytest.mark.parametrize("g", [1, 2, 3, 4])
-def test_dual_basis_table_matches_closed_form(g):
-    cfg = BranchConfig(x=[3.0 * j + 2.0 for j in range(g)],
-                       u=[3.0 * j + 1.0 for j in range(g)], real=True)
-    pd = normalized_basis(cfg, tol=TOL)
-    assert "v_coeffs" not in vars(pd) and "v_poly_at" not in vars(pd)   # built on first read
-    table = pd.v_poly_at * pd.phi_at
-    assert pd.v_poly_at is pd.v_poly_at
+@pytest.mark.parametrize("cfg", [
+    *(BranchConfig(x=[3.0 * j + 2.0 for j in range(g)],
+                   u=[3.0 * j + 1.0 for j in range(g)], real=True) for g in range(1, 9)),
+    G2_COMPLEX,
+], ids=[str(g) for g in range(1, 9)] + ["complex"])
+def test_dual_basis_table_matches_closed_form(cfg):
+    g = cfg.genus
+    basis = gap_basis(cfg.points.real) if not cfg.real else None
+    pd = normalized_basis(cfg, basis=basis, tol=TOL)
+    assert "v_at" not in vars(pd)           # built on first read
+    table = pd.v_at
+    assert pd.v_at is table
+    # the Kronecker delta at the u_i, its zeros exact
+    at_u = table[:, 1:g + 1]
+    assert np.all(at_u[~np.eye(g, dtype=bool)] == 0)
+    assert np.max(np.abs(at_u.diagonal() - 1)) <= 4 * np.finfo(float).eps
     for m in range(1, g + 1):
         ref = np.array([v_at(cfg, m, q) for q in range(2 * g + 1)])
         # relative to the row's largest value: v_m vanishes at the other u_i
