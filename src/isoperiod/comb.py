@@ -31,8 +31,8 @@ import numpy as np
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
 from .flow import sample_periods
-from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations, build_omega,
-                      horner, power_rows, tanh_sinh)
+from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
+                      build_omega, horner, power_rows, tanh_sinh)
 
 
 @dataclass
@@ -112,7 +112,8 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     # cfg is checked ordered above; om is built on it
     zeros = np.sort(_one_per_gap(cfg, _polished_roots(om)).real)
 
-    seg_vals = table.rows(np.arange(2 * g)) @ poly          # phase included
+    SegmentTable.fill([table], [np.ones(2 * g, dtype=bool)])
+    seg_vals = table.values @ poly          # phase included
     theta_nodes = 0.5 * np.cumsum(seg_vals)
     th_u = theta_nodes[0:2 * g:2]                           # Theta at u_j = sorted point 2j-1
     gaps = np.arange(1, 2 * g, 2)
@@ -141,13 +142,16 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     Interior sample points of each inter-branch-point segment only; the map
     is continuous up to the branch points where it has square-root behaviour.
     """
+    if n_per_segment < 2:
+        raise ValueError(f"n_per_segment must be at least 2, not {n_per_segment!r}")
     if validate_config(cfg, ordered=True):
         raise OrderingViolation("boundary trace requires an ordered real configuration")
     g = cfg.genus
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
     table = pd.segments
     pts = table.q
-    seg_vals = table.rows(np.arange(2 * g)) @ poly
+    SegmentTable.fill([table], [np.ones(2 * g, dtype=bool)])
+    seg_vals = table.values @ poly
     rows = []
     theta_base = 0.0 + 0.0j
     frac = np.linspace(0.0, 1.0, n_per_segment, endpoint=False)[1:]

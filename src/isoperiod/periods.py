@@ -36,7 +36,7 @@ import numpy as np
 
 from . import cycles as _cycles
 from .curves import BranchConfig, effective_points, phi_values, require_valid
-from .cycles import CanonicalBasis, CycleSpec, EllipseContour
+from .cycles import CanonicalBasis, EllipseContour
 from .errors import DegenerateConfig, NoConvergence, SingularPeriodMatrix
 
 _MAX_NODES = 1 << 17
@@ -200,12 +200,12 @@ def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
     err = np.zeros(len(lo))
     n, level = len(_tanh_sinh_nodes(0, 2)[1]), 1
     while True:
-        new = 0.5 * values[live] + step
-        delta = np.abs(new - values[live]).max(axis=1)
+        old = values[live]
+        new = 0.5 * old + step
+        delta = np.abs(new - old).max(axis=1)
         done = delta <= tol * np.maximum(1.0, np.abs(new).max(axis=1))
         values[live] = new
-        nodes[live[done]] = n
-        err[live[done]] = delta[done]
+        nodes[live[done]], err[live[done]] = n, delta[done]
         live = live[~done]
         if not live.size:
             break
@@ -256,64 +256,68 @@ class SegmentTable:
 
     def __init__(self, points: np.ndarray, tol: float):
         """The empty table of the real points ``points`` (package order);
-        ``order`` sorts them and ``rank`` is its inverse."""
+        ``order`` sorts them (``key`` is the same as a tuple)."""
         n = len(points) - 1
         self.order = np.argsort(points)
-        self.q, self.rank, self.tol = points[self.order], np.argsort(self.order), tol
+        self.q, self.tol = points[self.order], tol
+        self.key = tuple(self.order.tolist())
         self.phase = np.array([1j ** (n - s) for s in range(n)])
         self.values = np.zeros((n, n // 2 + 1), dtype=complex)
         self.nodes = np.zeros(n, dtype=int)
         self.err = np.zeros(n)
 
-    @classmethod
-    def of(cls, points, tol: float) -> "SegmentTable | None":
-        """The table of a point set snapped as :func:`effective_points`
-        returns it; None for a complex one."""
-        return None if (points.imag != 0.0).any() else cls(points.real, tol)
+    @staticmethod
+    @functools.lru_cache(maxsize=256)
+    def cycles(order: tuple, specs: tuple):
+        """(slice of the first segments, factor) of each cycle ``specs`` on points in
+        the ascending order ``order`` (a ``key``), and the mask of the segments they
+        need.  A cycle not around a run of sorted points raises DegenerateConfig."""
+        cyc, need = [], np.zeros(len(order) - 1, dtype=bool)
+        for spec in specs:
+            ranks = sorted(order.index(i) for i in spec.encircled)
+            if ranks[-1] - ranks[0] != len(ranks) - 1:
+                raise DegenerateConfig("encircled set is not contiguous on the real axis")
+            cyc.append((slice(ranks[0], ranks[-1], 2), -2.0 * spec.orientation))
+            need[cyc[-1][0]] = True
+        need.flags.writeable = False
+        return tuple(cyc), need
 
-    def cycle(self, spec: CycleSpec):
-        """(slice of the first segments, factor) of a cycle's period.  A real
-        cycle must encircle a contiguous run of the sorted points; any other
-        raises DegenerateConfig."""
-        ranks = sorted(int(self.rank[i]) for i in spec.encircled)
-        if ranks[-1] - ranks[0] != len(ranks) - 1:
-            raise DegenerateConfig("encircled set is not contiguous on the real axis")
-        return slice(ranks[0], ranks[-1], 2), -2.0 * spec.orientation
+    @staticmethod
+    def fill(tables, masks) -> None:
+        """Integrate the rows in ``masks[i]`` that table ``tables[i]`` lacks, for all tables
+        (one genus and tolerance) in one kernel call, each row as a call per table."""
+        live = [(t, np.flatnonzero(m & (t.nodes == 0))) for t, m in zip(tables, masks)]
+        live = [(t, i) for t, i in live if i.size]
+        if not live:
+            return
+        t, i = live[0]
+        if len(live) == 1:              # one table's intervals share its points
+            q, lo, hi = t.q, t.q[i], t.q[i + 1]
+        else:
+            q, lo, hi = (np.concatenate(a) for a in zip(
+                *((t.q[None].repeat(i.size, 0), t.q[i], t.q[i + 1]) for t, i in live)))
+        vals, nodes, err = tanh_sinh(lo, hi, q, t.tol, power_rows(t.values.shape[1]))
+        at = 0
+        for t, i in live:
+            sl = slice(at, at := at + i.size)
+            t.nodes[i], t.err[i], t.values[i] = nodes[sl], err[sl], vals[sl] / t.phase[i, None]
 
-    def _segments(self, specs):
-        """The cycles of ``specs`` and the sorted segments they need."""
-        cyc = [self.cycle(s) for s in specs]
-        need = np.zeros(len(self.nodes), dtype=bool)
-        for sl, _ in cyc:
-            need[sl] = True
-        return cyc, need
-
-    def rows(self, segs) -> np.ndarray:
-        """S[segs], integrating the rows not yet known in one kernel call;
-        ``segs`` indexes the rows, or is a boolean mask over them."""
-        todo = np.zeros(len(self.nodes), dtype=bool)
-        todo[segs] = True
-        todo = np.flatnonzero(todo & (self.nodes == 0))
-        if todo.size:
-            vals, self.nodes[todo], self.err[todo] = tanh_sinh(
-                self.q[todo], self.q[todo + 1], self.q, self.tol, power_rows(self.values.shape[1]))
-            self.values[todo] = vals / self.phase[todo, None]
-        return self.values[segs]
-
-    def periods(self, specs):
-        """Monomial periods of each cycle (rows) with its node count and error estimate."""
-        cyc, need = self._segments(specs)
-        self.rows(need)
-        vals = np.array([f * self.values[sl].sum(axis=0) for sl, f in cyc])
-        nodes = [int(self.nodes[sl].sum()) for sl, _ in cyc]
-        err = [2.0 * float(self.err[sl].sum()) for sl, _ in cyc]
-        return vals, nodes, err
+    @staticmethod
+    def periods(tables, specs) -> list:
+        """Monomial periods of the cycles ``specs[i]`` (rows) on each table ``tables[i]``,
+        with node counts and error estimates; missing rows take one :meth:`fill`."""
+        cycles = [t.cycles(t.key, tuple(s)) for t, s in zip(tables, specs)]
+        SegmentTable.fill(tables, [need for _, need in cycles])
+        return [(np.array([f * t.values[sl].sum(axis=0) for sl, f in cyc]),
+                 [int(t.nodes[sl].sum()) for sl, _ in cyc],
+                 [2.0 * float(t.err[sl].sum()) for sl, _ in cyc])
+                for t, (cyc, _) in zip(tables, cycles)]
 
     def integrate(self, specs, rows, tol: float) -> np.ndarray:
         """The periods of the integrand rows ``rows`` (a ``tanh_sinh`` row
         function that reads the node differences), one row per cycle, from one
         kernel call over the cycles' segments to ``tol``; nothing is kept."""
-        cyc, need = self._segments(specs)
+        cyc, need = self.cycles(self.key, tuple(specs))
         segs = np.flatnonzero(need)
         part = tanh_sinh(self.q[segs], self.q[segs + 1], self.q, tol, rows, diffs=True)[0]
         vals = np.zeros((len(need), part.shape[1]), dtype=complex)
@@ -339,11 +343,13 @@ class PeriodData:
     point q (columns follow the package point indexing; the final column is
     the point at infinity).  ``segments`` is the segment table of a real
     configuration; on a complex one it is None and ``contours_a`` holds the
-    realized a-contours.  ``B``, the b-contours ``contours_b`` and the
-    dual-basis table ``v_at`` are built on first read, so a caller that never
-    reads them does not pay for them; on the segment path the b-cycles'
-    segments are integrated on the first read of ``B``, an
-    ``OmegaDifferential.beta`` or the comb map, and shared by all of them.
+    realized a-contours.  Each curve of a :func:`normalized_bases` stack has its
+    own PeriodData and table, its C and omega_at views into the stack's arrays.
+    ``B``, the b-contours ``contours_b`` and the dual-basis table ``v_at`` are
+    built on first read, so a caller that never reads them does not pay for
+    them; on the segment path the b-cycles' segments are integrated on the
+    first read of ``B``, an ``OmegaDifferential.beta`` or the comb map, and
+    shared by all of them.
     """
 
     cfg: BranchConfig
@@ -373,7 +379,7 @@ class PeriodData:
         """Riemann matrix B_raw A_raw^-1, B_raw[j, k] the b_j-period of lambda^(k-1) * phi."""
         g = self.genus
         if self.segments is not None:
-            B_ext, nodes, err = self.segments.periods(self.basis.b)
+            B_ext, nodes, err = SegmentTable.periods([self.segments], [self.basis.b])[0]
             B_raw = B_ext[:, :g]
         else:
             B_raw, nodes, err = _contour_periods(self.contours_b, g, self.tol)
@@ -384,9 +390,9 @@ class PeriodData:
     def in_marking(self, basis: CanonicalBasis) -> "PeriodData":
         """The period data of the same curve, to the same tolerance, in the
         marking ``basis``: what :func:`normalized_basis` returns for it, but
-        assembled on this object's segment table, so a segment either marking
-        needs is integrated once and kept for both."""
-        return _assemble(self.cfg, basis, self.tol, self.segments, self.phi_at)
+        assembled (as a stack of one) on this object's segment table, so a
+        segment either marking needs is integrated once and kept for both."""
+        return _assemble([(self.cfg, basis, self.segments, self.phi_at)], self.tol)[0]
 
     @cached_property
     def v_at(self) -> np.ndarray:
@@ -411,14 +417,25 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     over the b-cycles on first read.  The configuration is validated, its
     points snapped and sorted once, and the default marking taken from that
     order; :meth:`PeriodData.in_marking` assembles another marking of the
-    same curve on the same table.
+    same curve on the same table.  It is :func:`normalized_bases` of one curve.
     """
-    require_valid(cfg)
-    points = effective_points(cfg.points)
-    segments = SegmentTable.of(points, tol)
-    if basis is None:
-        basis = default_marking(cfg, segments)
-    return _assemble(cfg, basis, tol, segments, phi_values(points))
+    return normalized_bases([cfg], basis, tol)[0]
+
+
+def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
+                     tol: float = 1e-10) -> list:
+    """:func:`normalized_basis` of each of ``cfgs`` (one genus) as one stack:
+    one :class:`PeriodData` and segment table per curve, bit for bit what a
+    call per curve gives, in ``basis`` or else each curve's default marking.
+    A failure raises for the whole stack."""
+    curves = []
+    for cfg in cfgs:
+        require_valid(cfg)
+        points = effective_points(cfg.points)      # snapped: a real set has no imaginary part
+        segments = None if (points.imag != 0.0).any() else SegmentTable(points.real, tol)
+        curves.append((cfg, default_marking(cfg, segments) if basis is None else basis,
+                       segments, phi_values(points)))
+    return _assemble(curves, tol)
 
 
 def default_marking(cfg: BranchConfig, segments: SegmentTable | None) -> CanonicalBasis:
@@ -426,43 +443,45 @@ def default_marking(cfg: BranchConfig, segments: SegmentTable | None) -> Canonic
     the sorted order that its segment table ``segments`` already holds."""
     if segments is None:
         return _cycles.gap_basis(cfg.points)
-    return _cycles.gap_marking(tuple(segments.order.tolist()))
+    return _cycles.gap_marking(segments.key)
 
 
-def _assemble(cfg: BranchConfig, basis: CanonicalBasis, tol: float,
-              segments: SegmentTable | None, phis: np.ndarray) -> PeriodData:
-    """The period data of ``cfg`` in the marking ``basis``: its a-periods on
-    ``segments`` (a real configuration's table, on which the b-cycles are
-    checked too) or on lifted circles, C, and omega at the ramification
-    points, from the phi table ``phis``."""
-    g = cfg.genus
-    report = {"tol": tol, "b_nodes": [], "b_err": []}
-    if segments is not None:
-        for s in basis.b:               # reject a bad marking now, not on the first read of B
-            segments.cycle(s)
-        A_ext, report["a_nodes"], report["a_err"] = segments.periods(basis.a)
-        ca = None
-    else:
-        ca = [_cycles.realize(s, cfg.points) for s in basis.a]
-        A_ext, report["a_nodes"], report["a_err"] = _contour_periods(ca, g + 1, tol)
-    A_raw = A_ext[:, :g]
-    # the 1-norm condition number from the inverse: one LU factorization
+def _assemble(curves, tol: float) -> list:
+    """The period data of each curve (cfg, basis, segments, phis) of ``curves``: its
+    a-periods on ``segments`` (a real curve's table, on which the b-cycles are checked
+    too; one kernel call for all tables) or on lifted circles, then C and omega at the
+    ramification points from the phi table ``phis``, by one stacked inverse and Horner."""
+    g = curves[0][0].genus
+    real = [(seg, basis) for _, basis, seg, _ in curves if seg is not None]
+    for seg, basis in real:             # reject a bad marking now, not on the first read of B
+        seg.cycles(seg.key, tuple(basis.b))
+    real = iter(SegmentTable.periods([seg for seg, _ in real], [basis.a for _, basis in real]))
+    parts = []
+    for cfg, basis, seg, _ in curves:
+        report = {"tol": tol, "b_nodes": [], "b_err": []}
+        ca = None if seg is not None else [_cycles.realize(s, cfg.points) for s in basis.a]
+        A, report["a_nodes"], report["a_err"] = (
+            next(real) if seg is not None else _contour_periods(ca, g + 1, tol))
+        parts.append((A, report, ca))
+    A_raw = np.array([A[:, :g] for A, _, _ in parts])
+    # the 1-norm condition numbers from the inverses: one LU factorization each
     try:
-        A_inv = np.linalg.inv(A_raw) if np.isfinite(A_raw).all() else None
-    except np.linalg.LinAlgError:
-        A_inv = None
-    cond = math.inf if A_inv is None else float(
-        np.abs(A_raw).sum(axis=0).max() * np.abs(A_inv).sum(axis=0).max())
-    if not cond <= 1e12:
-        raise SingularPeriodMatrix(f"a-period matrix condition {cond:.2e}")
-    C = A_inv.T
-    report["cond_A"] = cond
-
+        A_inv = np.linalg.inv(A_raw)
+    except np.linalg.LinAlgError:       # exactly singular, or not finite
+        A_inv = np.full_like(A_raw, np.inf)
+    cond = np.abs(A_raw).sum(axis=1).max(axis=1) * np.abs(A_inv).sum(axis=1).max(axis=1)
+    for (_, report, _), c in zip(parts, cond.tolist()):
+        if not c <= 1e12:
+            raise SingularPeriodMatrix(f"a-period matrix condition {c:.2e}")
+        report["cond_A"] = c
+    C = A_inv.transpose(0, 2, 1)
+    lam_phi = np.array([(cfg.points, phi) for cfg, *_, phi in curves])
     # at infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
-    omega_at = np.concatenate((horner(C, cfg.points) * phis, -2.0 * C[:, g - 1, None]), axis=1)
-    return PeriodData(cfg=cfg, basis=basis, A_raw=A_raw, A_ext=A_ext, C=C,
-                      omega_at=omega_at, phi_at=phis, tol=tol, quad_report=report,
-                      segments=segments, contours_a=ca)
+    omega_at = np.concatenate((horner(C, lam_phi[:, :1]) * lam_phi[:, 1:],
+                               -2.0 * C[:, :, g - 1, None]), axis=2)
+    return [PeriodData(cfg=cfg, basis=basis, A_raw=A[:, :g], A_ext=A, C=Ci, omega_at=om,
+                       phi_at=phi, tol=tol, quad_report=report, segments=seg, contours_a=ca)
+            for (cfg, basis, seg, phi), (A, report, ca), Ci, om in zip(curves, parts, C, omega_at)]
 
 
 @dataclass
@@ -500,7 +519,8 @@ class OmegaDifferential:
         ``tol`` over the b-contours of ``pd`` on a complex configuration."""
         diff = self.differential(self.pd)
         if self.pd.segments is not None:
-            return self.pd.segments.periods(self.pd.basis.b)[0] @ np.asarray(diff.poly)
+            B_ext = SegmentTable.periods([self.pd.segments], [self.pd.basis.b])[0][0]
+            return B_ext @ np.asarray(diff.poly)
         return np.array([integrate_contour(contour, diff, self.tol)[0]
                          for contour in self.pd.contours_b])
 
@@ -571,7 +591,7 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
     if pd.segments is not None:
         table = pd.segments
         N = table.integrate(pd.basis.a, _reduced_poles(table.q), tol)
-        w = N[:, table.rank] * (0.25 * pd.phi_at)
+        w = N[:, np.argsort(table.order)] * (0.25 * pd.phi_at)
     else:
         poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
                  for lam, phi in zip(cfg.points, pd.phi_at)]

@@ -113,6 +113,15 @@ def test_boundary_trace_band_and_gap_structure():
     assert np.max(gap.imag) > 1e-3
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_boundary_trace_needs_two_parts_per_segment(n):
+    pd, om = _setup(G1)
+    with pytest.raises(ValueError, match="n_per_segment"):
+        boundary_trace(G1, pd, om, n_per_segment=n)
+    # two parts: one interior point per segment, then its end
+    assert boundary_trace(G1, pd, om, n_per_segment=2).shape == (4, 2)
+
+
 def test_ratio_constant_across_configs():
     ratios = []
     for cfg in (G1, BranchConfig(x=[2.4], u=[0.7], real=True), G2):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from _oracles import (ellipse_w_constants, first_derivatives_loops, hint_circle,
 from isoperiod.curves import BranchConfig, idx_u, idx_x
 from isoperiod.cycles import gap_basis
 import isoperiod.flow as flow_module
-from isoperiod.errors import DegenerateConfig, NoProgress, SingularLocus, VanishingOmegaAtU
+from isoperiod.errors import (DegenerateConfig, DriftExceeded, NoConvergence, NoProgress,
+                             SingularLocus, SingularPeriodMatrix, VanishingOmegaAtU)
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
                             newton_correct, period_jacobian, rhs_genus_g,
@@ -448,6 +450,87 @@ def test_rational_samples_integrate_b_segments_only_for_nonzero_alpha(segment_ca
     segment_calls.clear()
     integrate_flow(DeformationState(G1, np.array([0.3j]), mode=RATIONAL), [[2.0], [2.1]], ctrl)
     assert any(lo == 0.0 for call in segment_calls for lo, _ in call)
+
+
+def test_rational_samples_checked_in_one_stacked_kernel_call(segment_calls):
+    # three one-step legs: the start's a-segments, then those of all three
+    # samples in one kernel call (the three gaps of each sample's curve)
+    cfg = _interleaved_g3(0)
+    step = 0.025 * (1.0 - 1e-9)
+    path = [np.array(cfg.x)]
+    for k in range(3):
+        path.append(path[-1] + step * np.eye(3)[k])
+    traj = integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path,
+                          FlowControl(quad_tol=TOL, macro_step=0.025))
+    assert len(traj.samples) == 4
+    assert len(segment_calls) == 2 and len(segment_calls[1]) == 3 * 3
+    assert all(s.info["du_consistency"] < 1e-8 for s in traj.samples[1:])
+    assert len({id(s.pd.segments) for s in traj.samples}) == 4
+
+
+def test_rational_checks_fall_back_to_one_evaluation_per_sample(monkeypatch):
+    # when the stacked evaluation raises, the samples are evaluated one by one
+    # in path order, so a sample's own period error raises after the checks of
+    # the samples before it, and no later sample is evaluated
+    calls = []
+    original = flow_module.normalized_basis
+
+    def stack(*args, **kwargs):
+        raise NoConvergence("stack")
+
+    def one(cfg, **kwargs):
+        calls.append(cfg.x)
+        if len(calls) == 3:             # the start, the first sample, then the second
+            raise SingularPeriodMatrix("second sample")
+        return original(cfg, **kwargs)
+
+    monkeypatch.setattr(flow_module, "normalized_bases", stack)
+    monkeypatch.setattr(flow_module, "normalized_basis", one)
+    cfg = _interleaved_g3(0)
+    path = [np.array(cfg.x)]
+    for k in range(3):
+        path.append(path[-1] + 0.02 * np.eye(3)[k])
+
+    def run(drift_tol):
+        calls.clear()
+        integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path,
+                       FlowControl(quad_tol=TOL, macro_step=0.025, drift_tol=drift_tol))
+
+    with pytest.raises(SingularPeriodMatrix, match="second sample"):
+        run(None)
+    assert len(calls) == 3
+    with pytest.raises(DriftExceeded):
+        run(1e-300)
+    assert len(calls) == 2
+
+
+def _g2_flow_into_collision(drift_tol):
+    # the second leg runs x_2 from 3.9 back up towards u_2 = 4 and beyond; the
+    # sample at x_2 = 4.45 drifts by ~3.6e-11, and the stepper stops near 4.448
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.3, drift_tol=drift_tol)
+    return integrate_flow(DeformationState(G2, np.zeros(2), mode=RATIONAL),
+                          [[3.0, 5.0], [3.0, 3.9], [3.0, 5.0]], ctrl)
+
+
+def test_rational_checks_recorded_samples_before_the_stepper_stops(tmp_path):
+    from isoperiod.cli import main
+
+    with pytest.raises(DriftExceeded, match=r"at x = \[3\.\s*\+0\.j 4\.45\+0\.j\]"):
+        _g2_flow_into_collision(1e-11)
+    with pytest.raises(SingularLocus, match="flow stopped near") as stop:
+        _g2_flow_into_collision(None)
+    x2 = float(re.search(r"(\d+\.\d+)\+0\.j\]", str(stop.value)).group(1))
+    assert abs(x2 - 4.448) < 5e-4
+    config = tmp_path / "g2.json"
+    config.write_text('{"genus": 2, "x": [3.0, 5.0], "u": [1.0, 4.0], "real": true}')
+    assert main(["deform", str(config), "--path", "[[3, 5], [3, 3.9], [3, 5]]",
+                 "--mode", "rational", "--macro-step", "0.3", "--tol-flow", "1e-11",
+                 "--out", str(tmp_path / "out")]) == 5
+
+
+def test_empty_path_raises_value_error():
+    with pytest.raises(ValueError, match="at least one point"):
+        integrate_flow(DeformationState(G1, np.zeros(1)), [])
 
 
 def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):

@@ -11,8 +11,8 @@ from isoperiod.cycles import (CanonicalBasis, CycleSpec, band_basis, gap_basis,
                               intersection_matrix, realize)
 from isoperiod.errors import DegenerateConfig
 from isoperiod.periods import (DifferentialOverMu, beta_from_evaluations,
-                               build_omega, integrate_contour,
-                               normalized_basis, wavevector_U)
+                               build_omega, integrate_contour, normalized_bases,
+                               normalized_basis, w_constants, wavevector_U)
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
 G2 = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
@@ -459,3 +459,60 @@ def test_wavevector_real_in_band_marking(pd2):
     pdb = normalized_basis(G2, basis=band_basis(G2.points), tol=TOL)
     U = pdb.omega_at[:, -1]
     assert np.max(np.abs(U.imag)) < 1e-10
+
+
+# -- period stacks ---------------------------------------------------------------
+
+def _assert_stack_member_equals_single(pd, single):
+    # every field bit for bit, and what is read from it afterwards
+    for name in ("A_raw", "A_ext", "C", "omega_at", "phi_at"):
+        assert np.array_equal(getattr(pd, name), getattr(single, name)), name
+    for key in ("a_nodes", "a_err", "cond_A"):
+        assert pd.quad_report[key] == single.quad_report[key], key
+    assert pd.basis == single.basis and pd.cfg == single.cfg and pd.tol == single.tol
+    assert np.array_equal(pd.B, single.B)
+    assert pd.quad_report["b_nodes"] == single.quad_report["b_nodes"]
+    assert np.array_equal(pd.v_at, single.v_at)
+    assert np.array_equal(w_constants(pd.cfg, pd, TOL), w_constants(single.cfg, single, TOL))
+
+
+def _seeded_real(rng, g, swapped=False):
+    pts = np.cumsum(rng.uniform(0.4, 1.6, 2 * g))
+    x, u = pts[1::2], pts[0::2]                     # 0 < u_1 < x_1 < ... < x_g
+    return BranchConfig(x=u, u=x, real=True) if swapped else BranchConfig(x=x, u=u, real=True)
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_stacked_periods_equal_per_curve_periods(g):
+    # interleaved curves, and one whose x and u trade places, so that its
+    # default marking differs from the others'
+    rng = np.random.default_rng(700 + g)
+    cfgs = [_seeded_real(rng, g) for _ in range(3)] + [_seeded_real(rng, g, swapped=True)]
+    stack = normalized_bases(cfgs, tol=TOL)
+    assert stack[0].basis == stack[1].basis != stack[3].basis
+    assert len({id(pd.segments) for pd in stack}) == len(cfgs)
+    for cfg, pd in zip(cfgs, stack):
+        _assert_stack_member_equals_single(pd, normalized_basis(cfg, tol=TOL))
+
+
+def test_stack_mixing_complex_and_real_curves():
+    # the complex curve takes its contours inside the same stack, in the gap
+    # marking of its real parts, which is the real curves' default marking
+    shifted = BranchConfig(x=[3.2, 5.1], u=[1.1, 4.3], real=True)
+    cfgs = [G2, G2_COMPLEX, shifted]
+    basis = gap_basis(G2_COMPLEX.points.real)
+    stack = normalized_bases(cfgs, basis=basis, tol=TOL)
+    assert stack[1].segments is None and stack[1].contours_a is not None
+    assert stack[0].basis == normalized_basis(G2, tol=TOL).basis == basis
+    for cfg, pd in zip(cfgs, stack):
+        _assert_stack_member_equals_single(pd, normalized_basis(cfg, basis=basis, tol=TOL))
+
+
+def test_stack_in_the_band_marking():
+    rng = np.random.default_rng(31)
+    cfgs = [_seeded_real(rng, 3) for _ in range(3)]
+    basis = band_basis(cfgs[0].points)
+    stack = normalized_bases(cfgs, basis=basis, tol=TOL)
+    for cfg, pd in zip(cfgs, stack):
+        assert pd.basis == basis
+        _assert_stack_member_equals_single(pd, normalized_basis(cfg, basis=basis, tol=TOL))
