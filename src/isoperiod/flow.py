@@ -12,9 +12,9 @@ modes are provided:
 * ``rational``: the second-order system with rational coefficients is
   integrated directly, each macro step tried as one DOP853 step
   (:func:`solve_ivp`); a step whose embedded error estimate is too large is
-  rejected and halved.  The stepper reads no periods: its samples' drifts are
-  checked after it, on one stacked period evaluation, from 2 pi i omega(P_inf)
-  + alpha B, so the b-cycles are integrated (for B) only when alpha is nonzero.
+  rejected and halved.  The stepper reads no periods; its samples' drifts,
+  2 pi i omega(P_inf) + alpha B, are checked ``CHECK_BLOCK`` at a time on one
+  stacked period evaluation, the b-cycles integrated (for B) only if alpha != 0.
 
 A path is a polyline in x-space, integrated leg by leg along the straight
 segments x(tau) = p + tau (q - p).  The second-order system is integrable
@@ -43,6 +43,7 @@ RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 MAX_HALVINGS = 40                       # per macro step, on a failed step
+CHECK_BLOCK = 32                        # rational mode: samples per stacked period evaluation
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
@@ -440,13 +441,12 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     recorded at their boundaries.  In implicit mode each macro step is one
     predictor-corrector step whose final Newton iterate gives the sample's du
     and drift; in rational mode (u, du) evolves through the second-order
-    rational system, each macro step tried as one DOP853 step, and the samples
-    are checked on one :func:`normalized_bases` call once the stepper is done
-    or stops, in path order, before its SingularLocus.  Each sample keeps the
-    period data it was checked with (``FlowSample.pd``).  Failed steps, and in
-    rational mode steps that the embedded error estimate rejects, are halved,
-    at most ``MAX_HALVINGS`` times per macro step; ``info["halvings"]``
-    records how often.
+    rational system, each macro step tried as one DOP853 step; the samples are
+    checked in path order, ``CHECK_BLOCK`` at a time on one stacked period evaluation,
+    the rest when the stepper ends or stops (before its SingularLocus).  Each sample
+    keeps the period data it was checked with (``FlowSample.pd``).  Failed steps, and
+    in rational mode steps that the embedded error estimate rejects, are halved, at
+    most ``MAX_HALVINGS`` times per macro step; ``info["halvings"]`` records how often.
     On a real curve the prescribed a-periods must keep the differential real
     (alpha . C real); other alpha raise DegenerateConfig before the first step.
     An empty path, or a path point that does not have one coordinate per x_j
@@ -482,6 +482,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
                           du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1}, pd=pd0)]
     u = np.asarray(cfg0.u, dtype=complex)
+    stepped = []                # rational mode: the samples (x, u, du, info) not yet checked
 
     def sample(x, u, du, info, pd):
         drift = np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
@@ -489,72 +490,72 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
             raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x}")
         return FlowSample(x=x, u=u.copy(), du=du.copy(), beta_drift=drift, info=info, pd=pd)
 
-    stepped, stop = [], None     # rational mode: the samples (x, u, du, info) not yet checked
-    try:
-        for leg_no, (p, d) in enumerate(legs):
-            # a relative slack keeps a leg of a whole number of macro steps from
-            # gaining one more when |q - p| rounds up (0.02 / 0.01 reads 2.0000000000000018)
-            nmacro = max(1, math.ceil(np.linalg.norm(d) / control.macro_step * (1.0 - 1e-12)))
-            # real leg parameter tau in [0, 1]; x = p + tau * d
-            sgrid = [i / nmacro for i in range(nmacro + 1)]
+    def check():                # the stepped samples, in path order, on one stacked evaluation
+        cfgs = [state.cfg.replace(x=x, u=u) for x, u, _, _ in stepped]
+        try:
+            pds = normalized_bases(cfgs, state.basis, control.quad_tol) if cfgs else []
+        except IsoperiodError:  # one by one, in turn, so the first failing sample raises
+            pds = (normalized_basis(c, basis=state.basis, tol=control.quad_tol) for c in cfgs)
+        for cfg, pd, (x, u, du, info) in zip(cfgs, pds, stepped):
+            om = build_omega(cfg, pd, state.alpha)
+            info["du_consistency"] = float(np.max(np.abs(first_derivatives(cfg, pd, om) - du)))
+            samples.append(sample(x, u, du, info, pd))
+        stepped.clear()
 
-            def rhs(tau, y):        # rational mode: y = (u, du) against tau
-                du = y[g:].reshape(g, g)
-                T = rhs_genus_g(p + tau * d, y[:g], du)
-                return np.concatenate((du @ d, (T @ d).reshape(-1)))
+    for leg_no, (p, d) in enumerate(legs):
+        # a relative slack keeps a leg of a whole number of macro steps from
+        # gaining one more when |q - p| rounds up (0.02 / 0.01 reads 2.0000000000000018)
+        nmacro = max(1, math.ceil(np.linalg.norm(d) / control.macro_step * (1.0 - 1e-12)))
+        # real leg parameter tau in [0, 1]; x = p + tau * d
+        sgrid = [i / nmacro for i in range(nmacro + 1)]
 
-            for a, b in zip(sgrid, sgrid[1:]):
-                sub_from, target = a, b
-                halvings = iters = 0
-                while True:
-                    try:
-                        if state.mode == IMPLICIT:
-                            cfg_now, pd, om, du, n = _continuation_step(
-                                state, control, beta_target, p + sub_from * d, p + target * d,
-                                u, du)
-                            u = np.asarray(cfg_now.u, dtype=complex)
-                            iters += n
-                        else:
-                            step = solve_ivp(rhs, (sub_from, target),
-                                             np.concatenate((u, du.reshape(-1))))
-                            if not step.error_norm < 1.0:         # NaN fails too
-                                raise SingularLocus(f"step [{sub_from}, {target}] rejected: "
-                                                    f"error norm {step.error_norm:.3g}")
-                            u, du = step.y[:g], step.y[g:].reshape(g, g)
-                    except (SingularLocus, NoProgress, SingularJacobian, VanishingOmegaAtU,
-                            DegenerateConfig) as exc:
-                        # any failed step is halved, as a collision is
-                        halvings += 1
-                        if halvings > MAX_HALVINGS:
-                            raise SingularLocus(f"flow stopped near x = {p + sub_from * d}: "
-                                                "singular locus") from exc
-                        target = sub_from + 0.5 * (target - sub_from)
-                        continue
-                    if target == b:
-                        break
-                    sub_from, target = target, b
+        def rhs(tau, y):        # rational mode: y = (u, du) against tau
+            du = y[g:].reshape(g, g)
+            T = rhs_genus_g(p + tau * d, y[:g], du)
+            return np.concatenate((du @ d, (T @ d).reshape(-1)))
 
-                info = {"leg": leg_no, "halvings": halvings}
-                if state.mode == IMPLICIT:
-                    info["newton_iters"] = iters
-                    samples.append(sample(p + b * d, u, du, info, pd))
-                else:
-                    stepped.append((p + b * d, u, du, info))
-            # next leg continues from the leg's endpoint
-    except SingularLocus as exc:
-        stop = exc                  # the samples stepped before it are checked first
+        for a, b in zip(sgrid, sgrid[1:]):
+            sub_from, target = a, b
+            halvings = iters = 0
+            while True:
+                try:
+                    if state.mode == IMPLICIT:
+                        cfg_now, pd, om, du, n = _continuation_step(
+                            state, control, beta_target, p + sub_from * d, p + target * d,
+                            u, du)
+                        u = np.asarray(cfg_now.u, dtype=complex)
+                        iters += n
+                    else:
+                        step = solve_ivp(rhs, (sub_from, target),
+                                         np.concatenate((u, du.reshape(-1))))
+                        if not step.error_norm < 1.0:         # NaN fails too
+                            raise SingularLocus(f"step [{sub_from}, {target}] rejected: "
+                                                f"error norm {step.error_norm:.3g}")
+                        u, du = step.y[:g], step.y[g:].reshape(g, g)
+                except (SingularLocus, NoProgress, SingularJacobian, VanishingOmegaAtU,
+                        DegenerateConfig) as exc:
+                    # any failed step is halved, as a collision is
+                    halvings += 1
+                    if halvings > MAX_HALVINGS:
+                        check()     # the samples stepped before it are checked first
+                        raise SingularLocus(f"flow stopped near x = {p + sub_from * d}: "
+                                            "singular locus") from exc
+                    target = sub_from + 0.5 * (target - sub_from)
+                    continue
+                if target == b:
+                    break
+                sub_from, target = target, b
 
-    cfgs = [state.cfg.replace(x=x, u=u) for x, u, _, _ in stepped]
-    try:
-        pds = normalized_bases(cfgs, state.basis, control.quad_tol) if cfgs else []
-    except IsoperiodError:      # one by one, in turn, so the first failing sample raises
-        pds = (normalized_basis(c, basis=state.basis, tol=control.quad_tol) for c in cfgs)
-    for cfg, pd, (x, u, du, info) in zip(cfgs, pds, stepped):
-        om = build_omega(cfg, pd, state.alpha)
-        info["du_consistency"] = float(np.max(np.abs(first_derivatives(cfg, pd, om) - du)))
-        samples.append(sample(x, u, du, info, pd))
-    if stop is not None:
-        raise stop
+            info = {"leg": leg_no, "halvings": halvings}
+            if state.mode == IMPLICIT:
+                info["newton_iters"] = iters
+                samples.append(sample(p + b * d, u, du, info, pd))
+            else:
+                stepped.append((p + b * d, u, du, info))
+                if len(stepped) == CHECK_BLOCK:
+                    check()
+        # next leg continues from the leg's endpoint
+    check()
     return Trajectory(samples=samples, path=path, beta_target=beta_target,
                       alpha=state.alpha, mode=state.mode)
 

@@ -468,6 +468,38 @@ def test_rational_samples_checked_in_one_stacked_kernel_call(segment_calls):
     assert len({id(s.pd.segments) for s in traj.samples}) == 4
 
 
+def test_rational_samples_checked_in_blocks_of_check_block(monkeypatch, segment_calls):
+    # in blocks of two, five one-step samples take three stacked kernel calls
+    # after the start's and give the same drifts as one block; a drift failure
+    # at the first sample raises before the stepper goes past its block
+    cfg = _interleaved_g3(0)
+    step = 0.025 * (1.0 - 1e-9)
+    path = [np.array(cfg.x)]
+    for k in (0, 1, 2, 0, 1):
+        path.append(path[-1] + step * np.eye(3)[k])
+
+    def run(drift_tol=None):
+        return integrate_flow(DeformationState(cfg, np.zeros(3), mode=RATIONAL), path,
+                              FlowControl(quad_tol=TOL, macro_step=0.025, drift_tol=drift_tol))
+
+    whole = run()
+    assert [len(call) for call in segment_calls] == [3, 15]
+    monkeypatch.setattr(flow_module, "CHECK_BLOCK", 2)
+    segment_calls.clear()
+    blocks = run()
+    assert [len(call) for call in segment_calls] == [3, 6, 6, 3]
+    for a, b in zip(whole.samples, blocks.samples):
+        assert np.array_equal(a.beta_drift, b.beta_drift) and np.array_equal(a.pd.C, b.pd.C)
+        assert a.info == b.info
+    steps = []
+    original = flow_module.solve_ivp
+    monkeypatch.setattr(flow_module, "solve_ivp",
+                        lambda *args: steps.append(args[1]) or original(*args))
+    with pytest.raises(DriftExceeded):
+        run(1e-300)
+    assert len(steps) == 2
+
+
 def test_rational_checks_fall_back_to_one_evaluation_per_sample(monkeypatch):
     # when the stacked evaluation raises, the samples are evaluated one by one
     # in path order, so a sample's own period error raises after the checks of
