@@ -30,7 +30,7 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .flow import sample_periods
+from .flow import require_positive, sample_periods
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
                       build_omega, horner, power_rows, tanh_sinh)
 
@@ -47,26 +47,30 @@ class CombRegion:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _polished_roots(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
-    """Companion-matrix roots of ``om.poly`` after at most ``newton_steps``
-    Newton steps; raises RootLocalizationFailed if polishing stalled.
-
-    A step that leaves every root unchanged bit for bit would repeat itself,
-    so the loop stops there with the value the remaining steps would give.
+def _polished_roots(poly: np.ndarray, newton_steps: int = 8):
+    """Roots of the monic polynomials ``poly`` (ascending, a row per curve): the
+    eigenvalues of ``np.roots``'s companion matrices in one batched call, after at
+    most ``newton_steps`` Newton steps.  A step that leaves a curve's roots
+    unchanged bit for bit leaves them so at every later step, so the loop stops
+    once no curve moves: each curve gets the bits it gets alone.  Returns the
+    roots and, per curve, None or the RootLocalizationFailed of a stalled polish.
     """
-    poly = om.poly                      # ascending, monic
-    roots = np.roots(poly[::-1])
-    dpoly = np.arange(1, len(poly)) * poly[1:]
+    n, g = poly.shape[0], poly.shape[1] - 1
+    companion = np.zeros((n, g * g), dtype=poly.dtype)
+    companion[:, g::g + 1] = 1.0                        # the subdiagonal
+    companion = companion.reshape(n, g, g)
+    companion[:, 0] = -poly[:, -2::-1] / poly[:, -1:]
+    roots = np.linalg.eigvals(companion)
+    dpoly = np.arange(1, g + 1) * poly[:, 1:]
     for _ in range(newton_steps):
         new = roots - horner(poly, roots) / horner(dpoly, roots)
         if new.tobytes() == roots.tobytes():
             break
         roots = new
-    resid = np.max(np.abs(horner(poly, roots)))
-    scale = max(1.0, float(np.max(np.abs(roots))) ** len(om.c))
-    if resid > 1e-12 * scale:
-        raise RootLocalizationFailed(f"root polishing stalled at residual {resid:.2e}")
-    return roots
+    resid = np.abs(horner(poly, roots)).max(axis=1)
+    stalled = resid > 1e-12 * np.maximum(1.0, np.abs(roots).max(axis=1) ** g)
+    return roots, [RootLocalizationFailed(f"root polishing stalled at residual {r:.2e}")
+                   if bad else None for r, bad in zip(resid, stalled)]
 
 
 def _one_per_gap(cfg: BranchConfig, roots: np.ndarray) -> np.ndarray:
@@ -84,10 +88,13 @@ def _one_per_gap(cfg: BranchConfig, roots: np.ndarray) -> np.ndarray:
 def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
     """Roots of the monic polynomial defining the second-kind differential.
 
-    Companion-matrix eigenvalues polished by Newton iteration; for ordered
-    real configurations asserts exactly one root inside each gap (u_j, x_j).
+    Companion-matrix eigenvalues polished by Newton iteration (the stack of one
+    of the comb's batched roots); for ordered real configurations asserts
+    exactly one root inside each gap (u_j, x_j).
     """
-    roots = _polished_roots(om, newton_steps)
+    (roots,), (stalled,) = _polished_roots(om.poly[None], newton_steps)
+    if stalled is not None:
+        raise stalled
     cfg = om.cfg
     if cfg.real and not validate_config(cfg, ordered=True):
         roots = _one_per_gap(cfg, roots)
@@ -100,39 +107,54 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
     The full segments are the segment table of ``pd`` (to ``pd.tol``) times
     the polynomial; only the g partial integrals up to the zeros are new
-    quadratures (to ``tol``).
+    quadratures (to ``tol``).  It is the stack of one of the comb that
+    :func:`comb_invariance_check` builds over a trajectory.
     """
-    if validate_config(cfg, ordered=True):
-        raise OrderingViolation("comb construction requires 0 < u_1 < x_1 < ... < x_g")
-    if np.any(np.abs(om.alpha) > 0):
-        raise ValueError("comb construction uses the zero-a-period differential")
-    g = cfg.genus
-    poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    table = pd.segments
-    # cfg is checked ordered above; om is built on it
-    zeros = np.sort(_one_per_gap(cfg, _polished_roots(om)).real)
+    return _combs([(cfg, pd, om)], tol)[0]
 
-    SegmentTable.fill([table], [np.ones(2 * g, dtype=bool)])
-    seg_vals = table.values @ poly          # phase included
-    theta_nodes = 0.5 * np.cumsum(seg_vals)
-    th_u = theta_nodes[0:2 * g:2]                           # Theta at u_j = sorted point 2j-1
+
+def _combs(curves, tol: float) -> list:
+    """:func:`comb_map` of each (cfg, pd, om) of ``curves`` (one genus, and tables to
+    one tolerance) as one stack, bit for bit what a call per curve gives: one batched
+    root solve, one fill of the segment tables and one kernel call for the partial
+    integrals of all gaps.  The checks raise for the first failing curve in order."""
+    polys = np.array([om.poly for *_, om in curves])
+    roots, stalled = _polished_roots(polys)
+    zeros = []
+    for (cfg, _, om), r, err in zip(curves, roots, stalled):
+        if validate_config(cfg, ordered=True):
+            raise OrderingViolation("comb construction requires 0 < u_1 < x_1 < ... < x_g")
+        if np.any(np.abs(om.alpha) > 0):
+            raise ValueError("comb construction uses the zero-a-period differential")
+        if err is not None:
+            raise err
+        zeros.append(np.sort(_one_per_gap(cfg, r).real))   # cfg is ordered, om built on it
+    g = curves[0][0].genus
+    tables = [pd.segments for _, pd, _ in curves]
+    SegmentTable.fill(tables, [np.ones(2 * g, dtype=bool)] * len(tables))
     gaps = np.arange(1, 2 * g, 2)
-    # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k)
-    offsets = zeros - table.q[gaps]
-    part = tanh_sinh(table.q[gaps], zeros, table.q, tol,
-                     lambda t, D: np.prod(D[..., gaps] - offsets, axis=-1)[..., None],
-                     diffs=True)[0][:, 0]
-    q = th_u.real
-    # Theta(u_j) is real (the a-periods of Q vanish); its imaginary part is
-    # rounding, reported as the base residual, and left out of h
-    h = (0.5 * part / table.phase[gaps]).imag
-    base_residual = float(np.max(np.abs(th_u.imag)))
-
-    beta = beta_from_evaluations(pd, None)
-    ratio = q / beta
-    return CombRegion(q=q, h=h, zeros=zeros, base_residual=base_residual,
-                      beta_ratio=ratio,
-                      diagnostics={"segment_values": list(seg_vals * table.phase), "tol": tol})
+    q, zeros = np.array([t.q for t in tables]), np.array(zeros)
+    # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k), the offsets
+    # of the interval's own curve; one curve keeps its 1-D points, as in SegmentTable.fill
+    offsets = (zeros - q[:, gaps]).repeat(g, axis=0)
+    part = tanh_sinh(q[:, gaps].ravel(), zeros.ravel(),
+                     q[0] if len(q) == 1 else q.repeat(g, axis=0), tol,
+                     lambda t, D, sel: np.prod(D[..., gaps] - offsets[sel, None],
+                                               axis=-1)[..., None],
+                     diffs=True)[0].reshape(-1, g)
+    out = []
+    for (_, pd, _), table, poly, xi, p in zip(curves, tables, polys, zeros, part):
+        poly = poly.real if np.max(np.abs(poly.imag)) < 1e-9 else poly
+        seg_vals = table.values @ poly          # phase included
+        th_u = 0.5 * np.cumsum(seg_vals)[0:2 * g:2]         # Theta at u_j = sorted point 2j-1
+        # Theta(u_j) is real (the a-periods of Q vanish); its imaginary part is
+        # rounding, reported as the base residual, and left out of h
+        out.append(CombRegion(q=th_u.real, h=(0.5 * p / table.phase[gaps]).imag, zeros=xi,
+                              base_residual=float(np.max(np.abs(th_u.imag))),
+                              beta_ratio=th_u.real / beta_from_evaluations(pd, None),
+                              diagnostics={"segment_values": list(seg_vals * table.phase),
+                                           "tol": tol}))
+    return out
 
 
 def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
@@ -171,21 +193,20 @@ def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
 
     The trajectory must come from a real flow with zero prescribed a-periods:
     a nonzero ``trajectory.alpha`` raises ValueError (an absent or None alpha
-    passes).  Each comb is built on the period data that
-    :func:`isoperiod.flow.sample_periods` gives for the sample.  Reports max
-    drift of each base mark, the variation of the slit heights (expected to
-    move unless the path is trivial), and the spread of the q/beta ratio.
+    passes), and so does a ``tol`` or ``quad_tol`` that is not finite and
+    positive, before any quadrature.  The combs are one stack on the period
+    data that :func:`isoperiod.flow.sample_periods` gives for the samples;
+    the first failing sample in path order raises.  Reports max drift of each
+    base mark, the variation of the slit heights (expected to move unless the
+    path is trivial), and the spread of the q/beta ratio.
     """
+    require_positive(tol=tol, quad_tol=quad_tol)
     alpha = getattr(trajectory, "alpha", None)
     if alpha is not None and np.any(np.abs(alpha) > 0):
         raise ValueError("comb invariance needs a flow with zero prescribed a-periods")
-
-    def make_comb(s):
-        pd = sample_periods(cfg, s, quad_tol)
-        om = build_omega(pd.cfg, pd, tol=quad_tol)
-        return comb_map(pd.cfg, pd, om, tol=quad_tol)
-
-    combs = [make_comb(s) for s in trajectory.samples]
+    pds = [sample_periods(cfg, s, quad_tol) for s in trajectory.samples]
+    combs = _combs([(pd.cfg, pd, build_omega(pd.cfg, pd, tol=quad_tol)) for pd in pds],
+                   quad_tol)
     q = np.array([c.q for c in combs])
     h = np.array([c.h for c in combs])
     ratios = np.array([c.beta_ratio for c in combs])

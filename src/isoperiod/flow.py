@@ -334,12 +334,15 @@ class FlowControl:
     drift_tol: float | None = None      # raise DriftExceeded beyond this
 
     def __post_init__(self):
-        checked = {"quad_tol": self.quad_tol, "macro_step": self.macro_step}
-        if self.drift_tol is not None:
-            checked["drift_tol"] = self.drift_tol
-        for name, value in checked.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, not {value!r}")
+        drift = {} if self.drift_tol is None else {"drift_tol": self.drift_tol}
+        require_positive(quad_tol=self.quad_tol, macro_step=self.macro_step, **drift)
+
+
+def require_positive(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, not {value!r}")
 
 
 @dataclass

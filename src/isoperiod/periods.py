@@ -143,15 +143,17 @@ def _tanh_sinh_nodes(first: int, stop: int):
 def power_rows(n: int):
     """The ``tanh_sinh`` row function of the monomials t^0..t^(n-1)."""
     powers = np.arange(n)
-    return lambda t, D: t[..., None] ** powers
+    return lambda t, D, sel: t[..., None] ** powers
 
 
 def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
     """Integrals of integrand rows over 1/|mu| on intervals of the real axis.
 
-    ``rows(t, D)`` returns the integrand rows f_k at the nodes t (shape
+    ``rows(t, D, sel)`` returns the integrand rows f_k at the nodes t (shape
     (intervals, nodes)) as an array of shape (intervals, nodes, K); D is
-    None, or with ``diffs`` the exact node differences D[..., i] = t - q_i.
+    None, or with ``diffs`` the exact node differences D[..., i] = t - q_i,
+    and ``sel`` indexes the intervals evaluated (a slice or an index array),
+    for rows that depend on the interval.
     Returns (values, nodes, err): ``values[r, k]`` = int f_k(t) dt /
     sqrt(prod_i |t - q_i|) over [lo_r, hi_r], the node count and the error
     estimate of each interval.  No branch point q_i may lie inside an
@@ -186,7 +188,7 @@ def tanh_sinh(lo, hi, q, tol: float, rows, diffs: bool = False):
         dist += gap[sel, :, None]
         f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=1))
         D = np.moveaxis(np.where(below[sel, :, None], dist, -dist), 1, -1) if diffs else None
-        F = rows(mid[sel, None] + c * x, D)
+        F = rows(mid[sel, None] + c * x, D, sel)
         return [np.einsum("rn,rnk->rk", f[:, a:b], F[:, a:b]) for a, b in zip(bounds, bounds[1:])]
 
     # levels 0 and 1 (73 nodes, where most intervals converge) in one pass
@@ -232,7 +234,7 @@ def _reduced_poles(q: np.ndarray):
     others = i + (i >= np.arange(n))                   # others[i, k]: the i-th point other than q_k
     lead = np.cumprod(q - q[others[:-1]], axis=0)      # prod_{j<i} (q_k - p_j), i = 1..n-2
 
-    def rows(t, D):
+    def rows(t, D, sel):
         d = np.moveaxis(D, -1, 0)[others]              # d[i, k] = t - p_i, p the others of q_k
         pre = np.cumprod(d[:-1], axis=0)               # prod_{j<i} (t - p_j), i = 1..n-2
         post = np.cumprod(d[:1:-1], axis=0)[::-1]      # prod_{j>i} (t - p_j), i = 1..n-3
@@ -389,9 +391,9 @@ class PeriodData:
     def in_marking(self, basis: CanonicalBasis) -> "PeriodData":
         """The period data of the same curve, to the same tolerance, in the
         marking ``basis``: what :func:`normalized_basis` returns for it, but
-        assembled (as a stack of one) on this object's segment table, so a
-        segment either marking needs is integrated once and kept for both."""
-        return _assemble([(self.cfg, basis, self.segments, self.phi_at)], self.tol)[0]
+        assembled on this object's segment table (:func:`in_markings` of one), so
+        a segment either marking needs is integrated once and kept for both."""
+        return in_markings([self], [basis])[0]
 
     @cached_property
     def v_at(self) -> np.ndarray:
@@ -434,6 +436,14 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
         curves.append((cfg, default_marking(cfg, segments) if basis is None else basis,
                        segments, phi_values(points)))
     return _assemble(curves, tol)
+
+
+def in_markings(pds, bases) -> list:
+    """:meth:`PeriodData.in_marking` of each of ``pds`` (one genus and tolerance) in
+    the marking of the same index in ``bases``, as one stack: one kernel call for the
+    rows that any of their tables lacks and one stacked inverse."""
+    return _assemble([(pd.cfg, b, pd.segments, pd.phi_at) for pd, b in zip(pds, bases)],
+                     pds[0].tol)
 
 
 def default_marking(cfg: BranchConfig, segments: SegmentTable | None) -> CanonicalBasis:

@@ -556,7 +556,7 @@ def tanh_sinh_levels(lo, hi, q, tol, rows, diffs=False):
         dist += gap[live, None, :]
         f = w * np.sqrt(d_lo * d_hi / dist.prod(axis=-1))
         D = np.where(below[live, None, :], dist, -dist) if diffs else None
-        return h * np.einsum("rn,rnk->rk", f, rows(t, D))
+        return h * np.einsum("rn,rnk->rk", f, rows(t, D, live))
 
     live = np.arange(len(lo))
     values = level_sum(live, 0)

@@ -12,7 +12,8 @@ if str(SRC) not in sys.path:
 @pytest.fixture
 def segment_calls(monkeypatch):
     """The intervals [(lo, hi), ...] of every segment-kernel call that
-    isoperiod.periods makes, one list per call."""
+    isoperiod.periods or isoperiod.comb makes, one list per call."""
+    import isoperiod.comb as comb_module
     import isoperiod.periods as periods_module
 
     calls = []
@@ -22,7 +23,8 @@ def segment_calls(monkeypatch):
         calls.append(list(zip(np.asarray(lo).tolist(), np.asarray(hi).tolist())))
         return original(lo, hi, *args, **kwargs)
 
-    monkeypatch.setattr(periods_module, "tanh_sinh", recording)
+    for module in (periods_module, comb_module):
+        monkeypatch.setattr(module, "tanh_sinh", recording)
     return calls
 
 

@@ -14,7 +14,7 @@ from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.cycles import band_basis
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
 from isoperiod.flow import IMPLICIT, RATIONAL, DeformationState, FlowControl, integrate_flow
-from isoperiod.periods import normalized_basis
+from isoperiod.periods import in_markings, normalized_basis
 
 from _oracles import wp_laurent
 
@@ -266,6 +266,27 @@ def test_weierstrass_from_sample_periods_matches_from_roots():
     assert np.array_equal(2.0 * v, rep["wave_v"])
 
 
+def test_cnoidal_fills_the_samples_b_rows_in_one_kernel_call(segment_calls):
+    # every sample's b-segment [0, u] in one call before the loop; the
+    # half-periods then read B with no kernel call (one per sample at the parent)
+    cfg0 = weierstrass_to_config(0.0, 1.0)
+    integrate_flow(DeformationState(cfg0, np.zeros(1), mode=IMPLICIT), [[2.0], [2.04]],
+                   FlowControl(quad_tol=1e-11, macro_step=0.02))
+    in_flow = len(segment_calls)
+    segment_calls.clear()
+    rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
+    samples = rep["trajectory"].samples
+    assert len(segment_calls) == in_flow + 1
+    assert segment_calls[-1] == [(0.0, float(s.u[0].real)) for s in samples]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_cnoidal_rejects_quad_tol_before_quadrature(value, segment_calls):
+    with pytest.raises(ValueError, match="^quad_tol must be finite and positive"):
+        cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, quad_tol=value)
+    assert segment_calls == []
+
+
 def test_cnoidal_zero_length_path():
     rep = cnoidal_period_report(0.0, 1.0, 2.0, n_grid=64)
     assert len(rep["samples"]) == 1
@@ -427,3 +448,65 @@ def test_reports_reuse_sample_periods_only_when_they_match(case, period_calls):
     assert _same_report(comb, comb_invariance_check(cfg, bare, quad_tol=1e-11))
     # a band-marking flow keeps the periods of another differential than the comb's
     assert comb["base_invariant"] == (case not in ("band-marking", "own-u"))
+
+
+# -- the reports over a trajectory's stack ---------------------------------------------
+
+@pytest.mark.parametrize("own", [True, False])
+def test_band_rows_equal_in_marking_per_sample(g2_traj, own):
+    # the band marking assembled for all samples as one stack gives each
+    # sample what in_marking gives it alone, bit for bit; on the samples' own
+    # period data and on a trajectory without them
+    cfg, traj = g2_traj
+    if not own:
+        traj = replace(traj, samples=[replace(s, pd=None) for s in traj.samples])
+    rep = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+    pds = [normalized_basis(cfg.replace(x=s.x, u=s.u), tol=1e-11) for s in traj.samples]
+    bands = [band_basis(pd.cfg.points) for pd in pds]
+    alone = [pd.in_marking(b) for pd, b in zip(pds, bands)]
+    assert np.array_equal(rep["U_band"], np.array([a.omega_at[:, -1] for a in alone]))
+    fresh = [normalized_basis(pd.cfg, tol=1e-11) for pd in pds]
+    for got, ref in zip(in_markings(fresh, bands), alone):
+        for key in ("A_raw", "A_ext", "C", "omega_at"):
+            assert np.array_equal(getattr(got, key), getattr(ref, key))
+        assert got.quad_report == ref.quad_report
+
+
+def test_reports_take_one_kernel_call_per_job_over_a_trajectory(segment_calls):
+    # three genus-2 samples: the band rows are one fill over the three tables'
+    # b-segments, and the comb's partial integrals u_j -> xi_j of all gaps are
+    # one call (three each at the parent)
+    cfg = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+
+    def trajectory():
+        return integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
+                              [[3.0, 5.0], [3.05, 5.0]],
+                              FlowControl(quad_tol=1e-11, macro_step=0.025))
+
+    traj = trajectory()
+    # the branch points of each interval's sample, two intervals per sample
+    branch = [{float(p) for p in s.pd.cfg.points.real} for s in traj.samples for _ in range(2)]
+    assert len(traj.samples) == 3
+    segment_calls.clear()
+    kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+    assert len(segment_calls) == 1 and len(segment_calls[0]) == 3 * 2
+    assert all(hi in pts for (_, hi), pts in zip(segment_calls[0], branch))
+    segment_calls.clear()
+    comb_invariance_check(cfg, traj, quad_tol=1e-11)
+    assert len(segment_calls) == 1 and len(segment_calls[0]) == 3 * 2
+    # the partial integrals end at the zeros, inside the gaps
+    assert not any(hi in pts for (_, hi), pts in zip(segment_calls[0], branch))
+    # on a fresh trajectory the comb fills the b-segments itself, in one call
+    traj = trajectory()
+    segment_calls.clear()
+    comb_invariance_check(cfg, traj, quad_tol=1e-11)
+    assert [len(call) for call in segment_calls] == [3 * 2, 3 * 2]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_kdv_report_rejects_quad_tol_before_quadrature(g2_traj, value, segment_calls):
+    cfg, traj = g2_traj
+    segment_calls.clear()
+    with pytest.raises(ValueError, match="^quad_tol must be finite and positive"):
+        kdv_wavevector_report(cfg, traj, quad_tol=value)
+    assert segment_calls == []

@@ -1,3 +1,7 @@
+import math
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +9,7 @@ import isoperiod.comb as comb_module
 from isoperiod.comb import (boundary_trace, comb_invariance_check, comb_map,
                             omega_zeros)
 from isoperiod.curves import BranchConfig, validate_config
-from isoperiod.errors import OrderingViolation
+from isoperiod.errors import OrderingViolation, RootLocalizationFailed
 from isoperiod.flow import IMPLICIT, DeformationState, FlowControl, integrate_flow
 from isoperiod.periods import build_omega, horner, normalized_basis
 
@@ -178,6 +182,60 @@ def test_comb_requires_ordered_real_config():
         comb_map(cfg, pd, om)
 
 
+# -- the comb over a stack of curves ------------------------------------------------
+
+def _interleaved(rng, g, width=None):
+    bands = rng.uniform(0.5, 2.0, g)
+    gaps = rng.uniform(0.5, 2.0, g) if width is None else np.full(g, width)
+    u = np.cumsum(bands) + np.concatenate(([0.0], np.cumsum(gaps)[:-1]))
+    return BranchConfig(x=list(u + gaps), u=list(u), real=True)
+
+
+def _same_comb(a, b):
+    return (all(np.array_equal(getattr(a, k), getattr(b, k))
+                for k in ("q", "h", "zeros", "base_residual", "beta_ratio"))
+            and a.diagnostics.keys() == b.diagnostics.keys()
+            and np.array_equal(a.diagnostics["segment_values"], b.diagnostics["segment_values"])
+            and a.diagnostics["tol"] == b.diagnostics["tol"])
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_stacked_combs_equal_comb_map_per_curve(g):
+    # one batched root solve, one fill of all tables (a point row per interval)
+    # and one partial-integral call give each curve what comb_map gives it
+    # alone, bit for bit, and its zeros are the fixed-step loop's (np.roots,
+    # then 8 Newton steps).  Seeded interleaved stacks, with wide gaps and with
+    # every gap 1e-6 wide
+    rng = np.random.default_rng(90 + g)
+    for width in (None, 1e-6):
+        cfgs = [_interleaved(rng, g, width) for _ in range(4)]
+        alone = [_setup(cfg) for cfg in cfgs]
+        stack = [_setup(cfg) for cfg in cfgs]       # fresh tables, filled by the stack
+        combs = comb_module._combs([(cfg, pd, om) for cfg, (pd, om) in zip(cfgs, stack)], TOL)
+        roots, stalled = comb_module._polished_roots(np.array([om.poly for _, om in stack]))
+        assert stalled == [None] * len(cfgs)
+        for cfg, (pd, om), comb, r in zip(cfgs, alone, combs, roots):
+            assert _same_comb(comb, comb_map(cfg, pd, om, tol=TOL))
+            assert np.array_equal(r[np.argsort(r.real)], omega_zeros_fixed_steps(om))
+
+
+def test_stacked_comb_raises_for_the_first_failing_curve():
+    # each curve is checked in stack order, as a comb_map per curve would be:
+    # its interleaving, then its a-periods, then its zeros
+    pd, om = _setup(G2)
+    out_of_order = BranchConfig(x=[4.5, 5.0], u=[1.0, 4.0], real=True)
+    ordering = (out_of_order, *_setup(out_of_order))
+    alpha = (G2, pd, build_omega(G2, pd, alpha=[0.1, 0.0], tol=TOL))
+    # Q = (t - 0.5)(t - 4.5): neither zero in its gap
+    zeros = (G2, pd, replace(om, c=np.array([2.25, -5.0], dtype=complex)))
+    for stack, error in (([(G2, pd, om), ordering, zeros], OrderingViolation),
+                         ([(G2, pd, om), zeros, ordering], RootLocalizationFailed),
+                         ([alpha, ordering], ValueError),
+                         ([ordering, alpha], OrderingViolation)):
+        with pytest.raises(error):
+            comb_module._combs(stack, TOL)
+
+
 # -- invariance along flows ------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -237,3 +295,27 @@ def test_comb_invariance_rejects_prescribed_a_periods():
     assert traj.max_drift() < 1e-12
     with pytest.raises(ValueError, match="zero prescribed a-periods"):
         comb_invariance_check(cfg, traj, tol=1e-6, quad_tol=TOL)
+
+
+def test_comb_invariance_raises_for_a_sample_out_of_order():
+    # the second sample breaks the interleaving (u_2 < x_1): the stack raises
+    # there, with the message a comb_map per sample gives
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
+                          [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=TOL, macro_step=0.025))
+    bad = replace(traj.samples[1], x=np.array([4.5, 5.0], dtype=complex), pd=None)
+    traj = replace(traj, samples=[traj.samples[0], bad, traj.samples[2]])
+    message = "comb construction requires 0 < u_1 < x_1 < ... < x_g"
+    with pytest.raises(OrderingViolation, match=f"^{re.escape(message)}$"):
+        comb_invariance_check(G2, traj, quad_tol=TOL)
+
+
+@pytest.mark.parametrize("name, value", [("tol", math.nan), ("tol", math.inf), ("tol", 0.0),
+                                         ("quad_tol", math.nan), ("quad_tol", -1e-11)])
+def test_comb_invariance_rejects_tolerances_before_quadrature(name, value, g1_reference_flow,
+                                                              segment_calls):
+    # a NaN tol made both flags False and an infinite one called every base
+    # invariant; a NaN quad_tol refined to 2^17 nodes before NoConvergence
+    segment_calls.clear()
+    with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        comb_invariance_check(G1, g1_reference_flow, **{name: value})
+    assert segment_calls == []

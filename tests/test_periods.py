@@ -234,8 +234,8 @@ def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
     om = build_omega(G2, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
     assert om.beta_residual < 10 * TOL
     comb_map(G2, pd, build_omega(G2, pd, tol=TOL), tol=TOL)
-    # the comb reads the table; its partial integrals are calls from comb.py
-    assert len(segment_calls) == 2
+    # the comb reads the table: its one kernel call is the partial integrals u_j -> xi_j
+    assert len(segment_calls) == 3 and [lo for lo, _ in segment_calls[2]] == [1.0, 4.0]
     assert pd.B is B and om.beta is om.beta
     assert realized == [] and "contours_b" not in vars(pd)
 

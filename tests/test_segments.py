@@ -146,7 +146,7 @@ def test_one_pass_kernel_matches_level_by_level_loop(rows):
             gaps = np.arange(1, 2 * g, 2)
             offsets = zeros - q[gaps]
             lo, hi = q[gaps], zeros
-            f = lambda t, D: np.prod(D[..., gaps] - offsets, axis=-1)[..., None]
+            f = lambda t, D, sel: np.prod(D[..., gaps] - offsets, axis=-1)[..., None]
         got = tanh_sinh(lo, hi, q, TOL, f, diffs=diffs)
         ref = tanh_sinh_levels(lo, hi, q, TOL, f, diffs=diffs)
         for a, b in zip(got, ref):
