@@ -171,7 +171,7 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     sample on X_i = (i + 1/2) 2L / n_grid over two real periods 2L, and on
     that grid shifted by the flow-start period 2 w1.  The half-periods come
     from each flow sample's own period data (:func:`isoperiod.flow.sample_periods`),
-    whose b-rows are integrated for all samples in one kernel call first.  A
+    whose b-rows are integrated first, a kernel call per ``CHECK_BLOCK`` samples.  A
     ``quad_tol`` that is not finite and positive raises ValueError (FlowControl's).
     ``n_grid`` must be positive and even: an odd grid puts its middle node
     on the pole X = L.
@@ -184,9 +184,9 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     traj = _flow.integrate_flow(state, [list(cfg0.x), [complex(x_end)]], ctrl)
 
     pds = [_flow.sample_periods(cfg0, s, quad_tol) for s in traj.samples]
-    tables = [pd.segments for pd in pds if pd.segments is not None]
-    # the b-rows of every sample in one kernel call; the a-rows are there
-    SegmentTable.fill(tables, [np.ones(2, dtype=bool)] * len(tables))
+    # the b-rows of the samples in one kernel call per block; the a-rows are there
+    for tables in _flow.check_blocks([pd.segments for pd in pds if pd.segments is not None]):
+        SegmentTable.fill(tables, [np.ones(2, dtype=bool)] * len(tables))
     rows = []
     for s, pd in zip(traj.samples, pds):
         wd = WeierstrassData.from_roots(*config_to_weierstrass(pd.cfg), pd=pd)
@@ -252,22 +252,26 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     :func:`isoperiod.flow.sample_periods` (the sample's own period data when
     they fit, else computed anew).  Reports the maximum componentwise drift
     there and, for real configurations, the imaginary part of the wavevector
-    in the involution-invariant band marking (where it is a real vector), read
-    for all real samples as one stack on their own segment tables
+    in the involution-invariant band marking (where it is a real vector), one
+    stack per ``CHECK_BLOCK`` samples on their own segment tables
     (:func:`isoperiod.periods.in_markings`): its band segments are the gap
     marking's b-segments, which the comb map integrates too, so each is
     integrated once.  A ``quad_tol`` that is not finite and positive raises
     ValueError before any quadrature.
     """
     _flow.require_positive(quad_tol=quad_tol)
-    pds = [_flow.sample_periods(cfg, s, quad_tol) for s in trajectory.samples]
-    U = np.array([wavevector_U(pd.cfg, pd) for pd in pds])
-    drift = float(np.max(np.abs(U - U[0])))
-    out = {"U": U, "max_drift": drift}
-    real = [pd for pd in pds if pd.cfg.real]
-    if real:
-        bands = in_markings(real, [_cycles.band_basis(pd.cfg.points) for pd in real])
-        U_band = np.array([b.omega_at[:, -1] for b in bands])
+    U_rows, U_band_rows = [], []
+    for block in _flow.check_blocks(list(trajectory.samples)):
+        pds = [_flow.sample_periods(cfg, s, quad_tol) for s in block]
+        U_rows += [wavevector_U(pd.cfg, pd) for pd in pds]
+        real = [pd for pd in pds if pd.cfg.real]
+        if real:
+            bands = in_markings(real, [_cycles.band_basis(pd.cfg.points) for pd in real])
+            U_band_rows += [b.omega_at[:, -1] for b in bands]
+    U = np.array(U_rows)
+    out = {"U": U, "max_drift": float(np.max(np.abs(U - U[0])))}
+    if U_band_rows:
+        U_band = np.array(U_band_rows)
         out["U_band"] = U_band
         out["max_im_U_band"] = float(np.max(np.abs(U_band.imag)))
     return out

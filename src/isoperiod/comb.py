@@ -30,9 +30,11 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .flow import require_positive, sample_periods
+from .flow import check_blocks, require_positive, sample_periods
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
                       build_omega, horner, power_rows, tanh_sinh)
+
+UNORDERED = "comb construction requires 0 < u_1 < x_1 < ... < x_g"
 
 
 @dataclass
@@ -50,15 +52,12 @@ class CombRegion:
 def _polished_roots(poly: np.ndarray, newton_steps: int = 8):
     """Roots of the monic polynomials ``poly`` (ascending, a row per curve): the
     eigenvalues of ``np.roots``'s companion matrices in one batched call, after at
-    most ``newton_steps`` Newton steps.  A step that leaves a curve's roots
-    unchanged bit for bit leaves them so at every later step, so the loop stops
-    once no curve moves: each curve gets the bits it gets alone.  Returns the
-    roots and, per curve, None or the RootLocalizationFailed of a stalled polish.
-    """
+    most ``newton_steps`` Newton steps, stopped once no curve moves (a fixed curve
+    stays fixed, so each gets its bits alone); and per curve, None or the
+    RootLocalizationFailed of a stalled polish."""
     n, g = poly.shape[0], poly.shape[1] - 1
-    companion = np.zeros((n, g * g), dtype=poly.dtype)
-    companion[:, g::g + 1] = 1.0                        # the subdiagonal
-    companion = companion.reshape(n, g, g)
+    companion = np.zeros((n, g, g), dtype=poly.dtype)
+    companion[:, np.arange(1, g), np.arange(g - 1)] = 1.0     # the subdiagonal
     companion[:, 0] = -poly[:, -2::-1] / poly[:, -1:]
     roots = np.linalg.eigvals(companion)
     dpoly = np.arange(1, g + 1) * poly[:, 1:]
@@ -123,7 +122,7 @@ def _combs(curves, tol: float) -> list:
     zeros = []
     for (cfg, _, om), r, err in zip(curves, roots, stalled):
         if validate_config(cfg, ordered=True):
-            raise OrderingViolation("comb construction requires 0 < u_1 < x_1 < ... < x_g")
+            raise OrderingViolation(UNORDERED)
         if np.any(np.abs(om.alpha) > 0):
             raise ValueError("comb construction uses the zero-a-period differential")
         if err is not None:
@@ -135,12 +134,10 @@ def _combs(curves, tol: float) -> list:
     gaps = np.arange(1, 2 * g, 2)
     q, zeros = np.array([t.q for t in tables]), np.array(zeros)
     # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k), the offsets
-    # of the interval's own curve; one curve keeps its 1-D points, as in SegmentTable.fill
-    offsets = (zeros - q[:, gaps]).repeat(g, axis=0)
-    part = tanh_sinh(q[:, gaps].ravel(), zeros.ravel(),
-                     q[0] if len(q) == 1 else q.repeat(g, axis=0), tol,
-                     lambda t, D, sel: np.prod(D[..., gaps] - offsets[sel, None],
-                                               axis=-1)[..., None],
+    # of the interval's own curve
+    offsets = (zeros - q[:, gaps]).repeat(g, axis=0)[:, None]
+    part = tanh_sinh(q[:, gaps].ravel(), zeros.ravel(), q.repeat(g, axis=0), tol,
+                     lambda t, D, sel: np.prod(D[..., gaps] - offsets[sel], axis=-1)[..., None],
                      diffs=True)[0].reshape(-1, g)
     out = []
     for (_, pd, _), table, poly, xi, p in zip(curves, tables, polys, zeros, part):
@@ -194,19 +191,26 @@ def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
     The trajectory must come from a real flow with zero prescribed a-periods:
     a nonzero ``trajectory.alpha`` raises ValueError (an absent or None alpha
     passes), and so does a ``tol`` or ``quad_tol`` that is not finite and
-    positive, before any quadrature.  The combs are one stack on the period
-    data that :func:`isoperiod.flow.sample_periods` gives for the samples;
-    the first failing sample in path order raises.  Reports max drift of each
-    base mark, the variation of the slit heights (expected to move unless the
-    path is trivial), and the spread of the q/beta ratio.
+    positive, before any quadrature.  After every sample's ordering is checked,
+    the combs are stacked on the period data of :func:`isoperiod.flow.sample_periods`,
+    ``CHECK_BLOCK`` samples at a time; the first failing sample raises (a quadrature
+    failure may raise before an earlier root check in its block).  Reports max
+    drift of each base mark, the variation of the slit heights (expected to
+    move unless the path is trivial), and the spread of the q/beta ratio.
     """
     require_positive(tol=tol, quad_tol=quad_tol)
     alpha = getattr(trajectory, "alpha", None)
     if alpha is not None and np.any(np.abs(alpha) > 0):
         raise ValueError("comb invariance needs a flow with zero prescribed a-periods")
-    pds = [sample_periods(cfg, s, quad_tol) for s in trajectory.samples]
-    combs = _combs([(pd.cfg, pd, build_omega(pd.cfg, pd, tol=quad_tol)) for pd in pds],
-                   quad_tol)
+    samples, combs = list(trajectory.samples), []
+    n = next((i for i, s in enumerate(samples)     # the first sample out of order
+              if validate_config(cfg.replace(x=s.x, u=s.u), ordered=True)), len(samples))
+    for block in check_blocks(samples[:n]):     # their checks raise before its own
+        pds = [sample_periods(cfg, s, quad_tol) for s in block]
+        combs += _combs([(pd.cfg, pd, build_omega(pd.cfg, pd, tol=quad_tol)) for pd in pds],
+                        quad_tol)
+    if n < len(samples):
+        raise OrderingViolation(UNORDERED)
     q = np.array([c.q for c in combs])
     h = np.array([c.h for c in combs])
     ratios = np.array([c.beta_ratio for c in combs])

@@ -43,7 +43,7 @@ RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 MAX_HALVINGS = 40                       # per macro step, on a failed step
-CHECK_BLOCK = 32                        # rational mode: samples per stacked period evaluation
+CHECK_BLOCK = 32                        # samples per stacked period evaluation or report stack
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
@@ -395,6 +395,11 @@ def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
             and pd.basis == default_marking(c, pd.segments)):
         return pd
     return normalized_basis(c, tol=tol)
+
+
+def check_blocks(items: list) -> list:
+    """``items`` in runs of ``CHECK_BLOCK``: a report stacks one run at a time."""
+    return [items[i:i + CHECK_BLOCK] for i in range(0, len(items), CHECK_BLOCK)]
 
 
 @dataclass

@@ -9,6 +9,7 @@ from isoperiod.apps import (WeierstrassData, cnoidal_period_report,
                             config_to_weierstrass, kdv_wavevector_report,
                             lame_two_gap_config, neumann_config,
                             weierstrass_to_config, wp_function)
+import isoperiod.flow as flow_module
 from isoperiod.comb import comb_invariance_check
 from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.cycles import band_basis
@@ -472,18 +473,18 @@ def test_band_rows_equal_in_marking_per_sample(g2_traj, own):
         assert got.quad_report == ref.quad_report
 
 
+def _three_sample_trajectory():
+    cfg = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
+    return cfg, integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
+                               [[3.0, 5.0], [3.05, 5.0]],
+                               FlowControl(quad_tol=1e-11, macro_step=0.025))
+
+
 def test_reports_take_one_kernel_call_per_job_over_a_trajectory(segment_calls):
     # three genus-2 samples: the band rows are one fill over the three tables'
     # b-segments, and the comb's partial integrals u_j -> xi_j of all gaps are
     # one call (three each at the parent)
-    cfg = BranchConfig(x=[3.0, 5.0], u=[1.0, 4.0], real=True)
-
-    def trajectory():
-        return integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
-                              [[3.0, 5.0], [3.05, 5.0]],
-                              FlowControl(quad_tol=1e-11, macro_step=0.025))
-
-    traj = trajectory()
+    cfg, traj = _three_sample_trajectory()
     # the branch points of each interval's sample, two intervals per sample
     branch = [{float(p) for p in s.pd.cfg.points.real} for s in traj.samples for _ in range(2)]
     assert len(traj.samples) == 3
@@ -497,10 +498,31 @@ def test_reports_take_one_kernel_call_per_job_over_a_trajectory(segment_calls):
     # the partial integrals end at the zeros, inside the gaps
     assert not any(hi in pts for (_, hi), pts in zip(segment_calls[0], branch))
     # on a fresh trajectory the comb fills the b-segments itself, in one call
-    traj = trajectory()
+    cfg, traj = _three_sample_trajectory()
     segment_calls.clear()
     comb_invariance_check(cfg, traj, quad_tol=1e-11)
     assert [len(call) for call in segment_calls] == [3 * 2, 3 * 2]
+
+
+def test_reports_stack_check_block_samples_at_a_time(monkeypatch, segment_calls):
+    # a trajectory is stacked CHECK_BLOCK samples at a time in path order, so a
+    # long one's scratch memory stays that of one block; the blocks give the
+    # bits of one stack.  Three genus-2 samples in blocks of 2 and 1
+    cfg, traj = _three_sample_trajectory()
+    kdv, comb = kdv_wavevector_report(cfg, traj), comb_invariance_check(cfg, traj)
+    monkeypatch.setattr(flow_module, "CHECK_BLOCK", 2)
+    cfg, traj = _three_sample_trajectory()
+    segment_calls.clear()
+    assert _same_report(kdv, kdv_wavevector_report(cfg, traj))
+    assert [len(call) for call in segment_calls] == [2 * 2, 1 * 2]
+    segment_calls.clear()
+    assert _same_report(comb, comb_invariance_check(cfg, traj))
+    assert [len(call) for call in segment_calls] == [2 * 2, 1 * 2]
+    # on fresh tables each block fills its b-segments, then integrates its partials
+    cfg, traj = _three_sample_trajectory()
+    segment_calls.clear()
+    assert _same_report(comb, comb_invariance_check(cfg, traj))
+    assert [len(call) for call in segment_calls] == [2 * 2, 2 * 2, 1 * 2, 1 * 2]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])

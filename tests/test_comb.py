@@ -319,3 +319,26 @@ def test_comb_invariance_rejects_tolerances_before_quadrature(name, value, g1_re
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
         comb_invariance_check(G1, g1_reference_flow, **{name: value})
     assert segment_calls == []
+
+
+def test_comb_invariance_checks_every_sample_order_before_quadrature(monkeypatch):
+    # the second sample breaks the interleaving and the third is not finite:
+    # the second's OrderingViolation raises before the third's periods are read
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
+                          [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=TOL, macro_step=0.025))
+    bad = replace(traj.samples[1], x=np.array([4.5, 5.0], dtype=complex), pd=None)
+    nan = replace(traj.samples[2], u=np.array([1.0, np.nan], dtype=complex), pd=None)
+    traj = replace(traj, samples=[traj.samples[0], bad, nan])
+    with pytest.raises(OrderingViolation):
+        comb_invariance_check(G2, traj, quad_tol=TOL)
+    # and a root failure of the first sample raises before the second's ordering
+    original = comb_module.build_omega
+
+    def moved_zeros(cfg, pd, **kwargs):
+        om = original(cfg, pd, **kwargs)
+        # Q = (t - 0.5)(t - 4.5) on the first sample: neither zero in its gap
+        return replace(om, c=np.array([2.25, -5.0], dtype=complex)) if cfg == G2 else om
+
+    monkeypatch.setattr(comb_module, "build_omega", moved_zeros)
+    with pytest.raises(RootLocalizationFailed):
+        comb_invariance_check(G2, traj, quad_tol=TOL)
