@@ -12,9 +12,8 @@ __version__ = "0.1.0"
 
 from .curves import BranchConfig, validate_config
 from .cycles import CanonicalBasis, CycleSpec, band_basis, gap_basis, intersection_matrix
-from .periods import (DifferentialOverMu, OmegaDifferential, PeriodData,
-                      beta_from_evaluations, build_omega, normalized_basis,
-                      wavevector_U)
+from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
+                      build_omega, normalized_basis, wavevector_U)
 from .flow import (DeformationState, FlowControl, Trajectory, first_derivatives,
                    hill_check, integrate_flow, newton_correct, rhs_genus_g,
                    verify_identities)
@@ -28,7 +27,7 @@ __all__ = [
     "apps", "comb", "curves", "cycles", "errors", "flow", "periods",
     "BranchConfig", "validate_config",
     "CanonicalBasis", "CycleSpec", "band_basis", "gap_basis", "intersection_matrix",
-    "DifferentialOverMu", "OmegaDifferential", "PeriodData", "beta_from_evaluations",
+    "OmegaDifferential", "PeriodData", "beta_from_evaluations",
     "build_omega", "normalized_basis", "wavevector_U",
     "DeformationState", "FlowControl", "Trajectory", "first_derivatives", "hill_check",
     "integrate_flow", "newton_correct", "rhs_genus_g", "verify_identities",

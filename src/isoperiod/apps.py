@@ -19,7 +19,8 @@ import numpy as np
 from . import flow as _flow
 from .curves import BranchConfig, validate_config
 from .errors import DegenerateConfig, LatticePoint, OrderingViolation
-from .periods import PeriodData, SegmentTable, in_markings, normalized_basis, wavevector_U
+from .periods import (PeriodData, SegmentTable, in_markings, normalized_basis,
+                      require_positive, wavevector_U)
 from . import cycles as _cycles
 
 
@@ -185,8 +186,8 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
 
     pds = [_flow.sample_periods(cfg0, s, quad_tol) for s in traj.samples]
     # the b-rows of the samples in one kernel call per block; the a-rows are there
-    for tables in _flow.check_blocks([pd.segments for pd in pds if pd.segments is not None]):
-        SegmentTable.fill(tables, [np.ones(2, dtype=bool)] * len(tables))
+    for tables in _flow.check_blocks([pd.table for pd in pds]):
+        SegmentTable.fill(tables)
     rows = []
     for s, pd in zip(traj.samples, pds):
         wd = WeierstrassData.from_roots(*config_to_weierstrass(pd.cfg), pd=pd)
@@ -259,7 +260,7 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     integrated once.  A ``quad_tol`` that is not finite and positive raises
     ValueError before any quadrature.
     """
-    _flow.require_positive(quad_tol=quad_tol)
+    require_positive(quad_tol=quad_tol)
     U_rows, U_band_rows = [], []
     for block in _flow.check_blocks(list(trajectory.samples)):
         pds = [_flow.sample_periods(cfg, s, quad_tol) for s in block]

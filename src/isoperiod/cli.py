@@ -162,7 +162,7 @@ def cmd_periods(args) -> int:
     t0 = time.time()
     cfg = _load_valid(args.config)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus), tol=args.tol_quad)
+    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus))
     from .cycles import intersection_matrix
     payload = {
         "config": config_json(cfg),
@@ -222,7 +222,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     cfg = _load_valid(args.config)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus), tol=args.tol_quad)
+    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus))
     report = flow.verify_identities(cfg, pd, om, tol=args.tol_quad)
     hill = None
     if args.hill_T is not None:
@@ -260,7 +260,7 @@ def cmd_comb(args) -> int:
     t0 = time.time()
     cfg = _load_valid(args.config, ordered=True)
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd, tol=args.tol_quad)
+    om = periods.build_omega(cfg, pd)
     region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
     payload = {
         "config": config_json(cfg),
@@ -354,7 +354,7 @@ def cmd_examples(args) -> int:
     elif name == "neumann-n2":
         cfg = apps.neumann_config([-5.0, -3.0], [4.0, 2.0])
         pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-        om = periods.build_omega(cfg, pd, tol=args.tol_quad)
+        om = periods.build_omega(cfg, pd)
         emit("run.json", {
             "example": name, "config": config_json(cfg),
             "beta": vector_json(om.beta),
@@ -363,7 +363,7 @@ def cmd_examples(args) -> int:
     elif name == "comb-g1":
         cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)
         pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-        om = periods.build_omega(cfg, pd, tol=args.tol_quad)
+        om = periods.build_omega(cfg, pd)
         region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
         emit("run.json", {
             "example": name, "config": config_json(cfg),

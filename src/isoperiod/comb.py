@@ -30,9 +30,9 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .flow import check_blocks, require_positive, sample_periods
+from .flow import check_blocks, sample_periods
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
-                      build_omega, horner, power_rows, tanh_sinh)
+                      build_omega, horner, power_rows, require_positive, tanh_sinh)
 
 UNORDERED = "comb construction requires 0 < u_1 < x_1 < ... < x_g"
 
@@ -106,9 +106,10 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
     The full segments are the segment table of ``pd`` (to ``pd.tol``) times
     the polynomial; only the g partial integrals up to the zeros are new
-    quadratures (to ``tol``).  It is the stack of one of the comb that
-    :func:`comb_invariance_check` builds over a trajectory.
+    quadratures (to ``tol``, which must be finite and positive).  It is the
+    stack of one of the comb that :func:`comb_invariance_check` builds.
     """
+    require_positive(tol=tol)
     return _combs([(cfg, pd, om)], tol)[0]
 
 
@@ -129,8 +130,8 @@ def _combs(curves, tol: float) -> list:
             raise err
         zeros.append(np.sort(_one_per_gap(cfg, r).real))   # cfg is ordered, om built on it
     g = curves[0][0].genus
-    tables = [pd.segments for _, pd, _ in curves]
-    SegmentTable.fill(tables, [np.ones(2 * g, dtype=bool)] * len(tables))
+    tables = [pd.table for _, pd, _ in curves]
+    SegmentTable.fill(tables)
     gaps = np.arange(1, 2 * g, 2)
     q, zeros = np.array([t.q for t in tables]), np.array(zeros)
     # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k), the offsets
@@ -160,16 +161,18 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
     Interior sample points of each inter-branch-point segment only; the map
     is continuous up to the branch points where it has square-root behaviour.
+    ``tol`` must be finite and positive.
     """
     if n_per_segment < 2:
         raise ValueError(f"n_per_segment must be at least 2, not {n_per_segment!r}")
+    require_positive(tol=tol)
     if validate_config(cfg, ordered=True):
         raise OrderingViolation("boundary trace requires an ordered real configuration")
     g = cfg.genus
     poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    table = pd.segments
+    table = pd.table
     pts = table.q
-    SegmentTable.fill([table], [np.ones(2 * g, dtype=bool)])
+    SegmentTable.fill([table])
     seg_vals = table.values @ poly
     rows = []
     theta_base = 0.0 + 0.0j
@@ -207,8 +210,7 @@ def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
               if validate_config(cfg.replace(x=s.x, u=s.u), ordered=True)), len(samples))
     for block in check_blocks(samples[:n]):     # their checks raise before its own
         pds = [sample_periods(cfg, s, quad_tol) for s in block]
-        combs += _combs([(pd.cfg, pd, build_omega(pd.cfg, pd, tol=quad_tol)) for pd in pds],
-                        quad_tol)
+        combs += _combs([(pd.cfg, pd, build_omega(pd.cfg, pd)) for pd in pds], quad_tol)
     if n < len(samples):
         raise OrderingViolation(UNORDERED)
     q = np.array([c.q for c in combs])

@@ -36,7 +36,7 @@ from .errors import (DegenerateConfig, DriftExceeded, IsoperiodError, NoProgress
                      SingularJacobian, SingularLocus, VanishingOmegaAtU)
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
                       build_omega, default_marking, normalized_basis, normalized_bases,
-                      w_constants, w_value)
+                      require_positive, w_constants, w_value)
 
 IMPLICIT = "implicit"
 RATIONAL = "rational"
@@ -338,13 +338,6 @@ class FlowControl:
         require_positive(quad_tol=self.quad_tol, macro_step=self.macro_step, **drift)
 
 
-def require_positive(**values) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite and positive."""
-    for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, not {value!r}")
-
-
 @dataclass
 class DeformationState:
     cfg: BranchConfig
@@ -392,7 +385,7 @@ def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
     c = cfg.replace(x=s.x, u=s.u)
     pd = s.pd
     if (pd is not None and pd.cfg == c and pd.tol == tol
-            and pd.basis == default_marking(c, pd.segments)):
+            and pd.basis == default_marking(c, pd.table)):
         return pd
     return normalized_basis(c, tol=tol)
 

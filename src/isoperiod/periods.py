@@ -9,20 +9,19 @@ which covers the holomorphic basis lambda^k * phi, the normalized basis
 omega_j, the second-kind differential, and the bidifferential with one
 argument frozen at a ramification point.
 
-Two quadratures compute the periods, and the input picks one:
+Each curve keeps its periods in one table, picked in :func:`normalized_bases`;
+both kinds have ``periods(specs)``, the monomial periods of cycles (kept), and
+``integrate(specs, rows, tol)`` for any row function of ``tanh_sinh``:
 
-* Segment quadrature, for real configurations, whose cycles must be
+* ``SegmentTable``, for real configurations, whose cycles must be
   contiguous runs of the sorted branch points (those of every default
   marking are).  Each period is a signed sum of the integrals between
   consecutive branch points, computed by double-exponential (tanh-sinh)
   quadrature that absorbs the inverse square roots at both endpoints into
-  its weights (``tanh_sinh``, which integrates any rows of smooth
-  integrands).  The monomial integrals are kept in one ``SegmentTable`` per
-  curve; the pole differentials of ``w_constants`` are first reduced by an
-  exact form to polynomial differentials evaluated in product form.
-* Lifted circles with spectrally convergent trapezoidal quadrature and
-  adaptive node doubling (``integrate_contour``), for complex
-  configurations only.
+  its weights (``tanh_sinh``).
+* ``ContourTable``, for complex configurations: lifted circles with
+  spectrally convergent trapezoidal quadrature and adaptive node doubling
+  (``integrate_contour``).
 """
 
 from __future__ import annotations
@@ -47,20 +46,11 @@ _TAU_MAX = 4.5
 _H0 = 0.25
 
 
-@dataclass(frozen=True)
-class DifferentialOverMu:
-    """Coefficient description of (poly(lambda) + sum c/(lambda-s)) * dlambda / mu."""
-
-    poly: tuple = ()          # ascending coefficients
-    poles: tuple = ()         # ((s, c), ...) simple poles of the rational prefactor
-
-    def rational_part(self, lam: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(lam, dtype=complex)
-        if self.poly:
-            out = out + np.polyval(np.asarray(self.poly)[::-1], lam)
-        for s, c in self.poles:
-            out = out + c / (lam - s)
-        return out
+def require_positive(**values) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, not {value!r}")
 
 
 def horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -74,20 +64,15 @@ def horner(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def monomial(k: int) -> DifferentialOverMu:
-    """lambda^k * dlambda / mu."""
-    return DifferentialOverMu(poly=(0.0,) * k + (1.0,))
+def integrate_contour(contour: EllipseContour, rows, tol: float):
+    """Integrals of integrand rows over dlambda / mu on a lifted contour.
 
-
-def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10):
-    """Integrate one or more differentials over a lifted contour.
-
-    Doubles the node count until two successive trapezoidal values agree
-    within ``tol`` (relative to max(1, magnitude)).  Returns (values, nodes,
-    error_estimate).
+    ``rows(t, D, sel)`` is a row function of :func:`tanh_sinh`, given the nodes
+    t (shape (1, nodes)), D[..., i] = t - p_i over the contour's points and a
+    slice.  Doubles the node count until two successive trapezoidal values
+    agree within ``tol`` (relative to max(1, magnitude)).  Returns (values,
+    nodes, error_estimate).
     """
-    single = isinstance(diffs, DifferentialOverMu)
-    dlist = [diffs] if single else list(diffs)
     # make sure branch tracking resolves the closest approach to branch points
     ratio = (contour.semi_major + contour.semi_minor) / max(contour.min_clearance(), 1e-300)
     n = max(_MIN_NODES, 8 * int(ratio))
@@ -95,11 +80,12 @@ def integrate_contour(contour: EllipseContour, diffs, tol: float = 1e-10):
     prev = None
     while n <= _MAX_NODES:
         lam, w, mu = contour.nodes(n)
-        vals = np.array([np.sum(d.rational_part(lam) * w / mu) for d in dlist])
+        t = lam[None]
+        vals = (w / mu) @ rows(t, t[..., None] - contour.points, slice(None))[0]
         if prev is not None:
             err = float(np.max(np.abs(vals - prev)))
             if err <= tol * max(1.0, float(np.max(np.abs(vals)))):
-                return (vals[0] if single else vals), n, err
+                return vals, n, err
         prev = vals
         n *= 2
     raise NoConvergence(f"contour quadrature did not converge within {_MAX_NODES} nodes")
@@ -286,10 +272,23 @@ class SegmentTable:
         self.err = np.zeros(n)
 
     @staticmethod
-    def fill(tables, masks) -> None:
-        """Integrate the rows in ``masks[i]`` that ``tables[i]`` lacks, for all tables (one
-        genus and tolerance) in one kernel call, each interval against its table's points."""
-        live = [(t, (m & (t.nodes == 0)).nonzero()[0]) for t, m in zip(tables, masks)]
+    def fill(tables, bases=None) -> None:
+        """Integrate in one kernel call the segments of the a-cycles of ``bases[i]`` (all,
+        if ``bases`` is None) that ``tables[i]`` lacks, for the segment tables among
+        ``tables`` (one genus and tolerance), after checking every cycle of the bases."""
+        masks = []
+        for t, b in zip(tables, bases or [None] * len(tables)):
+            if isinstance(t, SegmentTable):
+                if b is not None:
+                    _segment_cycles(t.key, tuple(b.b))
+                masks.append((t, b is None or _segment_cycles(t.key, tuple(b.a))[1]))
+        SegmentTable._fill(masks)
+
+    @staticmethod
+    def _fill(masks) -> None:
+        """Integrate the rows in m that table t lacks, for each (t, m) of ``masks``, in
+        one kernel call, each interval against its table's points."""
+        live = [(t, (m & (t.nodes == 0)).nonzero()[0]) for t, m in masks]
         live = [(t, i) for t, i in live if i.size]
         if not live:
             return
@@ -307,18 +306,17 @@ class SegmentTable:
 
     def periods(self, specs):
         """Monomial periods of each cycle (rows) with its node count and error
-        estimate, integrating the rows not yet known first (:meth:`fill`)."""
+        estimate, integrating the segments not yet known first."""
         cyc, need = _segment_cycles(self.key, tuple(specs))
-        self.fill([self], [need])
+        self._fill([(self, need)])
         vals = np.array([f * self.values[sl].sum(axis=0) for sl, f in cyc])
         nodes = [int(self.nodes[sl].sum()) for sl, _ in cyc]
         err = [2.0 * float(self.err[sl].sum()) for sl, _ in cyc]
         return vals, nodes, err
 
     def integrate(self, specs, rows, tol: float) -> np.ndarray:
-        """The periods of the integrand rows ``rows`` (a ``tanh_sinh`` row
-        function that reads the node differences), one row per cycle, from one
-        kernel call over the cycles' segments to ``tol``; nothing is kept."""
+        """The periods of the row function ``rows`` (with ``diffs``), one row per
+        cycle, from one kernel call over the cycles' segments to ``tol``."""
         cyc, need = _segment_cycles(self.key, tuple(specs))
         segs = np.flatnonzero(need)
         part = tanh_sinh(self.q[segs], self.q[segs + 1], self.q, tol, rows, diffs=True)[0]
@@ -327,12 +325,33 @@ class SegmentTable:
         return np.array([f * vals[sl].sum(axis=0) for sl, f in cyc])
 
 
-def _contour_periods(contours, n_monomials: int, tol: float):
-    """Monomial periods over realized contours, with node counts and error estimates."""
-    mons = [monomial(k) for k in range(n_monomials)]
-    out = [integrate_contour(c, mons, tol) for c in contours]
-    return (np.array([v for v, _, _ in out]), [n for _, n, _ in out],
-            [e for _, _, e in out])
+class ContourTable:
+    """The periods of a complex curve on lifted circles, with the interface of
+    :class:`SegmentTable`: each cycle is realized (:func:`isoperiod.cycles.realize`)
+    and its monomial periods integrated to ``tol`` on first request, and kept."""
+
+    def __init__(self, points: np.ndarray, tol: float):
+        self.q, self.tol, self.order = points, tol, np.arange(len(points))  # package order
+        self._contours, self._periods = {}, {}
+
+    def contour(self, spec) -> EllipseContour:
+        """The lifted circle of the cycle ``spec``."""
+        if spec not in self._contours:
+            self._contours[spec] = _cycles.realize(spec, self.q)
+        return self._contours[spec]
+
+    def periods(self, specs):
+        """Monomial periods of each cycle (rows) with its node count and error estimate."""
+        for spec in specs:
+            if spec not in self._periods:
+                self._periods[spec] = integrate_contour(
+                    self.contour(spec), power_rows(len(self.q) // 2 + 1), self.tol)
+        vals, nodes, err = zip(*(self._periods[s] for s in specs))
+        return np.array(vals), list(nodes), list(err)
+
+    def integrate(self, specs, rows, tol: float) -> np.ndarray:
+        """The periods of the row function ``rows``, one row per cycle, to ``tol``."""
+        return np.array([integrate_contour(self.contour(s), rows, tol)[0] for s in specs])
 
 
 @dataclass
@@ -343,14 +362,12 @@ class PeriodData:
     the coefficients of omega_j = sum_k C[j, k] lambda^(k-1) phi; ``B`` the
     Riemann matrix.  ``omega_at[j, q]`` evaluates omega_j at ramification
     point q (columns follow the package point indexing; the final column is
-    the point at infinity).  ``segments`` is the segment table of a real
-    configuration; on a complex one it is None and ``contours_a`` holds the
-    realized a-contours; in a :func:`normalized_bases` stack each curve has its own
-    PeriodData and table, and its C and omega_at view the stack's arrays.  ``B``,
-    the b-contours ``contours_b`` and the dual-basis table ``v_at`` are built on first
-    read, so a caller that never reads them does not pay for them; on the segment
-    path the b-cycles' segments are integrated on the first read of ``B``, an
-    ``OmegaDifferential.beta`` or the comb map, and shared by all of them.
+    the point at infinity).  ``table`` is the curve's :class:`SegmentTable`
+    or :class:`ContourTable`; in a :func:`normalized_bases` stack each curve has
+    its own PeriodData and table, and its C and omega_at view the stack's arrays.
+    ``B`` and the dual-basis table ``v_at`` are built on first read: the b-periods
+    are integrated on the first read of ``B``, an ``OmegaDifferential.beta`` or
+    the comb map, and shared by all of them.
     """
 
     cfg: BranchConfig
@@ -362,37 +379,24 @@ class PeriodData:
     phi_at: np.ndarray
     tol: float
     quad_report: dict
-    segments: SegmentTable | None = field(repr=False, default=None)
-    contours_a: list | None = field(repr=False, default=None)
+    table: SegmentTable | ContourTable = field(repr=False)
 
     @property
     def genus(self) -> int:
         return self.cfg.genus
 
     @cached_property
-    def contours_b(self) -> list:
-        """The realized b-contours of a complex configuration, shared by ``B`` and every
-        ``OmegaDifferential.beta``."""
-        return [_cycles.realize(s, self.cfg.points) for s in self.basis.b]
-
-    @cached_property
     def B(self) -> np.ndarray:
         """Riemann matrix B_raw A_raw^-1, B_raw[j, k] the b_j-period of lambda^(k-1) * phi."""
-        g = self.genus
-        if self.segments is not None:
-            B_ext, nodes, err = self.segments.periods(self.basis.b)
-            B_raw = B_ext[:, :g]
-        else:
-            B_raw, nodes, err = _contour_periods(self.contours_b, g, self.tol)
+        B_ext, nodes, err = self.table.periods(self.basis.b)
         self.quad_report["b_nodes"].extend(nodes)
         self.quad_report["b_err"].extend(err)
-        return B_raw @ np.linalg.inv(self.A_raw)
+        return B_ext[:, :self.genus] @ np.linalg.inv(self.A_raw)
 
     def in_marking(self, basis: CanonicalBasis) -> "PeriodData":
-        """The period data of the same curve, to the same tolerance, in the
-        marking ``basis``: what :func:`normalized_basis` returns for it, but
-        assembled on this object's segment table (:func:`in_markings` of one), so
-        a segment either marking needs is integrated once and kept for both."""
+        """What :func:`normalized_basis` returns for this curve and tolerance in the
+        marking ``basis``, assembled on this object's table (:func:`in_markings` of
+        one), so a period that either marking needs is integrated once."""
         return in_markings([self], [basis])[0]
 
     @cached_property
@@ -412,13 +416,12 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
 
     Solves sum_k C[j, k] * A_raw[., k] = identity so that the a-periods of
     omega_j are delta_jk and tabulates evaluations at all ramification
-    points.  Only the a-cycles are integrated here (on the segment table of
-    a real configuration, whose a- and b-cycles are all checked first, or on
-    lifted circles of a complex one); the Riemann matrix ``B`` is integrated
-    over the b-cycles on first read.  The configuration is validated, its
-    points snapped and sorted once, and the default marking taken from that
-    order; :meth:`PeriodData.in_marking` assembles another marking of the
-    same curve on the same table.  It is :func:`normalized_bases` of one curve.
+    points.  Only the a-cycles are integrated here, on the curve's table (a
+    real configuration's a- and b-cycles are all checked first); ``B`` on first
+    read.  A ``tol`` that is not finite and positive raises ValueError.  The
+    configuration is validated, its points snapped and sorted once, and the
+    default marking taken from that order; :meth:`PeriodData.in_marking`
+    assembles another marking on the same table.
     """
     return normalized_bases([cfg], basis, tol)[0]
 
@@ -428,13 +431,15 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
     """:func:`normalized_basis` of each of ``cfgs`` (one genus) as one stack, bit for
     bit what a call per curve gives, in ``basis`` or else each curve's default
     marking; one :class:`PeriodData` per curve.  A failure raises for the stack."""
+    require_positive(tol=tol)
     curves = []
     for cfg in cfgs:
         require_valid(cfg)
         points = effective_points(cfg.points)      # snapped: a real set has no imaginary part
-        segments = None if (points.imag != 0.0).any() else SegmentTable(points.real, tol)
-        curves.append((cfg, default_marking(cfg, segments) if basis is None else basis,
-                       segments, phi_values(points)))
+        table = (ContourTable(points, tol) if (points.imag != 0.0).any()
+                 else SegmentTable(points.real, tol))
+        curves.append((cfg, default_marking(cfg, table) if basis is None else basis,
+                       table, phi_values(points)))
     return _assemble(curves, tol)
 
 
@@ -442,44 +447,38 @@ def in_markings(pds, bases) -> list:
     """:meth:`PeriodData.in_marking` of each of ``pds`` (one genus and tolerance) in
     the marking of the same index in ``bases``, as one stack: one kernel call for the
     rows that any of their tables lacks and one stacked inverse."""
-    return _assemble([(pd.cfg, b, pd.segments, pd.phi_at) for pd, b in zip(pds, bases)],
+    return _assemble([(pd.cfg, b, pd.table, pd.phi_at) for pd, b in zip(pds, bases)],
                      pds[0].tol)
 
 
-def default_marking(cfg: BranchConfig, segments: SegmentTable | None) -> CanonicalBasis:
+def default_marking(cfg: BranchConfig, table) -> CanonicalBasis:
     """The default gap marking of ``cfg``; on a real curve it is read from
-    the sorted order that its segment table ``segments`` already holds."""
-    if segments is None:
-        return _cycles.gap_basis(cfg.points)
-    return _cycles.gap_marking(segments.key)
+    the sorted order that its segment table already holds."""
+    if isinstance(table, SegmentTable):
+        return _cycles.gap_marking(table.key)
+    return _cycles.gap_basis(cfg.points)
 
 
 def _assemble(curves, tol: float) -> list:
-    """The period data of each curve (cfg, basis, segments, phis) of ``curves``: its
-    a-periods on ``segments`` (a real curve's table, on which the b-cycles are checked
-    too; one kernel call for all tables) or on lifted circles, then C and omega at the
-    ramification points from the phi table ``phis``, by one stacked inverse and Horner."""
+    """The period data of each curve (cfg, basis, table, phis) of ``curves``: its
+    a-periods on its table (one kernel call for all segment tables, after checking
+    every cycle), then C and omega at the ramification points from the phi table
+    ``phis``, by one stacked inverse and Horner."""
     g = curves[0][0].genus
-    real = [(seg, basis) for _, basis, seg, _ in curves if seg is not None]
-    for seg, basis in real:             # reject a bad marking now, not on the first read of B
-        _segment_cycles(seg.key, tuple(basis.b))
-    SegmentTable.fill([s for s, _ in real],         # the a-rows of all tables in one call
-                      [_segment_cycles(s.key, tuple(b.a))[1] for s, b in real])
+    SegmentTable.fill([t for _, _, t, _ in curves], [b for _, b, _, _ in curves])
     parts = []
-    for cfg, basis, seg, _ in curves:
+    for _, basis, table, _ in curves:
         report = {"tol": tol, "b_nodes": [], "b_err": []}
-        ca = None if seg is not None else [_cycles.realize(s, cfg.points) for s in basis.a]
-        A, report["a_nodes"], report["a_err"] = (
-            seg.periods(basis.a) if seg is not None else _contour_periods(ca, g + 1, tol))
-        parts.append((A, report, ca))
-    A_raw = np.array([A[:, :g] for A, _, _ in parts])
+        A, report["a_nodes"], report["a_err"] = table.periods(basis.a)
+        parts.append((A, report))
+    A_raw = np.array([A[:, :g] for A, _ in parts])
     # the 1-norm condition numbers from the inverses: one LU factorization each
     try:
         A_inv = np.linalg.inv(A_raw)
     except np.linalg.LinAlgError:       # exactly singular, or not finite
         A_inv = np.full_like(A_raw, np.inf)
     cond = np.abs(A_raw).sum(axis=1).max(axis=1) * np.abs(A_inv).sum(axis=1).max(axis=1)
-    for (_, report, _), c in zip(parts, cond.tolist()):
+    for (_, report), c in zip(parts, cond.tolist()):
         if not c <= 1e12:
             raise SingularPeriodMatrix(f"a-period matrix condition {c:.2e}")
         report["cond_A"] = c
@@ -489,8 +488,8 @@ def _assemble(curves, tol: float) -> list:
     omega_at = np.concatenate((horner(C, lam_phi[:, :1]) * lam_phi[:, 1:],
                                -2.0 * C[:, :, g - 1, None]), axis=2)
     return [PeriodData(cfg=cfg, basis=basis, A_raw=A[:, :g], A_ext=A, C=Ci, omega_at=om,
-                       phi_at=phi, tol=tol, quad_report=report, segments=seg, contours_a=ca)
-            for (cfg, basis, seg, phi), (A, report, ca), Ci, om in zip(curves, parts, C, omega_at)]
+                       phi_at=phi, tol=tol, quad_report=report, table=table)
+            for (cfg, basis, table, phi), (A, report), Ci, om in zip(curves, parts, C, omega_at)]
 
 
 @dataclass
@@ -508,29 +507,20 @@ class OmegaDifferential:
     c: np.ndarray                 # ascending coefficients c_0..c_{g-1}
     values_at: np.ndarray         # evaluations at finite ramification points
     pd: PeriodData = field(repr=False, compare=False)
-    tol: float                    # quadrature tolerance of beta
 
     @property
     def poly(self) -> np.ndarray:
         """Ascending coefficients of the full degree-g polynomial (monic)."""
         return np.concatenate((self.c, [1.0 + 0.0j]))
 
-    def differential(self, pd: PeriodData) -> DifferentialOverMu:
-        coeffs = (-0.5 * self.poly).astype(complex)
-        if np.any(self.alpha != 0):
-            coeffs[: len(self.c)] += self.alpha @ pd.C
-        return DifferentialOverMu(poly=tuple(coeffs))
-
     @cached_property
     def beta(self) -> np.ndarray:
         """b-periods, computed on first read: the monomial b-periods of ``pd``'s
-        segment table times the coefficients (to ``pd.tol``), or quadrature to
-        ``tol`` over the b-contours of ``pd`` on a complex configuration."""
-        diff = self.differential(self.pd)
-        if self.pd.segments is not None:
-            return self.pd.segments.periods(self.pd.basis.b)[0] @ np.asarray(diff.poly)
-        return np.array([integrate_contour(contour, diff, self.tol)[0]
-                         for contour in self.pd.contours_b])
+        table (to ``pd.tol``) times the coefficients of the differential."""
+        coeffs = -0.5 * self.poly
+        if np.any(self.alpha != 0):
+            coeffs[:len(self.c)] += self.alpha @ self.pd.C
+        return self.pd.table.periods(self.pd.basis.b)[0] @ coeffs
 
     @cached_property
     def beta_residual(self) -> float:
@@ -544,9 +534,9 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
 
     The polynomial coefficients solve the g x g linear system that kills the
     a-periods of -(lambda^g + ...) phi / 2; adding alpha . omega then sets
-    a-period j to alpha_j.  The b-periods ``beta`` (quadrature to ``tol``) and
-    ``beta_residual``, their distance to 2 pi i omega(infinity) + alpha B, are
-    computed on first read.
+    a-period j to alpha_j.  The b-periods ``beta`` and ``beta_residual``,
+    their distance to 2 pi i omega(infinity) + alpha B, are computed on first
+    read, from ``pd``'s table at ``pd.tol``; ``tol`` is accepted and not read.
     """
     g = cfg.genus
     alpha = np.zeros(g, dtype=complex) if alpha is None else np.asarray(alpha, dtype=complex)
@@ -559,7 +549,7 @@ def build_omega(cfg: BranchConfig, pd: PeriodData, alpha=None,
     lam = cfg.points
     base_vals = -0.5 * horner(poly_full, lam) * pd.phi_at
     values = base_vals + alpha @ pd.omega_at[:, :-1]
-    return OmegaDifferential(cfg=cfg, alpha=alpha, c=c, values_at=values, pd=pd, tol=tol)
+    return OmegaDifferential(cfg=cfg, alpha=alpha, c=c, values_at=values, pd=pd)
 
 
 def beta_from_evaluations(pd: PeriodData, alpha=None) -> np.ndarray:
@@ -590,20 +580,15 @@ def w_constants(cfg: BranchConfig, pd: PeriodData, tol: float = 1e-10) -> np.nda
 
     and since phi_k = 2 / sqrt(P_k(lambda_k)), the a-period of the k-th pole
     differential phi / (phi_k (lambda - lambda_k)) is (phi_k / 4) times the
-    a-period of the polynomial differential N_k dlambda / mu.  The 2g+1
-    polynomials N_k are evaluated at the nodes in product form
-    (``_reduced_poles``) and share one kernel call.  On a complex
-    configuration the pole differentials themselves share one quadrature per
-    a-contour.
+    a-period of the polynomial differential N_k dlambda / mu on any closed
+    cycle, segments or circles.  The 2g+1 polynomials N_k are evaluated at the
+    nodes in product form (``_reduced_poles``) and share one kernel call per
+    table.  A ``tol`` that is not finite and positive raises ValueError.
     """
-    if pd.segments is not None:
-        table = pd.segments
-        N = table.integrate(pd.basis.a, _reduced_poles(table.q), tol)
-        w = N[:, np.argsort(table.order)] * (0.25 * pd.phi_at)
-    else:
-        poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
-                 for lam, phi in zip(cfg.points, pd.phi_at)]
-        w = np.array([integrate_contour(contour, poles, tol)[0] for contour in pd.contours_a])
+    require_positive(tol=tol)
+    table = pd.table
+    N = table.integrate(pd.basis.a, _reduced_poles(table.q), tol)
+    w = N[:, np.argsort(table.order)] * (0.25 * pd.phi_at)
     return -w.T @ pd.omega_at[:, 1:cfg.genus + 1]
 
 

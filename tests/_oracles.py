@@ -26,11 +26,12 @@ machinery:
 * ``real_ellipse`` and ``hint_circle``: lifted ellipses and circles around
   the cycles of a real marking, which the engine integrates on segments
   only; the package's contour quadrature on them referees the segment
-  periods, and ``ellipse_w_constants`` integrates the pole differentials of
-  ``w_constants`` themselves on the circles, against their reduced pole
-  polynomials on the segments, and solves with the a-periods of the dual
-  basis from its monomial coefficients (``curves.v_polynomial``), against
-  the product with Omega at the u_m;
+  periods (``poly_rows`` and ``omega_coefficients`` give it Omega's
+  polynomial), and ``ellipse_w_constants`` integrates the pole differentials
+  of ``w_constants`` themselves on the circles, against their reduced pole
+  polynomials on the segments or circles, and solves with the a-periods of
+  the dual basis from its monomial coefficients (``curves.v_polynomial``),
+  against the product with Omega at the u_m;
 * ``wp_laurent``: the Weierstrass function from its Laurent series at the
   nearest lattice point, against the theta-quotient series of
   ``wp_function``;
@@ -461,20 +462,33 @@ def hint_circle(spec, points):
 def ellipse_w_constants(cfg, pd, contours, tol):
     """The constants I of ``w_constants`` from quadrature on the lifted
     a-contours ``contours``: the pole differentials phi / (phi_k (lambda - lambda_k))
-    and the monomial a-periods A_raw on the same contours, then
+    themselves (rows 1 / (phi_k D_k), not the exact-form reduction of the
+    package) and the monomial a-periods A_raw on the same contours, then
     I = solve(A_raw v_coeffs^T, -w)^T, with row m-1 of v_coeffs the monomial
     coefficients of v_m over phi."""
     from isoperiod.curves import v_polynomial
-    from isoperiod.periods import DifferentialOverMu, integrate_contour, monomial
+    from isoperiod.periods import integrate_contour, power_rows
 
     g = cfg.genus
-    mons = [monomial(k) for k in range(g + 1)]
-    A = np.array([integrate_contour(c, mons, tol)[0] for c in contours])[:, :g]
-    poles = [DifferentialOverMu(poles=((lam, 1.0 / phi),))
-             for lam, phi in zip(cfg.points, pd.phi_at)]
+    A = np.array([integrate_contour(c, power_rows(g + 1), tol)[0] for c in contours])[:, :g]
+    poles = lambda t, D, sel: 1.0 / (pd.phi_at * D)
     w = np.array([integrate_contour(c, poles, tol)[0] for c in contours])
     v_coeffs = np.array([v_polynomial(cfg, m, pd.phi_at) for m in range(1, g + 1)])
     return np.linalg.solve(A @ v_coeffs.T, -w).T
+
+
+def poly_rows(coeffs):
+    """The row function (of ``integrate_contour``) of the one polynomial with
+    ascending coefficients ``coeffs``."""
+    return lambda t, D, sel: np.polynomial.polynomial.polyval(t, coeffs)[..., None]
+
+
+def omega_coefficients(om):
+    """Ascending coefficients of the polynomial of Omega over dlambda / mu:
+    -(lambda^g + c_{g-1} lambda^{g-1} + ... + c_0) / 2 plus alpha . C."""
+    coeffs = -0.5 * om.poly
+    coeffs[:len(om.c)] += om.alpha @ om.pd.C
+    return coeffs
 
 
 def wp_laurent(wd, z):

@@ -15,7 +15,7 @@ from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.cycles import band_basis
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
 from isoperiod.flow import IMPLICIT, RATIONAL, DeformationState, FlowControl, integrate_flow
-from isoperiod.periods import in_markings, normalized_basis
+from isoperiod.periods import SegmentTable, in_markings, normalized_basis
 
 from _oracles import wp_laurent
 
@@ -379,7 +379,7 @@ def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_cal
         band = band_basis(s.pd.cfg.points)
         pdb = s.pd.in_marking(band)
         ref = normalized_basis(s.pd.cfg, basis=band, tol=s.pd.tol)
-        assert pdb.segments is s.pd.segments
+        assert pdb.table is s.pd.table
         for key in ("A_raw", "C", "omega_at"):
             assert np.array_equal(getattr(pdb, key), getattr(ref, key))
         assert pdb.quad_report["a_nodes"] == ref.quad_report["a_nodes"]
@@ -400,7 +400,7 @@ def test_reports_take_the_default_marking_from_the_sample_table(g2_traj, period_
     import isoperiod.cycles as cycles_module
 
     cfg, traj = g2_traj
-    assert all(s.pd is not None and s.pd.segments is not None for s in traj.samples)
+    assert all(s.pd is not None and isinstance(s.pd.table, SegmentTable) for s in traj.samples)
     calls = []
     original = cycles_module.gap_basis
     monkeypatch.setattr(cycles_module, "gap_basis",

@@ -465,7 +465,7 @@ def test_rational_samples_checked_in_one_stacked_kernel_call(segment_calls):
     assert len(traj.samples) == 4
     assert len(segment_calls) == 2 and len(segment_calls[1]) == 3 * 3
     assert all(s.info["du_consistency"] < 1e-8 for s in traj.samples[1:])
-    assert len({id(s.pd.segments) for s in traj.samples}) == 4
+    assert len({id(s.pd.table) for s in traj.samples}) == 4
 
 
 def test_rational_samples_checked_in_blocks_of_check_block(monkeypatch, segment_calls):
@@ -565,26 +565,27 @@ def test_empty_path_raises_value_error():
         integrate_flow(DeformationState(G1, np.zeros(1)), [])
 
 
-def test_zero_alpha_identities_integrate_no_monomial_on_b_contours(monkeypatch):
-    # beta_consistency integrates Omega over the b-contours but never reads B
+def test_zero_alpha_identities_never_assemble_B_on_contours(monkeypatch):
+    # beta_consistency reads the b-contours' monomial periods, each contour
+    # integrated once, after w_constants' two a-contours, and never assembles B
     # (contours: a complex configuration)
     import isoperiod.periods as periods_module
 
     cfg = G2_COMPLEX
     pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=TOL)
-    om = build_omega(cfg, pd, tol=TOL)
+    om = build_omega(cfg, pd)
     calls = []
     original = periods_module.integrate_contour
 
-    def recording(contour, diffs, *args, **kwargs):
-        calls.append((contour, diffs))
-        return original(contour, diffs, *args, **kwargs)
+    def recording(contour, rows, tol):
+        calls.append(contour)
+        return original(contour, rows, tol)
 
     monkeypatch.setattr(periods_module, "integrate_contour", recording)
     rep = verify_identities(cfg, pd, om, tol=TOL)
     assert rep["beta_consistency"] < 1e-9
-    on_b = [d for c, d in calls if any(c is cb for cb in pd.contours_b)]
-    assert on_b == [om.differential(pd)] * cfg.genus
+    contours = [pd.table.contour(s) for s in pd.basis.a + pd.basis.b]
+    assert [id(c) for c in calls] == [id(c) for c in contours]
     assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
 
 
@@ -598,7 +599,6 @@ def test_zero_alpha_identities_integrate_b_segments_once(segment_calls):
     assert rep["beta_consistency"] < 1e-9
     assert segment_calls[1:] == [[(1.0, 3.0), (4.0, 5.0)], [(0.0, 1.0), (3.0, 4.0)]]
     assert "B" not in vars(pd) and pd.quad_report["b_nodes"] == []
-    assert "contours_b" not in vars(pd)
 
 
 @pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
@@ -897,8 +897,8 @@ def test_w_constants_match_v_solve_route(g):
         x, u = _interleaved(rng, g, complex_perturbed=trial == 3)
         cfg = BranchConfig(x=x, u=u, real=trial < 3)
         pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=1e-12)
-        contours = (pd.contours_a if pd.segments is None
-                    else [hint_circle(s, cfg.points) for s in pd.basis.a])
+        contours = [pd.table.contour(s) if trial == 3 else hint_circle(s, cfg.points)
+                    for s in pd.basis.a]
         I = w_constants(cfg, pd, 1e-12)
         ref = ellipse_w_constants(cfg, pd, contours, 1e-12)
         bound = 1e-13 if g <= 4 else 1e-11

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from _oracles import (BranchOfMu, PointCurve, ellipk_agm, ellipse_w_constants,
-                      eval_at_infinity, gap_period_integral, hint_circle, v_at)
+                      eval_at_infinity, gap_period_integral, hint_circle, omega_coefficients,
+                      poly_rows, v_at)
 
+from isoperiod.comb import boundary_trace, comb_map
 from isoperiod.curves import BranchConfig
 from isoperiod.cycles import (CanonicalBasis, CycleSpec, band_basis, gap_basis,
                               intersection_matrix, realize)
 from isoperiod.errors import DegenerateConfig
-from isoperiod.periods import (DifferentialOverMu, beta_from_evaluations,
+from isoperiod.flow import verify_identities
+from isoperiod.periods import (ContourTable, SegmentTable, beta_from_evaluations,
                                build_omega, integrate_contour, normalized_bases,
                                normalized_basis, w_constants, wavevector_U)
 
@@ -31,8 +34,13 @@ def pd2():
     return normalized_basis(G2, tol=TOL)
 
 
-def _cycle_integral(cfg, diff, cycle, tol):
-    return complex(integrate_contour(realize(cycle, cfg.points), diff, tol)[0])
+def _cycle_integral(cfg, coeffs, cycle, tol):
+    """The period of (polynomial with ascending coefficients ``coeffs``) dlambda / mu."""
+    return complex(integrate_contour(realize(cycle, cfg.points), poly_rows(coeffs), tol)[0][0])
+
+
+def _polynomial(coeffs):
+    return lambda lam: np.polynomial.polynomial.polyval(lam, coeffs)
 
 
 # -- basic cycle integrals ---------------------------------------------------
@@ -55,10 +63,9 @@ def test_exact_differential_integrates_to_zero():
     for p in pts:
         poly = np.convolve(poly, np.array([-p, 1.0 + 0.0j]))
     dpoly = np.polynomial.polynomial.polyder(poly)
-    dmu = DifferentialOverMu(poly=tuple(0.5 * dpoly))
     basis = gap_basis(pts)
     for spec in basis.a + basis.b:
-        val = _cycle_integral(G2, dmu, spec, tol=TOL)
+        val = _cycle_integral(G2, 0.5 * dpoly, spec, tol=TOL)
         assert abs(val) < 1e-9
 
 
@@ -146,8 +153,7 @@ def test_singular_period_matrix_detected():
 
 def test_eval_at_infinity_matches_closed_form(pd2):
     for j in range(2):
-        diff = DifferentialOverMu(poly=tuple(pd2.C[j]))
-        _, val, _, resid = eval_at_infinity(G2.points, diff.rational_part)
+        _, val, _, resid = eval_at_infinity(G2.points, _polynomial(pd2.C[j]))
         assert resid < 1e-12
         assert val == pytest.approx(complex(pd2.omega_at[j, -1]), abs=1e-12)
 
@@ -163,7 +169,7 @@ def test_omega_identity_squares(pd1):
 def test_omega_leading_expansion_and_residue(cfg_fix, pd_fix, request):
     pd = request.getfixturevalue(pd_fix)
     om = build_omega(cfg_fix, pd, tol=TOL)
-    coefs, _, lead, resid = eval_at_infinity(cfg_fix.points, om.differential(pd).rational_part)
+    coefs, _, lead, resid = eval_at_infinity(cfg_fix.points, _polynomial(omega_coefficients(om)))
     assert abs(lead - 1.0) < 1e-8
     assert abs(coefs[-1]) < 1e-10          # no residue at the double pole
     assert resid < 1e-10
@@ -172,9 +178,8 @@ def test_omega_leading_expansion_and_residue(cfg_fix, pd_fix, request):
 def test_omega_a_periods_match_alpha(pd2):
     alpha = np.array([0.3 - 0.1j, -0.2 + 0.05j])
     om = build_omega(G2, pd2, alpha=alpha, tol=TOL)
-    diff = om.differential(pd2)
     for j, spec in enumerate(pd2.basis.a):
-        val = _cycle_integral(G2, diff, spec, tol=TOL)
+        val = _cycle_integral(G2, omega_coefficients(om), spec, tol=TOL)
         assert val == pytest.approx(complex(alpha[j]), abs=1e-9)
 
 
@@ -194,29 +199,41 @@ def test_residue_sum_omega_weighted(pd1):
 
 def test_b_contours_realized_once_on_first_read(monkeypatch):
     # on a complex configuration normalized_basis realizes the a-contours
-    # only; B and beta share the b-contours
+    # only; B and beta share the b-contours and their monomial periods, and
+    # w_constants integrates on the a-contours already realized
     import isoperiod.cycles as cycles_module
+    import isoperiod.periods as periods_module
 
     cfg = G2_COMPLEX
     basis = gap_basis(cfg.points.real)
-    realized = []
-    original = cycles_module.realize
+    realized, integrated = [], []
+    realize_original = cycles_module.realize
+    integrate_original = periods_module.integrate_contour
 
     def counting(spec, points):
         realized.append(spec)
-        return original(spec, points)
+        return realize_original(spec, points)
+
+    def recording(contour, rows, tol):
+        integrated.append(contour)
+        return integrate_original(contour, rows, tol)
 
     monkeypatch.setattr(cycles_module, "realize", counting)
+    monkeypatch.setattr(periods_module, "integrate_contour", recording)
     pd = normalized_basis(cfg, basis=basis, tol=TOL)
-    assert pd.segments is None
-    assert len(realized) == cfg.genus and pd.quad_report["b_nodes"] == []
+    assert isinstance(pd.table, ContourTable)
+    assert realized == list(basis.a) and pd.quad_report["b_nodes"] == []
     B = pd.B
     assert len(pd.quad_report["b_nodes"]) == cfg.genus
-    om = build_omega(cfg, pd, alpha=np.array([0.1, 0.25]), tol=TOL)
+    om = build_omega(cfg, pd, alpha=np.array([0.1, 0.25]))
     assert om.beta_residual < 10 * TOL
-    assert len(realized) == 2 * cfg.genus
     assert pd.B is B and om.beta is om.beta
-    assert realized[cfg.genus:] == list(pd.basis.b)
+    # the monomial periods of each cycle once: the a-cycles', then the b-cycles'
+    contours = [pd.table.contour(s) for s in basis.a + basis.b]
+    assert [id(c) for c in integrated] == [id(c) for c in contours]
+    w_constants(cfg, pd, TOL)
+    assert realized == list(basis.a + basis.b)
+    assert [id(c) for c in integrated[4:]] == [id(c) for c in contours[:2]]
 
 
 def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
@@ -237,7 +254,7 @@ def test_b_segments_integrated_once_on_first_read(monkeypatch, segment_calls):
     # the comb reads the table: its one kernel call is the partial integrals u_j -> xi_j
     assert len(segment_calls) == 3 and [lo for lo, _ in segment_calls[2]] == [1.0, 4.0]
     assert pd.B is B and om.beta is om.beta
-    assert realized == [] and "contours_b" not in vars(pd)
+    assert realized == []
 
 
 @pytest.mark.parametrize("side", ["a", "b"])
@@ -251,6 +268,29 @@ def test_non_contiguous_real_cycle_rejected_before_quadrature(side, segment_call
         basis = CanonicalBasis(basis.a, basis.b[:1] + (CycleSpec({0, 1, 2, 4}, -1),))
     with pytest.raises(DegenerateConfig, match="not contiguous"):
         normalized_basis(G2, basis=basis, tol=TOL)
+    assert segment_calls == []
+
+
+_TOLERANCE_ENTRIES = {
+    "normalized_basis": lambda pd, om, tol: normalized_basis(G2, tol=tol),
+    "normalized_bases": lambda pd, om, tol: normalized_bases([G2, G2], tol=tol),
+    "comb_map": lambda pd, om, tol: comb_map(G2, pd, om, tol=tol),
+    "boundary_trace": lambda pd, om, tol: boundary_trace(G2, pd, om, tol=tol),
+    "w_constants": lambda pd, om, tol: verify_identities(G2, pd, om, tol=tol),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("entry", list(_TOLERANCE_ENTRIES))
+def test_tolerance_rejected_before_quadrature(entry, value, segment_calls):
+    # a NaN tolerance refined to 2^17 nodes before NoConvergence, and an
+    # infinite one returned first-level values; w_constants is reached
+    # through verify_identities
+    pd = normalized_basis(G2, tol=TOL)
+    om = build_omega(G2, pd)
+    segment_calls.clear()
+    with pytest.raises(ValueError, match="^tol must be finite and positive"):
+        _TOLERANCE_ENTRIES[entry](pd, om, value)
     assert segment_calls == []
 
 
@@ -327,7 +367,7 @@ def _w_segments_and_ellipses(cfg, tol):
     from isoperiod.periods import w_constants
 
     pd = normalized_basis(cfg, tol=tol)
-    assert pd.segments is not None and pd.contours_a is None
+    assert isinstance(pd.table, SegmentTable)
     circles = [hint_circle(s, cfg.points) for s in pd.basis.a]
     return pd, w_constants(cfg, pd, tol), ellipse_w_constants(cfg, pd, circles, tol)
 
@@ -367,24 +407,28 @@ def test_w_constants_property_on_random_interleaved_curves():
 
 
 def test_w_constants_take_ellipses_on_complex_configs(monkeypatch):
-    # a complex configuration has no segment table: the pole differentials
-    # stay on the realized a-contours, one quadrature per contour
+    # a complex configuration has a contour table: the reduced pole
+    # polynomials are integrated on its a-contours, one quadrature per
+    # contour, and agree with the pole differentials themselves
     import isoperiod.periods as periods_module
-    from isoperiod.periods import w_constants
 
     cfg = BranchConfig(x=[2.0 + 0.1j, 4.0 - 0.05j], u=[1.0 - 0.1j, 3.0 + 0.2j], real=False)
     pd = normalized_basis(cfg, basis=gap_basis(cfg.points.real), tol=TOL)
-    assert pd.segments is None and len(pd.contours_a) == 2
+    assert isinstance(pd.table, ContourTable)
+    contours = [pd.table.contour(s) for s in pd.basis.a]
     calls = []
     original = periods_module.integrate_contour
 
-    def recording(contour, diffs, *args, **kwargs):
+    def recording(contour, rows, tol):
         calls.append(contour)
-        return original(contour, diffs, *args, **kwargs)
+        return original(contour, rows, tol)
 
     monkeypatch.setattr(periods_module, "integrate_contour", recording)
-    assert w_constants(cfg, pd, TOL).shape == (5, 2)
-    assert len(calls) == 2 and all(c is ca for c, ca in zip(calls, pd.contours_a))
+    I = w_constants(cfg, pd, TOL)
+    assert I.shape == (5, 2)
+    assert len(calls) == 2 and all(c is ca for c, ca in zip(calls, contours))
+    ref = ellipse_w_constants(cfg, pd, contours, TOL)
+    assert np.max(np.abs(I - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_w_value_diagonal_raises(pd2):
@@ -490,7 +534,7 @@ def test_stacked_periods_equal_per_curve_periods(g):
     cfgs = [_seeded_real(rng, g) for _ in range(3)] + [_seeded_real(rng, g, swapped=True)]
     stack = normalized_bases(cfgs, tol=TOL)
     assert stack[0].basis == stack[1].basis != stack[3].basis
-    assert len({id(pd.segments) for pd in stack}) == len(cfgs)
+    assert len({id(pd.table) for pd in stack}) == len(cfgs)
     for cfg, pd in zip(cfgs, stack):
         _assert_stack_member_equals_single(pd, normalized_basis(cfg, tol=TOL))
 
@@ -502,7 +546,7 @@ def test_stack_mixing_complex_and_real_curves():
     cfgs = [G2, G2_COMPLEX, shifted]
     basis = gap_basis(G2_COMPLEX.points.real)
     stack = normalized_bases(cfgs, basis=basis, tol=TOL)
-    assert stack[1].segments is None and stack[1].contours_a is not None
+    assert [type(pd.table) for pd in stack] == [SegmentTable, ContourTable, SegmentTable]
     assert stack[0].basis == normalized_basis(G2, tol=TOL).basis == basis
     for cfg, pd in zip(cfgs, stack):
         _assert_stack_member_equals_single(pd, normalized_basis(cfg, basis=basis, tol=TOL))

@@ -9,12 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from _oracles import real_ellipse, tanh_sinh_levels
+from _oracles import omega_coefficients, poly_rows, real_ellipse, tanh_sinh_levels
 
 from isoperiod.comb import boundary_trace, comb_map, omega_zeros
 from isoperiod.curves import BranchConfig
 from isoperiod.cycles import band_basis, gap_basis
-from isoperiod.periods import (_reduced_poles, build_omega, integrate_contour, monomial,
+from isoperiod.periods import (SegmentTable, _reduced_poles, build_omega, integrate_contour,
                                normalized_basis, power_rows, tanh_sinh)
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -24,18 +24,18 @@ TOL = 1e-11
 def _ellipse_reference(cfg, pd, om, tol):
     """A_ext, B and beta of ``pd``'s marking, integrated on lifted ellipses."""
     g = cfg.genus
-    mons = [monomial(k) for k in range(g + 1)]
-    A = np.array([integrate_contour(real_ellipse(s, cfg.points), mons, tol)[0]
+    A = np.array([integrate_contour(real_ellipse(s, cfg.points), power_rows(g + 1), tol)[0]
                   for s in pd.basis.a])
     cb = [real_ellipse(s, cfg.points) for s in pd.basis.b]
-    B = np.array([integrate_contour(c, mons[:g], tol)[0] for c in cb]) @ np.linalg.inv(A[:, :g])
-    beta = np.array([integrate_contour(c, om.differential(pd), tol)[0] for c in cb])
+    B = np.array([integrate_contour(c, power_rows(g), tol)[0] for c in cb]) @ np.linalg.inv(A[:, :g])
+    omega = poly_rows(omega_coefficients(om))
+    beta = np.array([integrate_contour(c, omega, tol)[0][0] for c in cb])
     return A, B, beta
 
 
 def _assert_agree(cfg, basis, alpha, tol):
     pd = normalized_basis(cfg, basis=basis, tol=tol)
-    assert pd.segments is not None
+    assert isinstance(pd.table, SegmentTable)
     om = build_omega(cfg, pd, alpha=alpha, tol=tol)
     for seg, ell in zip((pd.A_ext, pd.B, om.beta), _ellipse_reference(cfg, pd, om, tol)):
         assert np.max(np.abs(seg - ell)) <= 1e-13 * np.max(np.abs(ell))
