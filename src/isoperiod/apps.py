@@ -195,8 +195,7 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
         two_w1_0 = rows[0]["two_w1"] if rows else two_w1
         L = abs(2.0 * wd.w2)       # real period of the wave
         X = (np.arange(n_grid) + 0.5) * (2.0 * L / n_grid)
-        v = 2.0 * wp_function(wd, X)[0]
-        v_shift = 2.0 * wp_function(wd, X + two_w1_0)[0]
+        v, v_shift = 2.0 * wp_function(wd, np.stack((X, X + two_w1_0)))[0]
         rows.append({
             "x": complex(s.x[0]), "u": complex(s.u[0]),
             "two_w1": two_w1,

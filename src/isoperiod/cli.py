@@ -479,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--macro-step", type=float, default=0.01)
     p.add_argument("--correct", dest="correct", action="store_true", default=True)
     p.add_argument("--no-correct", dest="correct", action="store_false",
-                   help="implicit mode: keep the Taylor prediction, skip the Newton projection")
+                   help="implicit mode: keep the prediction, skip the Newton projection")
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("verify", help="run the identity verification harness")

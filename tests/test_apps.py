@@ -212,21 +212,26 @@ def test_cnoidal_period_preservation_small():
     assert rep["beta_drift"] < 1e-7
 
 
-def test_cnoidal_two_wp_calls_per_sample(monkeypatch):
-    # the grid and the shifted grid are one array call each
+def test_cnoidal_one_wp_call_per_sample(monkeypatch):
+    # the grid and the shifted grid are one stacked array call, and each row is
+    # bit for bit what a call on that grid alone gives
     import isoperiod.apps as apps
 
-    shapes = []
+    shapes, rows = [], []
     original = apps.wp_function
 
     def counting(wd, z):
         shapes.append(np.shape(z))
-        return original(wd, z)
+        out = original(wd, z)
+        rows.append((out[0], [original(wd, zi)[0] for zi in z]))
+        return out
 
     monkeypatch.setattr(apps, "wp_function", counting)
     rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
-    assert len(shapes) <= 2 * len(rep["samples"])
-    assert set(shapes) == {(8,)}
+    assert shapes == [(2, 8)] * len(rep["samples"])
+    for stacked, alone in rows:
+        assert all(np.array_equal(row, a) for row, a in zip(stacked, alone))
+    assert np.array_equal(rep["wave_v"], 2.0 * rows[-1][1][0])
 
 
 @pytest.mark.parametrize("n_grid", [0, -2, 3])

@@ -358,7 +358,8 @@ def test_implicit_flow_stops_at_singular_locus_with_location():
 
 
 def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
-    # one predictor-corrector step costs at most 3 period evaluations
+    # one predictor-corrector step costs at most 2 period evaluations: the third-order
+    # predictor leaves a residual that one Newton update takes to the rounding floor
     calls = []
     original = flow_module.normalized_basis
 
@@ -370,9 +371,41 @@ def test_implicit_flow_period_evaluations_per_macro_step(monkeypatch):
     traj = integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                           [[2.0], [2.2]], FlowControl(quad_tol=TOL, macro_step=0.02))
     n_macro = len(traj.samples) - 1
-    assert len(calls) <= 1 + 3 * n_macro
+    assert len(calls) <= 1 + 2 * n_macro
     for s in traj.samples[1:]:
         assert s.info["newton_iters"] >= 0 and s.info["halvings"] >= 0
+
+
+def test_implicit_flow_in_the_benchmark_shape_takes_two_evaluations_per_step(
+        monkeypatch, period_calls):
+    # two axis legs of one 0.025 macro step at genus 2: the start's evaluation, then
+    # per step the predicted point's and one Newton update's; two rhs_genus_g calls a step
+    rhs_calls = _count_rhs_calls(monkeypatch)
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
+                          [[3.0, 5.0], [3.025, 5.0], [3.025, 5.025]],
+                          FlowControl(quad_tol=TOL, macro_step=0.025))
+    assert len(traj.samples) == 3
+    assert len(period_calls) == 5 and len(rhs_calls) == 4
+    assert [s.info["newton_iters"] for s in traj.samples[1:]] == [1, 1]
+    assert traj.max_drift() < 1e-13
+
+
+@pytest.mark.parametrize("cfg", [G2, BranchConfig(x=[2.5, 6.0, 9.5], u=[0.8, 4.2, 8.0], real=True)],
+                         ids=["g2", "g3"])
+def test_implicit_predictor_is_third_order(cfg):
+    # uncorrected, one step's drift is the predictor's local error, O(h^4): halving h
+    # cuts it 16-fold (15.2 to 15.6 measured); the second-order Taylor predictor cut it 8-fold
+    x0 = np.real(cfg.x)
+    d = np.eye(cfg.genus)[0]
+
+    def drift(h):
+        traj = integrate_flow(DeformationState(cfg, np.zeros(cfg.genus), mode=IMPLICIT),
+                              [x0, x0 + h * d],
+                              FlowControl(quad_tol=TOL, macro_step=h, correct=False))
+        assert len(traj.samples) == 2
+        return traj.max_drift()
+
+    assert drift(0.05) >= 12.0 * drift(0.025)
 
 
 def test_implicit_flow_corrects_through_newton_correct(monkeypatch):
