@@ -394,7 +394,8 @@ def test_implicit_flow_in_the_benchmark_shape_takes_two_evaluations_per_step(
                          ids=["g2", "g3"])
 def test_implicit_predictor_is_third_order(cfg):
     # uncorrected, one step's drift is the predictor's local error, O(h^4): halving h
-    # cuts it 16-fold (15.2 to 15.6 measured); the second-order Taylor predictor cut it 8-fold
+    # cuts it 16-fold (15.4 at g = 2, 15.6 at g = 3), where the second-order Taylor
+    # predictor cut it 8-fold
     x0 = np.real(cfg.x)
     d = np.eye(cfg.genus)[0]
 
