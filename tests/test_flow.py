@@ -429,6 +429,30 @@ def test_implicit_flow_corrects_through_newton_correct(monkeypatch):
     assert sum(updates) == sum(s.info["newton_iters"] for s in traj.samples[1:]) > 0
 
 
+def test_implicit_failed_step_is_halved(monkeypatch):
+    # a Newton failure on the first step halves it; the two half steps land on the
+    # sample a flow at half the macro step reaches, bit for bit
+    original = flow_module.newton_correct
+    failed = []
+
+    def fail_once(*args, **kwargs):
+        if not failed:
+            failed.append(1)
+            raise NoProgress("injected")
+        return original(*args, **kwargs)
+
+    path = [[3.0, 5.0], [3.05, 5.0]]
+    state = DeformationState(G2, np.zeros(2), mode=IMPLICIT)
+    monkeypatch.setattr(flow_module, "newton_correct", fail_once)
+    traj = integrate_flow(state, path, FlowControl(quad_tol=TOL, macro_step=0.025))
+    monkeypatch.setattr(flow_module, "newton_correct", original)
+    fine = integrate_flow(state, path, FlowControl(quad_tol=TOL, macro_step=0.0125))
+    s1, s2 = traj.samples[1:]
+    assert (s1.info["halvings"], s1.info["newton_iters"]) == (1, 2)
+    assert s2.info["halvings"] == 0
+    assert np.array_equal(s1.u, fine.samples[2].u)
+
+
 @pytest.mark.parametrize("macro_step", [0.0, -0.01, math.inf, math.nan])
 def test_flow_control_rejects_non_positive_macro_step(macro_step):
     with pytest.raises(ValueError, match="macro_step must be finite and positive"):

@@ -395,10 +395,13 @@ def test_w_constants_property_on_random_interleaved_curves():
         pts = np.cumsum(gaps)              # 0 < u_1 < x_1 < u_2 < ... < x_g
         return BranchConfig(x=pts[1::2], u=pts[0::2], real=True)
 
+    # at quad tol 1e-11 this curve's constants differ from the ellipses' by 1.6e-13
+    # relative, at 1e-13 by 5.2e-14: the bound needs the tighter quadrature
     @hypothesis.settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @hypothesis.given(configurations())
+    @hypothesis.example(BranchConfig(x=(3, 7, 10, 12, 13), u=(1, 5, 9, 11, 12.5), real=True))
     def check(cfg):
-        pd, I, ref = _w_segments_and_ellipses(cfg, TOL)
+        pd, I, ref = _w_segments_and_ellipses(cfg, 1e-13)
         assert np.max(np.abs(I - ref)) <= 1e-13 * np.max(np.abs(ref))
         W = w_value(cfg, pd, I)
         assert np.nanmax(np.abs(W - W.T)) <= 1e-12 * np.nanmax(np.abs(W))
