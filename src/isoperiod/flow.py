@@ -413,15 +413,18 @@ class Trajectory:
         return xs, us
 
 
-def _continuation_step(state, control, beta_target, x0, x1, u, du):
-    """One implicit-mode step from (x0, u, du) to x1: the third-order predictor
+def _continuation_step(state, control, beta_target, p, d, s, t, u, du):
+    """One implicit-mode step along x = p + tau d from tau = s, where (u, du)
+    holds, to tau = t: the third-order predictor
     u + du dx + (2 T0(dx, dx) + T1(dx, dx)) / 6 with dx = x1 - x0, T = rhs_genus_g,
     T0 at (x0, u, du) and T1 at x1 on the second-order Taylor values
     (u + du dx + T0(dx, dx) / 2, du + T0 dx), then at most 3 Newton updates (none
     without ``control.correct``).  Its local error is O(|dx|^4); at a macro step
     of 0.025 it leaves a residual of order 1e-8, which one update takes to the
-    rounding floor.  Returns (cfg, pd, om, du, updates) at x1.
+    rounding floor.  Returns (u, du, pd, updates) at x1, with the final Newton
+    iterate's period data pd: usually two period evaluations a step.
     """
+    x0, x1 = p + s * d, p + t * d
     dx = x1 - x0
     dxx = np.outer(dx, dx)
     u1 = u + du @ dx
@@ -437,30 +440,45 @@ def _continuation_step(state, control, beta_target, x0, x1, u, du):
     # a real step that reorders the branch points has jumped through a collision
     if cfg.real and np.any(np.argsort(cfg.points.real) != np.argsort(state.cfg.points.real)):
         raise SingularLocus(f"branch points changed order between x = {x0} and {x1}")
-    return cfg, pd, om, first_derivatives(cfg, pd, om), iters
+    return np.asarray(cfg.u, dtype=complex), first_derivatives(cfg, pd, om), pd, iters
+
+
+def _rational_step(state, control, beta_target, p, d, s, t, u, du):
+    """One rational-mode step along x = p + tau d from tau = s, where (u, du)
+    holds, to tau = t: y = (u, du) evolves through the second-order rational
+    system, u' = du d and du' = T d with T = rhs_genus_g, as one DOP853 step
+    (:func:`solve_ivp`).  A step whose embedded error estimate is too large
+    raises SingularLocus, so the caller halves it.  The step reads no periods:
+    returns (u, du, None, 0), and the caller checks the sample's drift later.
+    """
+    g = len(u)
+
+    def rhs(tau, y):
+        du = y[g:].reshape(g, g)
+        T = rhs_genus_g(p + tau * d, y[:g], du)
+        return np.concatenate((du @ d, (T @ d).reshape(-1)))
+
+    step = solve_ivp(rhs, (s, t), np.concatenate((u, du.reshape(-1))))
+    if not step.error_norm < 1.0:                       # NaN fails too
+        raise SingularLocus(f"step [{s}, {t}] rejected: error norm {step.error_norm:.3g}")
+    return step.y[:g], step.y[g:].reshape(g, g), None, 0
 
 
 def integrate_flow(state: DeformationState, path, control: FlowControl | None = None) -> Trajectory:
     """Integrate an isoperiodic deformation along a polyline in x-space.
 
-    Each leg from path point p to the next distinct point q is the straight
-    segment x = p + tau (q - p), tau in [0, 1], cut into ceil(|q - p| /
-    ``control.macro_step``) equal macro steps (the quotient read with a
-    relative slack of 1e-12, so rounding in q - p adds none); samples are
-    recorded at their boundaries.  In implicit mode each macro step is one
-    predictor-corrector step (:func:`_continuation_step`: two rhs_genus_g calls
-    and usually two period evaluations) whose final Newton iterate gives the
-    sample's du and drift; in rational mode (u, du) evolves through the second-order
-    rational system, each macro step tried as one DOP853 step; the samples are
-    checked in path order, ``CHECK_BLOCK`` at a time on one stacked period evaluation,
-    the rest when the stepper ends or stops (before its SingularLocus).  Each sample
-    keeps the period data it was checked with (``FlowSample.pd``).  Failed steps, and
-    in rational mode steps that the embedded error estimate rejects, are halved, at
-    most ``MAX_HALVINGS`` times per macro step; ``info["halvings"]`` records how often.
-    On a real curve the prescribed a-periods must keep the differential real
-    (alpha . C real); other alpha raise DegenerateConfig before the first step.
-    An empty path, or a path point that does not have one coordinate per x_j
-    or is not finite, raises ValueError.
+    Each leg from path point p to the next distinct point q is the segment
+    x = p + tau (q - p), tau in [0, 1], cut into ceil(|q - p| / ``control.macro_step``)
+    equal macro steps (the quotient read with a relative slack of 1e-12, so rounding
+    in q - p adds none), with a sample at each end.  A macro step is one call of the
+    mode's step function (:func:`_continuation_step`, :func:`_rational_step`), halved on
+    failure at most ``MAX_HALVINGS`` times (``info["halvings"]``).  A sample whose step
+    returned period data is recorded at once; the others are checked in path order,
+    ``CHECK_BLOCK`` at a time on one stacked period evaluation, the rest when the
+    stepper ends or stops.  Each sample keeps its period data (``FlowSample.pd``).
+    On a real curve alpha . C must be real, or DegenerateConfig is raised before
+    the first step.  An empty path, or a path point that does not have one
+    coordinate per x_j or is not finite, raises ValueError.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
@@ -492,7 +510,7 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
                           du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1}, pd=pd0)]
     u = np.asarray(cfg0.u, dtype=complex)
-    stepped = []                # rational mode: the samples (x, u, du, info) not yet checked
+    stepped = []                # the samples (x, u, du, info) not yet checked
 
     def sample(x, u, du, info, pd):
         drift = np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
@@ -512,59 +530,36 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
             samples.append(sample(x, u, du, info, pd))
         stepped.clear()
 
+    step = _continuation_step if state.mode == IMPLICIT else _rational_step
     for leg_no, (p, d) in enumerate(legs):
-        # a relative slack keeps a leg of a whole number of macro steps from
-        # gaining one more when |q - p| rounds up (0.02 / 0.01 reads 2.0000000000000018)
+        # the slack keeps 0.02 / 0.01, which reads 2.0000000000000018, at 2 macro steps
         nmacro = max(1, math.ceil(np.linalg.norm(d) / control.macro_step * (1.0 - 1e-12)))
-        # real leg parameter tau in [0, 1]; x = p + tau * d
         sgrid = [i / nmacro for i in range(nmacro + 1)]
-
-        def rhs(tau, y):        # rational mode: y = (u, du) against tau
-            du = y[g:].reshape(g, g)
-            T = rhs_genus_g(p + tau * d, y[:g], du)
-            return np.concatenate((du @ d, (T @ d).reshape(-1)))
-
         for a, b in zip(sgrid, sgrid[1:]):
-            sub_from, target = a, b
+            s, t = a, b
             halvings = iters = 0
-            while True:
+            while s != b:
                 try:
-                    if state.mode == IMPLICIT:
-                        cfg_now, pd, om, du, n = _continuation_step(
-                            state, control, beta_target, p + sub_from * d, p + target * d,
-                            u, du)
-                        u = np.asarray(cfg_now.u, dtype=complex)
-                        iters += n
-                    else:
-                        step = solve_ivp(rhs, (sub_from, target),
-                                         np.concatenate((u, du.reshape(-1))))
-                        if not step.error_norm < 1.0:         # NaN fails too
-                            raise SingularLocus(f"step [{sub_from}, {target}] rejected: "
-                                                f"error norm {step.error_norm:.3g}")
-                        u, du = step.y[:g], step.y[g:].reshape(g, g)
+                    u, du, pd, n = step(state, control, beta_target, p, d, s, t, u, du)
                 except (SingularLocus, NoProgress, SingularJacobian, VanishingOmegaAtU,
                         DegenerateConfig) as exc:
                     # any failed step is halved, as a collision is
                     halvings += 1
                     if halvings > MAX_HALVINGS:
                         check()     # the samples stepped before it are checked first
-                        raise SingularLocus(f"flow stopped near x = {p + sub_from * d}: "
+                        raise SingularLocus(f"flow stopped near x = {p + s * d}: "
                                             "singular locus") from exc
-                    target = sub_from + 0.5 * (target - sub_from)
+                    t = s + 0.5 * (t - s)
                     continue
-                if target == b:
-                    break
-                sub_from, target = target, b
-
+                iters += n
+                s, t = t, b
             info = {"leg": leg_no, "halvings": halvings}
-            if state.mode == IMPLICIT:
-                info["newton_iters"] = iters
-                samples.append(sample(p + b * d, u, du, info, pd))
+            if pd is not None:
+                samples.append(sample(p + b * d, u, du, info | {"newton_iters": iters}, pd))
             else:
                 stepped.append((p + b * d, u, du, info))
-                if len(stepped) == CHECK_BLOCK:
-                    check()
-        # next leg continues from the leg's endpoint
+            if len(stepped) == CHECK_BLOCK:
+                check()
     check()
     return Trajectory(samples=samples, path=path, beta_target=beta_target,
                       alpha=state.alpha, mode=state.mode)
