@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow as _flow
-from .curves import BranchConfig, validate_config
-from .errors import DegenerateConfig, LatticePoint, OrderingViolation
+from .curves import BranchConfig, require_valid
+from .errors import LatticePoint, OrderingViolation
 from .periods import (PeriodData, SegmentTable, in_markings, normalized_basis,
                       require_positive, wavevector_U)
 from . import cycles as _cycles
@@ -34,9 +34,7 @@ def weierstrass_to_config(e2, e3) -> BranchConfig:
     u = 2.0 * e2 + e3
     x = e2 + 2.0 * e3
     cfg = BranchConfig(x=(x,), u=(u,), real=(abs(e2.imag) + abs(e3.imag) == 0.0))
-    bad = validate_config(cfg)
-    if bad:
-        raise DegenerateConfig("; ".join(bad))
+    require_valid(cfg)
     return cfg
 
 
@@ -61,9 +59,7 @@ def lame_two_gap_config(e2, e3):
     u2 = -s + 3.0 * (e2 + e3)
     cfg = BranchConfig(x=(x1, x2), u=(u1, u2),
                        real=(abs(e2.imag) + abs(e3.imag) == 0.0 and abs(s.imag) < 1e-14))
-    bad = validate_config(cfg)
-    if bad:
-        raise DegenerateConfig("; ".join(bad))
+    require_valid(cfg)
     recovered = ((2.0 * x2 - x1) / 9.0, (2.0 * x1 - x2) / 9.0)
     return cfg, recovered
 

@@ -393,12 +393,6 @@ class PeriodData:
         self.quad_report["b_err"].extend(err)
         return B_ext[:, :self.genus] @ np.linalg.inv(self.A_raw)
 
-    def in_marking(self, basis: CanonicalBasis) -> "PeriodData":
-        """What :func:`normalized_basis` returns for this curve and tolerance in the
-        marking ``basis``, assembled on this object's table (:func:`in_markings` of
-        one), so a period that either marking needs is integrated once."""
-        return in_markings([self], [basis])[0]
-
     @cached_property
     def v_at(self) -> np.ndarray:
         """v_at[m-1, q] = v_m(P_q) at every finite point q, in product form over
@@ -420,8 +414,8 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     real configuration's a- and b-cycles are all checked first); ``B`` on first
     read.  A ``tol`` that is not finite and positive raises ValueError.  The
     configuration is validated, its points snapped and sorted once, and the
-    default marking taken from that order; :meth:`PeriodData.in_marking`
-    assembles another marking on the same table.
+    default marking taken from that order; :func:`in_markings` assembles
+    another marking on the same table.
     """
     return normalized_bases([cfg], basis, tol)[0]
 
@@ -444,9 +438,10 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
 
 
 def in_markings(pds, bases) -> list:
-    """:meth:`PeriodData.in_marking` of each of ``pds`` (one genus and tolerance) in
-    the marking of the same index in ``bases``, as one stack: one kernel call for the
-    rows that any of their tables lacks and one stacked inverse."""
+    """What :func:`normalized_basis` returns for each of ``pds`` (one genus and
+    tolerance) in the marking of the same index in ``bases``, assembled on its own
+    table, so a period that either marking needs is integrated once; one stack, with
+    one kernel call for the rows that any table lacks and one stacked inverse."""
     return _assemble([(pd.cfg, b, pd.table, pd.phi_at) for pd, b in zip(pds, bases)],
                      pds[0].tol)
 

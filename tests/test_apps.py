@@ -382,7 +382,7 @@ def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_cal
     cfg, traj = g2_traj
     for s in traj.samples:
         band = band_basis(s.pd.cfg.points)
-        pdb = s.pd.in_marking(band)
+        pdb = in_markings([s.pd], [band])[0]
         ref = normalized_basis(s.pd.cfg, basis=band, tol=s.pd.tol)
         assert pdb.table is s.pd.table
         for key in ("A_raw", "C", "omega_at"):
@@ -461,7 +461,7 @@ def test_reports_reuse_sample_periods_only_when_they_match(case, period_calls):
 @pytest.mark.parametrize("own", [True, False])
 def test_band_rows_equal_in_marking_per_sample(g2_traj, own):
     # the band marking assembled for all samples as one stack gives each
-    # sample what in_marking gives it alone, bit for bit; on the samples' own
+    # sample what in_markings gives it alone, bit for bit; on the samples' own
     # period data and on a trajectory without them
     cfg, traj = g2_traj
     if not own:
@@ -469,7 +469,7 @@ def test_band_rows_equal_in_marking_per_sample(g2_traj, own):
     rep = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
     pds = [normalized_basis(cfg.replace(x=s.x, u=s.u), tol=1e-11) for s in traj.samples]
     bands = [band_basis(pd.cfg.points) for pd in pds]
-    alone = [pd.in_marking(b) for pd, b in zip(pds, bands)]
+    alone = [in_markings([pd], [b])[0] for pd, b in zip(pds, bands)]
     assert np.array_equal(rep["U_band"], np.array([a.omega_at[:, -1] for a in alone]))
     fresh = [normalized_basis(pd.cfg, tol=1e-11) for pd in pds]
     for got, ref in zip(in_markings(fresh, bands), alone):
