@@ -17,7 +17,7 @@ from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
 from .flow import (DeformationState, FlowControl, Trajectory, first_derivatives,
                    hill_check, integrate_flow, newton_correct, rhs_genus_g,
                    verify_identities)
-from .comb import CombRegion, comb_invariance_check, comb_map, omega_zeros
+from .comb import CombRegion, comb_invariance_check, comb_map
 from .apps import (WeierstrassData, cnoidal_period_report,
                    config_to_weierstrass, kdv_wavevector_report,
                    lame_two_gap_config, neumann_config, weierstrass_to_config,
@@ -31,7 +31,7 @@ __all__ = [
     "build_omega", "normalized_basis", "wavevector_U",
     "DeformationState", "FlowControl", "Trajectory", "first_derivatives", "hill_check",
     "integrate_flow", "newton_correct", "rhs_genus_g", "verify_identities",
-    "CombRegion", "comb_invariance_check", "comb_map", "omega_zeros",
+    "CombRegion", "comb_invariance_check", "comb_map",
     "WeierstrassData", "cnoidal_period_report", "config_to_weierstrass",
     "kdv_wavevector_report", "lame_two_gap_config", "neumann_config",
     "weierstrass_to_config", "wp_function",

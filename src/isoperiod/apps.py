@@ -246,10 +246,12 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     Each sample's periods are read in the default gap marking, whatever the
     marking the trajectory was integrated in, through
     :func:`isoperiod.flow.sample_periods` (the sample's own period data when
-    they fit, else computed anew).  Reports the maximum componentwise drift
-    there and, for real configurations, the imaginary part of the wavevector
-    in the involution-invariant band marking (where it is a real vector), one
-    stack per ``CHECK_BLOCK`` samples on their own segment tables
+    they fit, else computed anew).  A complex curve has no default marking
+    (:func:`isoperiod.periods.default_marking`), so a complex trajectory raises
+    DegenerateConfig.  Reports the maximum componentwise drift there and, for
+    samples flagged ``real``, the imaginary part of the wavevector in the
+    involution-invariant band marking (where it is a real vector), one stack per
+    ``CHECK_BLOCK`` samples on their own segment tables
     (:func:`isoperiod.periods.in_markings`): its band segments are the gap
     marking's b-segments, which the comb map integrates too, so each is
     integrated once.  A ``quad_tol`` that is not finite and positive raises

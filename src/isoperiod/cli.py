@@ -18,6 +18,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,6 +144,21 @@ def read_trajectory_csv(path, genus: int) -> flow.Trajectory:
                            beta_target=None, alpha=None, mode=None)
 
 
+def _read_trajectory(path, genus: int) -> flow.Trajectory:
+    """:func:`read_trajectory_csv`, with alpha, the target b-periods and the mode
+    read from the JSON sidecar that deform writes beside the CSV (same stem), if any."""
+    traj = read_trajectory_csv(path, genus)
+    sidecar = Path(path).with_suffix(".json")
+    if not sidecar.exists():
+        return traj
+    data = json.loads(sidecar.read_text(encoding="utf-8"))
+    if not isinstance(data, dict) or data.get("mode") not in (flow.IMPLICIT, flow.RATIONAL):
+        raise ValueError(f"unexpected trajectory sidecar schema in {sidecar}")
+    alpha, beta_target = (np.array(_finite_vector(data.get(k), genus, f"{sidecar} {k}"))
+                          for k in ("alpha", "beta_target"))
+    return replace(traj, alpha=alpha, beta_target=beta_target, mode=data["mode"])
+
+
 def write_manifest(outdir: Path, command, args_dict, outputs, t0):
     manifest = {
         "command": command,
@@ -235,7 +251,7 @@ def cmd_verify(args) -> int:
                 "T": c2j(hc["T"])}
     wavevector = None
     if args.trajectory is not None:
-        traj = read_trajectory_csv(args.trajectory, cfg.genus)
+        traj = _read_trajectory(args.trajectory, cfg.genus)
         rep = apps.kdv_wavevector_report(cfg, traj, quad_tol=args.tol_quad)
         wavevector = {
             "max_drift": rep["max_drift"],
@@ -271,7 +287,7 @@ def cmd_comb(args) -> int:
         "beta_ratio": vector_json(region.beta_ratio),
     }
     if args.trajectory is not None:
-        traj = read_trajectory_csv(args.trajectory, cfg.genus)
+        traj = _read_trajectory(args.trajectory, cfg.genus)
         rep = comb.comb_invariance_check(cfg, traj, tol=args.tol_invariance,
                                          quad_tol=args.tol_quad)
         payload["invariance"] = {

@@ -49,10 +49,10 @@ class CombRegion:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _polished_roots(poly: np.ndarray, newton_steps: int = 8):
+def _polished_roots(poly: np.ndarray):
     """Roots of the monic polynomials ``poly`` (ascending, a row per curve): the
     eigenvalues of ``np.roots``'s companion matrices in one batched call, after at
-    most ``newton_steps`` Newton steps, stopped once no curve moves (a fixed curve
+    most 8 Newton steps, stopped once no curve moves (a fixed curve
     stays fixed, so each gets its bits alone); and per curve, None or the
     RootLocalizationFailed of a stalled polish."""
     n, g = poly.shape[0], poly.shape[1] - 1
@@ -61,7 +61,7 @@ def _polished_roots(poly: np.ndarray, newton_steps: int = 8):
     companion[:, 0] = -poly[:, -2::-1] / poly[:, -1:]
     roots = np.linalg.eigvals(companion)
     dpoly = np.arange(1, g + 1) * poly[:, 1:]
-    for _ in range(newton_steps):
+    for _ in range(8):
         new = roots - horner(poly, roots) / horner(dpoly, roots)
         if new.tobytes() == roots.tobytes():
             break
@@ -81,22 +81,6 @@ def _one_per_gap(cfg: BranchConfig, roots: np.ndarray) -> np.ndarray:
         if not (abs(r.imag) < 1e-9 and uj < r.real < xj):
             raise RootLocalizationFailed(
                 f"expected one real zero in gap ({uj}, {xj}), found {r}")
-    return roots
-
-
-def omega_zeros(om: OmegaDifferential, newton_steps: int = 8) -> np.ndarray:
-    """Roots of the monic polynomial defining the second-kind differential.
-
-    Companion-matrix eigenvalues polished by Newton iteration (the stack of one
-    of the comb's batched roots); for ordered real configurations asserts
-    exactly one root inside each gap (u_j, x_j).
-    """
-    (roots,), (stalled,) = _polished_roots(om.poly[None], newton_steps)
-    if stalled is not None:
-        raise stalled
-    cfg = om.cfg
-    if cfg.real and not validate_config(cfg, ordered=True):
-        roots = _one_per_gap(cfg, roots)
     return roots
 
 

@@ -59,10 +59,6 @@ class CanonicalBasis:
     a: tuple
     b: tuple
 
-    @property
-    def genus(self) -> int:
-        return len(self.a)
-
 
 def _sorted_real_order(points: np.ndarray) -> np.ndarray:
     from .curves import effective_points

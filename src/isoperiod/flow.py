@@ -386,7 +386,7 @@ def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
     c = cfg.replace(x=s.x, u=s.u)
     pd = s.pd
     if (pd is not None and pd.cfg == c and pd.tol == tol
-            and pd.basis == default_marking(c, pd.table)):
+            and pd.basis == default_marking(pd.table)):
         return pd
     return normalized_basis(c, tol=tol)
 

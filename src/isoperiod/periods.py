@@ -292,12 +292,9 @@ class SegmentTable:
         live = [(t, i) for t, i in live if i.size]
         if not live:
             return
-        t, i = live[0]
-        if len(live) == 1:      # 1-D q: normalized_basis 2.4-3.8% faster at genus 1-4
-            q, lo, hi = t.q, t.q[i], t.q[i + 1]
-        else:
-            q, lo, hi = (np.concatenate(a) for a in zip(
-                *((t.q[None].repeat(i.size, 0), t.q[i], t.q[i + 1]) for t, i in live)))
+        q, lo, hi = (np.concatenate(a) for a in zip(
+            *((t.q[None].repeat(i.size, 0), t.q[i], t.q[i + 1]) for t, i in live)))
+        t = live[0][0]
         vals, nodes, err = tanh_sinh(lo, hi, q, t.tol, power_rows(t.values.shape[1]))
         at = 0
         for t, i in live:
@@ -387,11 +384,11 @@ class PeriodData:
 
     @cached_property
     def B(self) -> np.ndarray:
-        """Riemann matrix B_raw A_raw^-1, B_raw[j, k] the b_j-period of lambda^(k-1) * phi."""
+        """Riemann matrix B_raw C^T (= B_raw A_raw^-1), B_raw the b-periods of lambda^(k-1) phi."""
         B_ext, nodes, err = self.table.periods(self.basis.b)
         self.quad_report["b_nodes"].extend(nodes)
         self.quad_report["b_err"].extend(err)
-        return B_ext[:, :self.genus] @ np.linalg.inv(self.A_raw)
+        return B_ext[:, :self.genus] @ self.C.T
 
     @cached_property
     def v_at(self) -> np.ndarray:
@@ -432,7 +429,7 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
         points = effective_points(cfg.points)      # snapped: a real set has no imaginary part
         table = (ContourTable(points, tol) if (points.imag != 0.0).any()
                  else SegmentTable(points.real, tol))
-        curves.append((cfg, default_marking(cfg, table) if basis is None else basis,
+        curves.append((cfg, default_marking(table) if basis is None else basis,
                        table, phi_values(points)))
     return _assemble(curves, tol)
 
@@ -446,12 +443,12 @@ def in_markings(pds, bases) -> list:
                      pds[0].tol)
 
 
-def default_marking(cfg: BranchConfig, table) -> CanonicalBasis:
-    """The default gap marking of ``cfg``; on a real curve it is read from
-    the sorted order that its segment table already holds."""
+def default_marking(table) -> CanonicalBasis:
+    """The default gap marking of the curve of ``table``, read from the sorted
+    order that its segment table holds; a complex curve's ContourTable has none."""
     if isinstance(table, SegmentTable):
         return _cycles.gap_marking(table.key)
-    return _cycles.gap_basis(cfg.points)
+    raise DegenerateConfig("default cycle bases require real branch points")
 
 
 def _assemble(curves, tol: float) -> list:

@@ -40,8 +40,8 @@ machinery:
 * ``first_derivatives_loops`` and ``period_jacobian_loops``: du/dx and the
   period Jacobian entry by entry, against their array forms in ``flow``;
 * ``omega_zeros_fixed_steps``: the zeros of the comb polynomial after a
-  fixed number of Newton steps, against ``comb.omega_zeros``, which stops at
-  a fixed point.
+  fixed number of Newton steps, against ``comb._polished_roots``, the comb's
+  batched root solve, which stops at a fixed point.
 """
 
 import cmath

@@ -12,7 +12,7 @@ from isoperiod.apps import (WeierstrassData, cnoidal_period_report,
 import isoperiod.flow as flow_module
 from isoperiod.comb import comb_invariance_check
 from isoperiod.curves import BranchConfig, validate_config
-from isoperiod.cycles import band_basis
+from isoperiod.cycles import band_basis, gap_basis
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
 from isoperiod.flow import IMPLICIT, RATIONAL, DeformationState, FlowControl, integrate_flow
 from isoperiod.periods import SegmentTable, in_markings, normalized_basis
@@ -364,6 +364,20 @@ def test_kdv_wavevector_negative_control(g2_traj):
 
     rep = kdv_wavevector_report(cfg, Frozen())
     assert rep["max_drift"] > 1e-3
+
+
+def test_kdv_wavevector_report_raises_on_a_complex_trajectory():
+    # a complex curve has no default marking (its periods are on lifted
+    # circles) until complex configurations get straight edges, so the report
+    # raises on every complex trajectory, though the flow itself, in the gap
+    # marking of the real parts, holds its periods
+    cfg = BranchConfig(x=[3.0 + 0.1j, 5.0 - 0.05j], u=[1.0 - 0.1j, 4.0 + 0.2j])
+    state = DeformationState(cfg, np.zeros(2), mode=IMPLICIT, basis=gap_basis(cfg.points.real))
+    traj = integrate_flow(state, [cfg.x, [3.02 + 0.1j, 5.0 - 0.05j]],
+                          FlowControl(quad_tol=1e-11, macro_step=0.01))
+    assert len(traj.samples) == 3 and traj.max_drift() < 1e-13
+    with pytest.raises(DegenerateConfig, match="default cycle bases require real branch points"):
+        kdv_wavevector_report(cfg, traj)
 
 
 def test_kdv_report_is_deterministic(g2_traj):

@@ -242,6 +242,32 @@ def test_comb_with_trajectory_reports_invariance(tmp_path):
     assert data["invariance"]["slits_moved"]
 
 
+@pytest.mark.parametrize("sidecar", ["deform's", "none", "malformed"])
+def test_comb_trajectory_takes_alpha_from_the_sidecar(tmp_path, capsys, sidecar):
+    # the JSON that deform writes beside the CSV gives the read-back trajectory
+    # its alpha, target b-periods and mode, so the comb refuses a flow with
+    # nonzero a-periods (exit 2) as the library does; a CSV with no sidecar
+    # carries no alpha and the comb runs along it, its base moving
+    cfg = _write_config(tmp_path, G1)
+    run = tmp_path / "run"
+    assert main(["deform", str(cfg), "--path", "[[2.0],[2.04]]", "--alpha", "[[0, 0.3]]",
+                 "--macro-step", "0.02", "--out", str(run)]) == 0
+    if sidecar == "none":
+        (run / "trajectory.json").unlink()
+    elif sidecar == "malformed":
+        (run / "trajectory.json").write_text("[]", encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "c"
+    rc = main(["comb", str(cfg), "--trajectory", str(run / "trajectory.csv"), "--out", str(out)])
+    err = capsys.readouterr().err
+    if sidecar == "none":
+        assert rc == 0
+        assert not json.loads((out / "comb.json").read_text())["invariance"]["base_invariant"]
+    else:
+        assert rc == 2
+        assert ("zero prescribed a-periods" if sidecar == "deform's" else "sidecar") in err
+
+
 def test_comb_subcommand(tmp_path):
     cfg = _write_config(tmp_path, G1)
     out = tmp_path / "c"

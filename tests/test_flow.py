@@ -680,6 +680,54 @@ def test_diagonal_leg_matches_both_axis_orders(mode):
         assert axis.max_drift() < 1e-12
 
 
+# The worst curve and legs of a seeded sweep (16 curves, g = 1..4): in implicit
+# mode the diagonal and L-shaped routes end 2.4e-11 apart and the square loop
+# misses by 2.5e-11; rational mode stays within 1.8e-15
+WORST_ROUTES = ((2.1151031015284585, 4.286700590135139, 6.216369157938582, 9.05525173610932),
+                (0.6776072780279745, 2.8922826267005917, 5.401350800742111, 7.678871979083679),
+                ((0, 0.020281732544285367), (3, 0.020281732544285367)))
+
+
+@pytest.mark.parametrize("mode,bound", [(RATIONAL, 1e-12), (IMPLICIT, 1e-10)])
+def test_flow_is_path_independent_property(mode, bound):
+    # u(x) is a function: a closed polyline returns to its starting u, and the
+    # polyline and the straight leg to its endpoint end on the same u.  Random
+    # interleaved curves at g <= 4 (band and gap widths 0.5-1.5) and polylines
+    # of 2-4 axis legs of 0.02-0.06.  Implicit mode's Newton accepts a beta
+    # residual under NEWTON_TOL = 1e-11 once an update stalls, hence its bound
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def routes(draw):
+        g = draw(st.integers(1, 4))
+        pts = np.cumsum(draw(st.lists(st.floats(0.5, 1.5), min_size=2 * g, max_size=2 * g)))
+        legs = draw(st.lists(st.tuples(st.integers(0, g - 1), st.floats(0.02, 0.06),
+                                       st.sampled_from((1.0, -1.0))), min_size=2, max_size=4))
+        return tuple(pts[1::2]), tuple(pts[0::2]), tuple((j, h * sign) for j, h, sign in legs)
+
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.01)
+
+    @hypothesis.settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @hypothesis.example(WORST_ROUTES)
+    @hypothesis.given(routes())
+    def check(case):
+        x, u, legs = case
+        cfg = BranchConfig(x=x, u=u, real=True)
+        steps = [h * np.eye(len(x))[j] for j, h in legs]
+        loop = np.cumsum([x] + steps + [-d for d in steps], axis=0)
+        n = len(legs)
+
+        def end_u(path):
+            return integrate_flow(DeformationState(cfg, np.zeros(len(x)), mode=mode),
+                                  list(path), ctrl).samples[-1].u
+
+        assert np.max(np.abs(end_u(loop) - np.asarray(u))) <= bound
+        assert np.max(np.abs(end_u(loop[:n + 1]) - end_u(loop[[0, n]]))) <= bound
+
+    check()
+
+
 def test_flow_second_difference_matches_ode(g1_flows):
     imp, _ = g1_flows
     xs, us = imp.grid()

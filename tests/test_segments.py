@@ -11,7 +11,7 @@ import pytest
 
 from _oracles import omega_coefficients, poly_rows, real_ellipse, tanh_sinh_levels
 
-from isoperiod.comb import boundary_trace, comb_map, omega_zeros
+from isoperiod.comb import boundary_trace, comb_map
 from isoperiod.curves import BranchConfig
 from isoperiod.cycles import band_basis, gap_basis
 from isoperiod.periods import (SegmentTable, _reduced_poles, build_omega, integrate_contour,
@@ -142,7 +142,8 @@ def test_one_pass_kernel_matches_level_by_level_loop(rows):
         elif rows == "reduced poles":
             f = _reduced_poles(q)
         else:                           # comb_map's partial integrals up to the zeros
-            zeros = np.sort(omega_zeros(build_omega(cfg, normalized_basis(cfg, tol=TOL))).real)
+            pd = normalized_basis(cfg, tol=TOL)
+            zeros = comb_map(cfg, pd, build_omega(cfg, pd), tol=TOL).zeros
             gaps = np.arange(1, 2 * g, 2)
             offsets = zeros - q[gaps]
             lo, hi = q[gaps], zeros
