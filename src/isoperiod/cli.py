@@ -1,9 +1,10 @@
 """Command-line interface: period computation, deformation runs, verification
 reports, comb regions, and canned example runs.
 
-Every command writes its artifacts plus a run manifest into --out; rerunning
-with identical inputs and tolerances reproduces the data artifacts
-bit-identically (the manifest records wall-clock time and is exempt).
+Every command returns its artifacts, and only once it succeeds are they
+written with a run manifest into --out; rerunning with identical inputs and
+tolerances reproduces the data artifacts bit-identically (the manifest
+records wall-clock time and is exempt).
 
 Exit codes: 0 success, 2 input error, 3 validation error, 4 engine
 singularity, 5 period drift exceeded.
@@ -26,6 +27,7 @@ import numpy as np
 from . import __version__
 from . import apps, comb, flow, periods
 from .curves import BranchConfig, validate_config
+from .cycles import intersection_matrix
 from .errors import (DegenerateConfig, DriftExceeded, IsoperiodError, NoConvergence,
                      SingularJacobian, SingularLocus, SingularPeriodMatrix,
                      VanishingOmegaAtU)
@@ -159,28 +161,14 @@ def _read_trajectory(path, genus: int) -> flow.Trajectory:
     return replace(traj, alpha=alpha, beta_target=beta_target, mode=data["mode"])
 
 
-def write_manifest(outdir: Path, command, args_dict, outputs, t0):
-    manifest = {
-        "command": command,
-        "engine_version": __version__,
-        "inputs": args_dict,
-        "outputs": sorted(str(p.name) for p in outputs),
-        "wall_clock_seconds": round(time.time() - t0, 3),
-    }
-    write_json(outdir / "manifest.json", manifest)
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its artifacts, {file name: JSON payload or CSV rows
+# with the header first}, and the note printed after the first one's path
 # ---------------------------------------------------------------------------
 
-def cmd_periods(args) -> int:
-    t0 = time.time()
-    cfg = _load_valid(args.config)
-    pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus))
-    from .cycles import intersection_matrix
-    payload = {
+def cmd_periods(args):
+    cfg, pd, om = _curve(args)
+    return {"periods.json": {
         "config": config_json(cfg),
         "A_raw": matrix_json(pd.A_raw),
         "C": matrix_json(pd.C),
@@ -197,17 +185,10 @@ def cmd_periods(args) -> int:
             "values_at_ramification": vector_json(om.values_at),
         },
         "diagnostics": _clean(pd.quad_report),
-    }
-    outdir = _outdir(args)
-    out = outdir / "periods.json"
-    write_json(out, payload)
-    write_manifest(outdir, "periods", _args_record(args), [out], t0)
-    print(f"wrote {out}")
-    return EXIT_OK
+    }}, ""
 
 
-def cmd_deform(args) -> int:
-    t0 = time.time()
+def cmd_deform(args):
     cfg = _load_valid(args.config)
     path = _parse_path(args.path, cfg.genus)
     control = flow.FlowControl(quad_tol=args.tol_quad, macro_step=args.macro_step,
@@ -215,11 +196,7 @@ def cmd_deform(args) -> int:
     state = flow.DeformationState(cfg=cfg, alpha=_parse_alpha(args, cfg.genus),
                                   mode=args.mode)
     traj = flow.integrate_flow(state, path, control)
-    outdir = _outdir(args)
-    csv_path = outdir / "trajectory.csv"
-    _write_trajectory_csv(csv_path, traj)
-    sidecar = outdir / "trajectory.json"
-    write_json(sidecar, {
+    return {"trajectory.csv": _trajectory_rows(traj), "trajectory.json": {
         "config": config_json(cfg),
         "mode": traj.mode,
         "alpha": vector_json(traj.alpha),
@@ -228,17 +205,11 @@ def cmd_deform(args) -> int:
         "max_drift": traj.max_drift(),
         "control": {"quad_tol": control.quad_tol, "macro_step": control.macro_step,
                     "correct": control.correct, "drift_tol": control.drift_tol},
-    })
-    write_manifest(outdir, "deform", _args_record(args), [csv_path, sidecar], t0)
-    print(f"wrote {csv_path} (max period drift {traj.max_drift():.3e})")
-    return EXIT_OK
+    }}, f" (max period drift {traj.max_drift():.3e})"
 
 
-def cmd_verify(args) -> int:
-    t0 = time.time()
-    cfg = _load_valid(args.config)
-    pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus))
+def cmd_verify(args):
+    cfg, pd, om = _curve(args)
     report = flow.verify_identities(cfg, pd, om, tol=args.tol_quad)
     hill = None
     if args.hill_T is not None:
@@ -259,24 +230,14 @@ def cmd_verify(args) -> int:
         }
         if "max_im_U_band" in rep:
             wavevector["max_im_U_band"] = rep["max_im_U_band"]
-        drift = max(float(np.max(s.beta_drift)) for s in traj.samples)
-        wavevector["max_recorded_beta_drift"] = drift
-    payload = {"config": config_json(cfg), "identity_residuals": report,
-               "hill": hill, "wavevector": wavevector}
-    outdir = _outdir(args)
-    out = outdir / "verify.json"
-    write_json(out, payload)
-    write_manifest(outdir, "verify", _args_record(args), [out], t0)
-    worst = max(report.values())
-    print(f"wrote {out} (worst identity residual {worst:.3e})")
-    return EXIT_OK
+        wavevector["max_recorded_beta_drift"] = traj.max_drift()
+    return ({"verify.json": {"config": config_json(cfg), "identity_residuals": report,
+                             "hill": hill, "wavevector": wavevector}},
+            f" (worst identity residual {max(report.values()):.3e})")
 
 
-def cmd_comb(args) -> int:
-    t0 = time.time()
-    cfg = _load_valid(args.config, ordered=True)
-    pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-    om = periods.build_omega(cfg, pd)
+def cmd_comb(args):
+    cfg, pd, om = _curve(args, ordered=True)
     region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
     payload = {
         "config": config_json(cfg),
@@ -297,106 +258,109 @@ def cmd_comb(args) -> int:
             "h_variation": [float(v) for v in rep["h_variation"]],
             "ratio_spread": rep["ratio_spread"],
         }
-    outdir = _outdir(args)
-    out = outdir / "comb.json"
-    outputs = [out]
-    write_json(out, payload)
+    artifacts = {"comb.json": payload}
     if args.trace:
         trace = comb.boundary_trace(cfg, pd, om, tol=args.tol_quad)
-        trace_path = outdir / "comb_trace.csv"
-        with open(trace_path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["lambda", "theta_re", "theta_im"])
-            for lam, th in trace:
-                w.writerow([repr(lam.real), repr(th.real), repr(th.imag)])
-        outputs.append(trace_path)
-    write_manifest(outdir, "comb", _args_record(args), outputs, t0)
-    print(f"wrote {out}")
-    return EXIT_OK
+        artifacts["comb_trace.csv"] = [["lambda", "theta_re", "theta_im"]] + [
+            [repr(lam.real), repr(th.real), repr(th.imag)] for lam, th in trace]
+    return artifacts, ""
 
 
 _EXAMPLES = ("comb-g1", "genus1-reference", "lame-one-gap", "lame-two-gap", "neumann-n2")
 
 
-def cmd_examples(args) -> int:
-    t0 = time.time()
+def cmd_examples(args):
     name = args.name
-    outdir = _outdir(args)
-    outputs = []
-
-    def emit(fname, payload):
-        p = outdir / fname
-        write_json(p, payload)
-        outputs.append(p)
-
     if name == "genus1-reference":
         cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)
         state = flow.DeformationState(cfg=cfg, alpha=np.zeros(1), mode=flow.IMPLICIT)
         traj = flow.integrate_flow(state, [[2.0], [2.2]],
                                    flow.FlowControl(quad_tol=args.tol_quad,
                                                     macro_step=args.macro_step))
-        csv_path = outdir / "trajectory.csv"
-        _write_trajectory_csv(csv_path, traj)
-        outputs.append(csv_path)
-        emit("run.json", {"example": name, "config": config_json(cfg),
-                          "max_drift": traj.max_drift()})
-    elif name == "lame-one-gap":
+        return {"run.json": {"example": name, "config": config_json(cfg),
+                             "max_drift": traj.max_drift()},
+                "trajectory.csv": _trajectory_rows(traj)}, ""
+    if name == "lame-one-gap":
         rep = apps.cnoidal_period_report(0.0, 1.0, 2.1, n_grid=args.grid,
                                          quad_tol=args.tol_quad,
                                          macro_step=args.macro_step)
-        emit("run.json", {
+        wave = [[repr(float(xx)), repr(complex(vv).real)]
+                for xx, vv in zip(rep["wave_X"], rep["wave_v"])]
+        return {"run.json": {
             "example": name,
             "max_two_w1_drift": rep["max_two_w1_drift"],
             "max_wave_defect": rep["max_wave_defect"],
             "beta_drift": rep["beta_drift"],
             "samples": [{k: c2j(v) if isinstance(v, complex) else v
                          for k, v in r.items()} for r in rep["samples"]],
-        })
-        wave_path = outdir / "wave.csv"
-        with open(wave_path, "w", newline="", encoding="utf-8") as f:
-            w = csv.writer(f)
-            w.writerow(["X", "v"])
-            for xx, vv in zip(rep["wave_X"], rep["wave_v"]):
-                w.writerow([repr(float(xx)), repr(complex(vv).real)])
-        outputs.append(wave_path)
-    elif name == "lame-two-gap":
+        }, "wave.csv": [["X", "v"]] + wave}, ""
+    if name == "lame-two-gap":
         cfg, recovered = apps.lame_two_gap_config(0.0, 1.0)
-        emit("run.json", {
+        return {"run.json": {
             "example": name, "config": config_json(cfg),
             "recovered_roots": vector_json(recovered),
             "ordered": not validate_config(cfg, ordered=True),
             "violations": validate_config(cfg, ordered=True),
-        })
-    elif name == "neumann-n2":
+        }}, ""
+    if name == "neumann-n2":
         cfg = apps.neumann_config([-5.0, -3.0], [4.0, 2.0])
         pd = periods.normalized_basis(cfg, tol=args.tol_quad)
         om = periods.build_omega(cfg, pd)
-        emit("run.json", {
+        return {"run.json": {
             "example": name, "config": config_json(cfg),
             "beta": vector_json(om.beta),
             "U": vector_json(periods.wavevector_U(cfg, pd)),
-        })
-    elif name == "comb-g1":
-        cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)
-        pd = periods.normalized_basis(cfg, tol=args.tol_quad)
-        om = periods.build_omega(cfg, pd)
-        region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
-        emit("run.json", {
-            "example": name, "config": config_json(cfg),
-            "q": [float(v) for v in region.q], "h": [float(v) for v in region.h],
-            "beta_ratio": vector_json(region.beta_ratio),
-        })
-    write_manifest(outdir, f"examples:{name}", _args_record(args), outputs, t0)
-    print(f"wrote {len(outputs)} artifact(s) to {outdir}")
-    return EXIT_OK
+        }}, ""
+    cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)       # comb-g1
+    pd = periods.normalized_basis(cfg, tol=args.tol_quad)
+    om = periods.build_omega(cfg, pd)
+    region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
+    return {"run.json": {
+        "example": name, "config": config_json(cfg),
+        "q": [float(v) for v in region.q], "h": [float(v) for v in region.h],
+        "beta_ratio": vector_json(region.beta_ratio),
+    }}, ""
 
 
 # ---------------------------------------------------------------------------
 # helpers and entry point
 # ---------------------------------------------------------------------------
 
+def _run(args) -> int:
+    """Run the subcommand, then write its artifacts and manifest.json into --out
+    and print the first artifact's path; a command that raises writes nothing."""
+    t0 = time.time()
+    artifacts, note = args.func(args)
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        if name.endswith(".csv"):
+            with open(outdir / name, "w", newline="", encoding="utf-8") as f:
+                csv.writer(f).writerows(data)
+        else:
+            write_json(outdir / name, data)
+    command = f"examples:{args.name}" if args.command == "examples" else args.command
+    write_json(outdir / "manifest.json", {
+        "command": command,
+        "engine_version": __version__,
+        "inputs": _clean({k: v for k, v in vars(args).items() if k != "func"}),
+        "outputs": sorted(artifacts),
+        "wall_clock_seconds": round(time.time() - t0, 3),
+    })
+    print(f"wrote {outdir / next(iter(artifacts))}{note}")
+    return EXIT_OK
+
+
+def _curve(args, ordered: bool = False):
+    """The validated --config curve, its normalized periods at --tol-quad and
+    its second-kind differential at --alpha (zero for a command without it)."""
+    cfg = _load_valid(args.config, ordered=ordered)
+    pd = periods.normalized_basis(cfg, tol=args.tol_quad)
+    return cfg, pd, periods.build_omega(cfg, pd, alpha=_parse_alpha(args, cfg.genus))
+
+
 def _parse_alpha(args, genus):
-    if args.alpha:
+    if getattr(args, "alpha", None):
         return np.array(_finite_vector(json.loads(args.alpha), genus, "--alpha"), dtype=complex)
     return np.zeros(genus, dtype=complex)
 
@@ -410,7 +374,8 @@ def _parse_path(text, genus):
             for p in points]
 
 
-def _write_trajectory_csv(path: Path, traj):
+def _trajectory_rows(traj) -> list:
+    """deform's trajectory CSV, header first: per sample x, u, du and the drift."""
     g = len(traj.samples[0].x)
     header = (["step"] + [f"x_{j}" for j in range(1, g + 1)]
               + [f"u_{m}" for m in range(1, g + 1)]
@@ -421,14 +386,10 @@ def _write_trajectory_csv(path: Path, traj):
         z = complex(z)
         return repr(z.real) if z.imag == 0.0 else repr(z)
 
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        for i, s in enumerate(traj.samples):
-            row = ([i] + [fmt(v) for v in s.x] + [fmt(v) for v in s.u]
-                   + [fmt(v) for v in s.du.reshape(-1)]
-                   + [repr(float(v)) for v in s.beta_drift])
-            w.writerow(row)
+    return [header] + [[i] + [fmt(v) for v in s.x] + [fmt(v) for v in s.u]
+                       + [fmt(v) for v in s.du.reshape(-1)]
+                       + [repr(float(v)) for v in s.beta_drift]
+                       for i, s in enumerate(traj.samples)]
 
 
 def _clean(obj):
@@ -441,17 +402,6 @@ def _clean(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def _outdir(args) -> Path:
-    p = Path(args.out)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _args_record(args):
-    rec = {k: v for k, v in vars(args).items() if k != "func"}
-    return _clean(rec)
 
 
 def _tolerance(text: str) -> float:
@@ -531,7 +481,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return _run(args)
     except (OSError, ValueError, KeyError) as exc:     # JSONDecodeError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -310,8 +310,9 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
         r = beta_from_evaluations(pd, alpha) - beta_target
         res = float(np.max(np.abs(r)))
         # an update that still cut the residual by more than 1e3 stopped short of
-        # the quadrature floor; one more reaches it at quadratic convergence
-        floor = res_prev is None or 1e3 * res >= res_prev or res <= rounding
+        # the quadrature floor, and so did a prediction that no update polished;
+        # one more reaches it at quadratic convergence
+        floor = (res_prev is not None and 1e3 * res >= res_prev) or res <= rounding
         if res <= tol and (floor or it == max_iter):
             return work, res, it, pd, om
         if it == max_iter or (res_prev is not None and res > res_prev and it >= 3):

@@ -19,6 +19,12 @@ def _write_config(tmp_path, payload, name="config.json"):
     return p
 
 
+def _assert_manifest_lists_the_artifacts(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir()
+                                         if p.name != "manifest.json")
+
+
 def test_periods_genus1_imaginary_riemann_matrix(tmp_path):
     cfg = _write_config(tmp_path, G1)
     out = tmp_path / "out"
@@ -46,6 +52,7 @@ def test_periods_config_is_directory_exit_2(tmp_path):
 def test_periods_duplicate_points_exit_3(tmp_path):
     cfg = _write_config(tmp_path, {"genus": 1, "x": [1.0], "u": [1.0], "real": True})
     assert main(["periods", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("payload,extra", [
@@ -87,6 +94,7 @@ def test_periods_unreachable_tolerance_exit_4(tmp_path):
     cfg = _write_config(tmp_path, G1)
     rc = main(["periods", str(cfg), "--tol-quad", "1e-30", "--out", str(tmp_path / "o")])
     assert rc == 4
+    assert not (tmp_path / "o").exists()
 
 
 def test_deform_writes_trajectory_with_schema(tmp_path):
@@ -159,6 +167,7 @@ def test_deform_drift_gate_exit_5(tmp_path):
     rc = main(["deform", str(cfg), "--path", "[[2.0],[2.1]]", "--tol-flow", "1e-20",
                "--out", str(tmp_path / "o")])
     assert rc == 5
+    assert not (tmp_path / "o").exists()
 
 
 def test_deform_is_bit_deterministic(tmp_path):
@@ -268,6 +277,27 @@ def test_comb_trajectory_takes_alpha_from_the_sidecar(tmp_path, capsys, sidecar)
         assert ("zero prescribed a-periods" if sidecar == "deform's" else "sidecar") in err
 
 
+def test_every_subcommand_lists_its_artifacts_in_the_manifest(tmp_path, capsys):
+    cfg = str(_write_config(tmp_path, G2))
+    traj = str(tmp_path / "implicit" / "trajectory.csv")
+    leg = ["--path", "[[3.0,5.0],[3.05,5.0]]", "--macro-step", "0.025"]
+    runs = {"periods": ["periods", cfg, "--alpha", "[0.1, 0.2]"],
+            "implicit": ["deform", cfg] + leg,
+            "rational": ["deform", cfg, "--mode", "rational"] + leg,
+            "verify": ["verify", cfg, "--hill-T", "[0, -1.5]", "--trajectory", traj],
+            "comb": ["comb", cfg, "--trace", "--trajectory", traj]}
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out)]) == 0
+        _assert_manifest_lists_the_artifacts(out)
+    assert sorted(p.name for p in (tmp_path / "comb").iterdir()) == [
+        "comb.json", "comb_trace.csv", "manifest.json"]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {tmp_path / 'periods' / 'periods.json'}"
+    assert lines[1].startswith(f"wrote {tmp_path / 'implicit' / 'trajectory.csv'} "
+                               "(max period drift ")
+
+
 def test_comb_subcommand(tmp_path):
     cfg = _write_config(tmp_path, G1)
     out = tmp_path / "c"
@@ -312,11 +342,12 @@ def test_comb_rejects_unordered_exit_3(tmp_path):
 
 @pytest.mark.parametrize("name", ["genus1-reference", "lame-two-gap", "neumann-n2",
                                   "comb-g1"])
-def test_examples_run(tmp_path, name):
+def test_examples_run(tmp_path, capsys, name):
     out = tmp_path / name
     assert main(["examples", name, "--out", str(out), "--macro-step", "0.05"]) == 0
-    assert (out / "manifest.json").exists()
     assert (out / "run.json").exists()
+    _assert_manifest_lists_the_artifacts(out)
+    assert capsys.readouterr().out == f"wrote {out / 'run.json'}\n"
 
 
 def test_examples_lame_one_gap_small_grid(tmp_path):
@@ -324,6 +355,7 @@ def test_examples_lame_one_gap_small_grid(tmp_path):
     rc = main(["examples", "lame-one-gap", "--out", str(out), "--grid", "64",
                "--macro-step", "0.05"])
     assert rc == 0
+    _assert_manifest_lists_the_artifacts(out)
     data = json.loads((out / "run.json").read_text())
     assert data["max_two_w1_drift"] < 1e-7
     assert data["max_wave_defect"] < 1e-6
@@ -335,6 +367,7 @@ def test_examples_lame_one_gap_odd_or_zero_grid_exit_2(tmp_path, capsys, grid):
     out = tmp_path / "lame1"
     assert main(["examples", "lame-one-gap", "--out", str(out), "--grid", grid]) == 2
     assert "n_grid must be a positive even integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_examples_unknown_name_exit_2(tmp_path):

@@ -257,6 +257,17 @@ def test_newton_already_feasible_is_identity():
     assert iters == 0
 
 
+def test_newton_polishes_a_prediction_already_under_tol():
+    # u moved by 1e-11 leaves a beta residual of 6.3e-12, under NEWTON_TOL = 1e-11;
+    # the prediction is still polished once, down to the rounding floor
+    target = beta_from_evaluations(normalized_basis(G2, tol=TOL))
+    moved = G2.replace(u=(1.0 + 1e-11, 4.0 - 1e-11))
+    fixed, res, iters, _, _ = newton_correct(moved, np.zeros(2), target,
+                                             tol=flow_module.NEWTON_TOL, quad_tol=TOL)
+    assert iters == 1
+    assert np.max(np.abs(np.asarray(fixed.u) - np.asarray(G2.u))) <= 1e-14
+
+
 # -- flow integration -------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -680,21 +691,22 @@ def test_diagonal_leg_matches_both_axis_orders(mode):
         assert axis.max_drift() < 1e-12
 
 
-# The worst curve and legs of a seeded sweep (16 curves, g = 1..4): in implicit
-# mode the diagonal and L-shaped routes end 2.4e-11 apart and the square loop
-# misses by 2.5e-11; rational mode stays within 1.8e-15
+# The worst curve and legs of a seeded sweep (16 curves, g = 1..4) while Newton
+# accepted an unpolished prediction (2.4e-11 between routes, 2.5e-11 loop miss);
+# now implicit mode's routes end 8.1e-14 apart and its loop misses by 1.3e-14,
+# and rational mode stays within 1.8e-15
 WORST_ROUTES = ((2.1151031015284585, 4.286700590135139, 6.216369157938582, 9.05525173610932),
                 (0.6776072780279745, 2.8922826267005917, 5.401350800742111, 7.678871979083679),
                 ((0, 0.020281732544285367), (3, 0.020281732544285367)))
 
 
-@pytest.mark.parametrize("mode,bound", [(RATIONAL, 1e-12), (IMPLICIT, 1e-10)])
+@pytest.mark.parametrize("mode,bound", [(RATIONAL, 1e-12), (IMPLICIT, 1e-12)])
 def test_flow_is_path_independent_property(mode, bound):
     # u(x) is a function: a closed polyline returns to its starting u, and the
     # polyline and the straight leg to its endpoint end on the same u.  Random
     # interleaved curves at g <= 4 (band and gap widths 0.5-1.5) and polylines
-    # of 2-4 axis legs of 0.02-0.06.  Implicit mode's Newton accepts a beta
-    # residual under NEWTON_TOL = 1e-11 once an update stalls, hence its bound
+    # of 2-4 axis legs of 0.02-0.06.  Implicit mode's Newton polishes every
+    # sample to the rounding floor, so both modes share the bound
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
