@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +40,29 @@ EXIT_DRIFT = 5
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of complex data
+# the artifact codec: engine values to JSON and CSV, and JSON numbers back
 # ---------------------------------------------------------------------------
 
-def c2j(z):
-    z = complex(z)
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+def _json_default(obj):
+    """``json.dumps``'s ``default``: an array as nested lists, a numpy scalar as
+    a number, a complex number as a number when its imaginary part is 0.0 and
+    as [re, im] otherwise (which :func:`j2c` reads back)."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, complex):                # numpy's complex128 too
+        return obj.real if obj.imag == 0.0 else [obj.real, obj.imag]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _csv_cell(v):
+    """A CSV cell: text and integers as they are, any other number as the repr
+    of a float, or of a complex number when its imaginary part is not 0.0."""
+    if isinstance(v, (str, int)):
+        return v
+    z = complex(v)
+    return repr(z.real) if z.imag == 0.0 else repr(z)
 
 
 def _is_real(v) -> bool:
@@ -81,17 +96,8 @@ def _finite_vector(v, n: int, what: str) -> list:
     return out
 
 
-def matrix_json(m):
-    return [[c2j(v) for v in row] for row in np.atleast_2d(m)]
-
-
-def vector_json(v):
-    return [c2j(z) for z in np.atleast_1d(v)]
-
-
 def config_json(cfg: BranchConfig):
-    return {"genus": cfg.genus, "x": vector_json(cfg.x), "u": vector_json(cfg.u),
-            "real": cfg.real}
+    return {"genus": cfg.genus, "x": cfg.x, "u": cfg.u, "real": cfg.real}
 
 
 def _load_valid(path, ordered: bool = False) -> BranchConfig:
@@ -117,8 +123,8 @@ def _load_valid(path, ordered: bool = False) -> BranchConfig:
 
 
 def write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_json_default) + "\n", encoding="utf-8")
 
 
 def read_trajectory_csv(path, genus: int) -> flow.Trajectory:
@@ -163,28 +169,28 @@ def _read_trajectory(path, genus: int) -> flow.Trajectory:
 
 # ---------------------------------------------------------------------------
 # subcommands: each returns its artifacts, {file name: JSON payload or CSV rows
-# with the header first}, and the note printed after the first one's path
+# with the header first} holding the engine's own values, and the note printed
+# after the first one's path
 # ---------------------------------------------------------------------------
 
 def cmd_periods(args):
     cfg, pd, om = _curve(args)
     return {"periods.json": {
         "config": config_json(cfg),
-        "A_raw": matrix_json(pd.A_raw),
-        "C": matrix_json(pd.C),
-        "pairing": [[int(v) for v in row]
-                    for row in intersection_matrix(pd.basis, cfg.points)],
-        "riemann_matrix": matrix_json(pd.B),
-        "omega_at_infinity": vector_json(pd.omega_at[:, -1]),
-        "omega_at_ramification": matrix_json(pd.omega_at[:, :-1]),
+        "A_raw": pd.A_raw,
+        "C": pd.C,
+        "pairing": intersection_matrix(pd.basis, cfg.points),
+        "riemann_matrix": pd.B,
+        "omega_at_infinity": pd.omega_at[:, -1],
+        "omega_at_ramification": pd.omega_at[:, :-1],
         "second_kind": {
-            "alpha": vector_json(om.alpha),
-            "poly_coefficients": vector_json(om.c),
-            "beta": vector_json(om.beta),
+            "alpha": om.alpha,
+            "poly_coefficients": om.c,
+            "beta": om.beta,
             "beta_residual": om.beta_residual,
-            "values_at_ramification": vector_json(om.values_at),
+            "values_at_ramification": om.values_at,
         },
-        "diagnostics": _clean(pd.quad_report),
+        "diagnostics": pd.quad_report,
     }}, ""
 
 
@@ -199,12 +205,11 @@ def cmd_deform(args):
     return {"trajectory.csv": _trajectory_rows(traj), "trajectory.json": {
         "config": config_json(cfg),
         "mode": traj.mode,
-        "alpha": vector_json(traj.alpha),
-        "beta_target": vector_json(traj.beta_target),
-        "path": [vector_json(p) for p in traj.path],
+        "alpha": traj.alpha,
+        "beta_target": traj.beta_target,
+        "path": traj.path,
         "max_drift": traj.max_drift(),
-        "control": {"quad_tol": control.quad_tol, "macro_step": control.macro_step,
-                    "correct": control.correct, "drift_tol": control.drift_tol},
+        "control": asdict(control),
     }}, f" (max period drift {traj.max_drift():.3e})"
 
 
@@ -217,19 +222,12 @@ def cmd_verify(args):
         if not (cmath.isfinite(T) and T):
             raise ValueError(f"--hill-T must be a finite nonzero number, got {args.hill_T!r}")
         hc = flow.hill_check(cfg, pd, T)
-        hill = {"is_hill": hc["is_hill"], "n": [int(v) for v in hc["n"]],
-                "residuals": [float(v) for v in hc["residuals"]],
-                "T": c2j(hc["T"])}
+        hill = {k: hc[k] for k in ("is_hill", "n", "residuals", "T")}
     wavevector = None
     if args.trajectory is not None:
         traj = _read_trajectory(args.trajectory, cfg.genus)
         rep = apps.kdv_wavevector_report(cfg, traj, quad_tol=args.tol_quad)
-        wavevector = {
-            "max_drift": rep["max_drift"],
-            "U": [vector_json(row) for row in rep["U"]],
-        }
-        if "max_im_U_band" in rep:
-            wavevector["max_im_U_band"] = rep["max_im_U_band"]
+        wavevector = {k: rep[k] for k in ("max_drift", "U", "max_im_U_band") if k in rep}
         wavevector["max_recorded_beta_drift"] = traj.max_drift()
     return ({"verify.json": {"config": config_json(cfg), "identity_residuals": report,
                              "hill": hill, "wavevector": wavevector}},
@@ -241,28 +239,23 @@ def cmd_comb(args):
     region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
     payload = {
         "config": config_json(cfg),
-        "q": [float(v) for v in region.q],
-        "h": [float(v) for v in region.h],
-        "zeros": vector_json(region.zeros),
+        "q": region.q,
+        "h": region.h,
+        "zeros": region.zeros,
         "base_residual": region.base_residual,
-        "beta_ratio": vector_json(region.beta_ratio),
+        "beta_ratio": region.beta_ratio,
     }
     if args.trajectory is not None:
         traj = _read_trajectory(args.trajectory, cfg.genus)
         rep = comb.comb_invariance_check(cfg, traj, tol=args.tol_invariance,
                                          quad_tol=args.tol_quad)
-        payload["invariance"] = {
-            "base_invariant": rep["base_invariant"],
-            "slits_moved": rep["slits_moved"],
-            "q_drift": [float(v) for v in rep["q_drift"]],
-            "h_variation": [float(v) for v in rep["h_variation"]],
-            "ratio_spread": rep["ratio_spread"],
-        }
+        payload["invariance"] = {k: rep[k] for k in (
+            "base_invariant", "slits_moved", "q_drift", "h_variation", "ratio_spread")}
     artifacts = {"comb.json": payload}
     if args.trace:
         trace = comb.boundary_trace(cfg, pd, om, tol=args.tol_quad)
         artifacts["comb_trace.csv"] = [["lambda", "theta_re", "theta_im"]] + [
-            [repr(lam.real), repr(th.real), repr(th.imag)] for lam, th in trace]
+            [lam.real, th.real, th.imag] for lam, th in trace]
     return artifacts, ""
 
 
@@ -284,21 +277,18 @@ def cmd_examples(args):
         rep = apps.cnoidal_period_report(0.0, 1.0, 2.1, n_grid=args.grid,
                                          quad_tol=args.tol_quad,
                                          macro_step=args.macro_step)
-        wave = [[repr(float(xx)), repr(complex(vv).real)]
-                for xx, vv in zip(rep["wave_X"], rep["wave_v"])]
         return {"run.json": {
             "example": name,
             "max_two_w1_drift": rep["max_two_w1_drift"],
             "max_wave_defect": rep["max_wave_defect"],
             "beta_drift": rep["beta_drift"],
-            "samples": [{k: c2j(v) if isinstance(v, complex) else v
-                         for k, v in r.items()} for r in rep["samples"]],
-        }, "wave.csv": [["X", "v"]] + wave}, ""
+            "samples": rep["samples"],
+        }, "wave.csv": [["X", "v"], *zip(rep["wave_X"], rep["wave_v"].real)]}, ""
     if name == "lame-two-gap":
         cfg, recovered = apps.lame_two_gap_config(0.0, 1.0)
         return {"run.json": {
             "example": name, "config": config_json(cfg),
-            "recovered_roots": vector_json(recovered),
+            "recovered_roots": recovered,
             "ordered": not validate_config(cfg, ordered=True),
             "violations": validate_config(cfg, ordered=True),
         }}, ""
@@ -308,8 +298,8 @@ def cmd_examples(args):
         om = periods.build_omega(cfg, pd)
         return {"run.json": {
             "example": name, "config": config_json(cfg),
-            "beta": vector_json(om.beta),
-            "U": vector_json(periods.wavevector_U(cfg, pd)),
+            "beta": om.beta,
+            "U": periods.wavevector_U(cfg, pd),
         }}, ""
     cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)       # comb-g1
     pd = periods.normalized_basis(cfg, tol=args.tol_quad)
@@ -317,8 +307,7 @@ def cmd_examples(args):
     region = comb.comb_map(cfg, pd, om, tol=args.tol_quad)
     return {"run.json": {
         "example": name, "config": config_json(cfg),
-        "q": [float(v) for v in region.q], "h": [float(v) for v in region.h],
-        "beta_ratio": vector_json(region.beta_ratio),
+        "q": region.q, "h": region.h, "beta_ratio": region.beta_ratio,
     }}, ""
 
 
@@ -336,14 +325,14 @@ def _run(args) -> int:
     for name, data in artifacts.items():
         if name.endswith(".csv"):
             with open(outdir / name, "w", newline="", encoding="utf-8") as f:
-                csv.writer(f).writerows(data)
+                csv.writer(f).writerows([_csv_cell(v) for v in row] for row in data)
         else:
             write_json(outdir / name, data)
     command = f"examples:{args.name}" if args.command == "examples" else args.command
     write_json(outdir / "manifest.json", {
         "command": command,
         "engine_version": __version__,
-        "inputs": _clean({k: v for k, v in vars(args).items() if k != "func"}),
+        "inputs": {k: v for k, v in vars(args).items() if k != "func"},
         "outputs": sorted(artifacts),
         "wall_clock_seconds": round(time.time() - t0, 3),
     })
@@ -381,27 +370,8 @@ def _trajectory_rows(traj) -> list:
               + [f"u_{m}" for m in range(1, g + 1)]
               + [f"du_{m}_{j}" for m in range(1, g + 1) for j in range(1, g + 1)]
               + [f"beta_drift_{k}" for k in range(1, g + 1)])
-
-    def fmt(z):
-        z = complex(z)
-        return repr(z.real) if z.imag == 0.0 else repr(z)
-
-    return [header] + [[i] + [fmt(v) for v in s.x] + [fmt(v) for v in s.u]
-                       + [fmt(v) for v in s.du.reshape(-1)]
-                       + [repr(float(v)) for v in s.beta_drift]
+    return [header] + [[i, *s.x, *s.u, *s.du.reshape(-1), *s.beta_drift]
                        for i, s in enumerate(traj.samples)]
-
-
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def _tolerance(text: str) -> float:
@@ -443,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-flow", type=_tolerance, default=None,
                    help="abort when period drift exceeds this")
     p.add_argument("--macro-step", type=float, default=0.01)
-    p.add_argument("--correct", dest="correct", action="store_true", default=True)
     p.add_argument("--no-correct", dest="correct", action="store_false",
                    help="implicit mode: keep the prediction, skip the Newton projection")
     p.set_defaults(func=cmd_deform)

@@ -25,20 +25,6 @@ import numpy as np
 from .errors import DegenerateConfig
 
 
-def idx_zero() -> int:
-    return 0
-
-
-def idx_u(m: int) -> int:
-    """Point index of u_m, 1-based m."""
-    return m
-
-
-def idx_x(g: int, j: int) -> int:
-    """Point index of x_j, 1-based j."""
-    return g + j
-
-
 @dataclass(frozen=True)
 class BranchConfig:
     """The 2g finite nonzero branch points of a curve in the family.
@@ -174,7 +160,7 @@ def v_polynomial(cfg: BranchConfig, m: int, phis: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(cfg.u)
     others = np.delete(u, m - 1)
-    denom = complex(phis[idx_u(m)]) * complex(np.prod(u[m - 1] - others))
+    denom = complex(phis[m]) * complex(np.prod(u[m - 1] - others))
     poly = np.array([1.0 + 0.0j])
     for r in others:
         poly = np.convolve(poly, np.array([-r, 1.0 + 0.0j]))

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import BranchConfig, idx_u, idx_x, idx_zero
+from .curves import BranchConfig
 from .errors import (DegenerateConfig, DriftExceeded, IsoperiodError, NoProgress,
                      SingularJacobian, SingularLocus, VanishingOmegaAtU)
 from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
@@ -135,7 +135,7 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) 
     constant-period manifold is not a graph over x there.
     """
     g = cfg.genus
-    X, U = slice(idx_x(g, 1), idx_x(g, g) + 1), slice(idx_u(1), idx_u(g) + 1)
+    X, U = slice(g + 1, 2 * g + 1), slice(1, g + 1)
     om_u = om.values_at[U]
     scale = float(np.max(np.abs(om.values_at))) or 1.0
     if (vanishing := np.flatnonzero(np.abs(om_u) < OMEGA_ZERO_TOL * scale)).size:
@@ -283,7 +283,7 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
 
 def period_jacobian(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) -> np.ndarray:
     """J[j-1, k-1] = d beta_k / d u_j = pi i Omega(P_{u_j}) omega_k(P_{u_j})."""
-    U = slice(idx_u(1), idx_u(cfg.genus) + 1)
+    U = slice(1, cfg.genus + 1)
     return (1j * math.pi * om.values_at[U])[:, None] * pd.omega_at[:, U].T
 
 
@@ -633,7 +633,7 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
     du = first_derivatives(cfg, pd, om)
     R, S1, Mu, Mx = _coefficients(_differences(x, u), du)
     # vanishing residue sum of the dual-basis-weighted second-kind values
-    v0 = om_at[idx_zero()] * v[:, idx_zero()]
+    v0 = om_at[0] * v[:, 0]
     report["dual_weighted_residue_sum"] = float(np.max(np.abs(
         v0 + v[:, X] @ om_at[X] + om_at[U])))
     report["derivative_sum_rule"] = float(np.max(np.abs(v0 / om_at[U] - S1)))
@@ -645,8 +645,8 @@ def verify_identities(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
 
     if g == 1:
         # genus-one normalization constants relative to omega
-        w0, wu, wx = w_at[0, idx_zero()], w_at[0, idx_u(1)], w_at[0, idx_x(1, 1)]
-        I0, Iu, Ix = I[[idx_zero(), idx_u(1), idx_x(1, 1)], 0] / wu
+        w0, wu, wx = w_at[0, :3]             # at 0, u_1 and x_1
+        I0, Iu, Ix = I[:3, 0] / wu
         x1, u1 = x[0], u[0]
         rel0 = I0 - (-1.0 / (w0 * x1) + (Ix - 1.0 / (x1 * wx)) * w0 / wx)
         relu = Iu - ((1.0 / ((u1 - x1) * wx) + Ix) * wu / wx - 1.0 / ((x1 - u1) * wu))

@@ -7,6 +7,9 @@ machinery:
 * the arithmetic-geometric mean and Gauss-Chebyshev segment quadrature
   (elliptic a-periods);
 * finite differences (derivatives of flows and periods);
+* ``theta_constants``: the theta constants of a Riemann matrix with
+  half-integer characteristics, by direct lattice sums, for Thomae's formula
+  (B from the branch points alone, no quadrature);
 * ``BranchOfMu``/``mu_along_path``: pathwise continuation of mu by unwrapped
   factor arguments, against the contour branch tracking of ``cycles``;
 * ``eval_at_infinity``: an FFT Laurent fit at the branch point at infinity,
@@ -74,10 +77,6 @@ def chebyshev_segment(f, a: float, b: float, n: int = 4000) -> float:
 def gap_period_integral(u: float, x: float, n: int = 4000) -> float:
     """int_u^x dt / sqrt(t (t - u)(x - t)) for 0 < u < x."""
     return chebyshev_segment(lambda t: 1.0 / np.sqrt(t), u, x, n)
-
-
-def central_difference(f, x0: float, h: float):
-    return (f(x0 + h) - f(x0 - h)) / (2.0 * h)
 
 
 def second_difference(vals, h: float):
@@ -624,3 +623,26 @@ def omega_zeros_fixed_steps(om, newton_steps: int = 8) -> np.ndarray:
     if cfg.real:
         roots = roots[np.argsort(roots.real)]
     return roots
+
+
+def theta_constants(B, radius: int):
+    """theta[e1, e2](0 | B) = sum_n exp(pi i (n + e1/2)^T B (n + e1/2) + pi i (n + e1/2)^T e2)
+    over the lattice cube |n_j| <= radius, for all 4^g characteristics.
+
+    Returns ``(chars, values)``: ``chars[k]`` is the 0/1 array (e1, e2) of shape
+    (2, g), and the characteristic is even when e1 . e2 is.  The truncation error
+    is of order exp(-pi radius^2 lambda_min(Im B)).
+    """
+    B = np.asarray(B, dtype=complex)
+    g = B.shape[0]
+    halves = np.array(np.meshgrid(*[[0, 1]] * g, indexing="ij")).reshape(g, -1).T
+    n = np.array(np.meshgrid(*[np.arange(-radius, radius + 1)] * g,
+                             indexing="ij")).reshape(g, -1).T
+    chars, values = [], []
+    for e1 in halves:
+        m = n + 0.5 * e1
+        q = np.exp(1j * math.pi * np.einsum("ij,jk,ik->i", m, B, m))
+        sums = q @ np.exp(1j * math.pi * (m @ halves.T))
+        chars += [np.array([e1, e2]) for e2 in halves]
+        values.append(sums)
+    return np.array(chars), np.concatenate(values)

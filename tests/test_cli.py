@@ -1,10 +1,11 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
 from isoperiod.apps import kdv_wavevector_report
-from isoperiod.cli import main, read_trajectory_csv
+from isoperiod.cli import _EXAMPLES, j2c, main, read_trajectory_csv
 from isoperiod.comb import comb_invariance_check
 from isoperiod.curves import BranchConfig
 from isoperiod.flow import DeformationState, FlowControl, Trajectory, integrate_flow
@@ -277,25 +278,103 @@ def test_comb_trajectory_takes_alpha_from_the_sidecar(tmp_path, capsys, sidecar)
         assert ("zero prescribed a-periods" if sidecar == "deform's" else "sidecar") in err
 
 
-def test_every_subcommand_lists_its_artifacts_in_the_manifest(tmp_path, capsys):
+_LEG = ["--path", "[[3.0,5.0],[3.05,5.0]]", "--macro-step", "0.025"]
+
+
+def _run_every_command(tmp_path) -> dict:
+    """Every subcommand on G2 and all five examples, each into its own --out;
+    returns {run name: out directory}."""
     cfg = str(_write_config(tmp_path, G2))
     traj = str(tmp_path / "implicit" / "trajectory.csv")
-    leg = ["--path", "[[3.0,5.0],[3.05,5.0]]", "--macro-step", "0.025"]
     runs = {"periods": ["periods", cfg, "--alpha", "[0.1, 0.2]"],
-            "implicit": ["deform", cfg] + leg,
-            "rational": ["deform", cfg, "--mode", "rational"] + leg,
+            "implicit": ["deform", cfg] + _LEG,
+            "rational": ["deform", cfg, "--mode", "rational"] + _LEG,
             "verify": ["verify", cfg, "--hill-T", "[0, -1.5]", "--trajectory", traj],
             "comb": ["comb", cfg, "--trace", "--trajectory", traj]}
+    runs.update((name, ["examples", name, "--grid", "64", "--macro-step", "0.05"])
+                for name in _EXAMPLES)
     for name, argv in runs.items():
-        out = tmp_path / name
-        assert main(argv + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
+    return {name: tmp_path / name for name in runs}
+
+
+def test_every_subcommand_lists_its_artifacts_in_the_manifest(tmp_path, capsys):
+    outs = _run_every_command(tmp_path)
+    for out in outs.values():
         _assert_manifest_lists_the_artifacts(out)
-    assert sorted(p.name for p in (tmp_path / "comb").iterdir()) == [
+    assert sorted(p.name for p in outs["comb"].iterdir()) == [
         "comb.json", "comb_trace.csv", "manifest.json"]
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"wrote {tmp_path / 'periods' / 'periods.json'}"
     assert lines[1].startswith(f"wrote {tmp_path / 'implicit' / 'trajectory.csv'} "
                                "(max period drift ")
+
+
+# the complex-valued JSON fields of every artifact, as dotted key paths (``*``
+# for each item of a list), with the number of list levels above the entries
+_COMPLEX_FIELDS = {
+    "config.x": 1, "config.u": 1,
+    "A_raw": 2, "C": 2, "riemann_matrix": 2, "omega_at_infinity": 1,
+    "omega_at_ramification": 2, "second_kind.alpha": 1,
+    "second_kind.poly_coefficients": 1, "second_kind.beta": 1,
+    "second_kind.values_at_ramification": 1,
+    "alpha": 1, "beta_target": 1, "path": 2,
+    "hill.T": 0, "wavevector.U": 2,
+    "zeros": 1, "beta_ratio": 1,
+    "samples.*.x": 0, "samples.*.u": 0, "samples.*.two_w1": 0,
+    "recovered_roots": 1, "beta": 1, "U": 1,
+}
+
+
+def _json_fields(node, key=""):
+    """(dotted key path, value) of every complex field and every other leaf."""
+    if key in _COMPLEX_FIELDS:
+        yield key, node
+    elif isinstance(node, dict):
+        for k, v in node.items():
+            yield from _json_fields(v, f"{key}.{k}" if key else k)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _json_fields(v, f"{key}.*")
+    else:
+        yield key, node
+
+
+def _decode(v, levels: int):
+    return j2c(v) if levels == 0 else [_decode(e, levels - 1) for e in v]
+
+
+def test_every_artifact_holds_numbers_that_read_back(tmp_path):
+    # CSV cells are plain numbers (complex ones as "(re+imj)"), the complex
+    # JSON values are numbers or [re, im] pairs, and deform's trajectory CSV
+    # reads back as the flow's own samples
+    outs = _run_every_command(tmp_path)
+    seen = set()
+    for out in outs.values():
+        for path in out.glob("*.csv"):
+            with open(path, newline="", encoding="utf-8") as f:
+                cells = [c for row in list(csv.reader(f))[1:] for c in row]
+            assert cells, path
+            for c in cells:
+                complex(c)                  # raises on anything but a number
+        for path in out.glob("*.json"):
+            for key, value in _json_fields(json.loads(path.read_text())):
+                if key in _COMPLEX_FIELDS:
+                    levels = _COMPLEX_FIELDS[key]
+                    decoded = np.array(_decode(value, levels))
+                    assert decoded.ndim == levels and np.isfinite(decoded).all(), (path, key)
+                    seen.add(key)
+                else:
+                    assert value is None or isinstance(value, (bool, int, float, str)), (path, key)
+    assert seen == set(_COMPLEX_FIELDS)
+    cfg = BranchConfig(x=G2["x"], u=G2["u"], real=True)
+    mem = integrate_flow(DeformationState(cfg, np.zeros(2)), json.loads(_LEG[1]),
+                         FlowControl(quad_tol=1e-10, macro_step=0.025))
+    back = read_trajectory_csv(outs["implicit"] / "trajectory.csv", 2)
+    assert len(back.samples) == len(mem.samples)
+    for a, b in zip(mem.samples, back.samples):
+        for name in ("x", "u", "du", "beta_drift"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_comb_subcommand(tmp_path):

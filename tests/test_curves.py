@@ -5,8 +5,7 @@ import pytest
 
 from _oracles import BranchOfMu, PointCurve, mu_along_path, v_at
 
-from isoperiod.curves import (BranchConfig, idx_u, idx_x, idx_zero,
-                              phi_values, require_valid, validate_config)
+from isoperiod.curves import BranchConfig, phi_values, require_valid, validate_config
 from isoperiod.errors import DegenerateConfig
 
 G1 = BranchConfig(x=[2.0], u=[1.0], real=True)
@@ -83,7 +82,7 @@ def test_mu_monodromy_each_single_point(cfg):
 
 def test_phi_at_zero_reference_value():
     # 2 / sqrt((0-1)(0-2)) = sqrt(2)
-    assert phi_values(G1.points)[idx_zero()] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert phi_values(G1.points)[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def test_phi_squared_scaling_is_exact():
@@ -102,7 +101,7 @@ def test_phi_squared_scaling_is_exact():
 
 def test_v_duality_identity_matrix():
     g = G2.genus
-    M = np.array([[v_at(G2, m, idx_u(i)) for i in range(1, g + 1)]
+    M = np.array([[v_at(G2, m, i) for i in range(1, g + 1)]
                   for m in range(1, g + 1)])
     assert np.max(np.abs(M - np.eye(g))) == 0.0
 
@@ -111,8 +110,8 @@ def test_v_at_x_point_matches_direct_formula():
     # m = 1, Q = P_{x_1} on the genus-2 reference configuration
     phis = phi_values(G2.points)
     x1, u = 3.0, np.array([1.0, 4.0])
-    direct = phis[idx_x(2, 1)] * (x1 - u[1]) / (phis[idx_u(1)] * (u[0] - u[1]))
-    assert v_at(G2, 1, idx_x(2, 1)) == pytest.approx(direct, rel=1e-14)
+    direct = phis[3] * (x1 - u[1]) / (phis[1] * (u[0] - u[1]))    # x_1 is point g + 1
+    assert v_at(G2, 1, 3) == pytest.approx(direct, rel=1e-14)
 
 
 def test_real_config_phi_values_pure_real_or_imaginary():

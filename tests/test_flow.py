@@ -8,7 +8,7 @@ from _oracles import (ellipse_w_constants, first_derivatives_loops, hint_circle,
                       period_jacobian_loops, rhs_genus1, rhs_genus2_example,
                       rhs_genus_g_loops, second_difference, w_identity_loops)
 
-from isoperiod.curves import BranchConfig, idx_u, idx_x
+from isoperiod.curves import BranchConfig
 from isoperiod.cycles import gap_basis
 import isoperiod.flow as flow_module
 from isoperiod.errors import (DegenerateConfig, DriftExceeded, NoConvergence, NoProgress,
@@ -156,8 +156,8 @@ def test_rhs_property_symmetric_and_matches_loop_form():
 def test_first_derivative_genus1_closed_form():
     pd, om = _setup(G1)
     du = first_derivatives(G1, pd, om)
-    wx, wu = pd.omega_at[0, idx_x(1, 1)], pd.omega_at[0, idx_u(1)]
-    ox, ou = om.values_at[idx_x(1, 1)], om.values_at[idx_u(1)]
+    wx, wu = pd.omega_at[0, 2], pd.omega_at[0, 1]           # x_1 and u_1
+    ox, ou = om.values_at[2], om.values_at[1]
     assert du[0, 0] == pytest.approx(-wx * ox / (wu * ou), rel=1e-12)
 
 
@@ -188,7 +188,7 @@ def test_first_derivative_implicit_function_oracle():
 
 def test_vanishing_omega_detected():
     pd, om = _setup(G1)
-    om.values_at[idx_u(1)] = 0.0
+    om.values_at[1] = 0.0
     with pytest.raises(VanishingOmegaAtU):
         first_derivatives(G1, pd, om)
 
