@@ -180,24 +180,23 @@ def cnoidal_period_report(e2, e3, x_end, n_grid: int = 512,
     ctrl = _flow.FlowControl(quad_tol=quad_tol, macro_step=macro_step)
     traj = _flow.integrate_flow(state, [list(cfg0.x), [complex(x_end)]], ctrl)
 
-    pds = [_flow.sample_periods(cfg0, s, quad_tol) for s in traj.samples]
-    # the b-rows of the samples in one kernel call per block; the a-rows are there
-    for tables in _flow.check_blocks([pd.table for pd in pds]):
-        SegmentTable.fill(tables)
-    rows = []
-    for s, pd in zip(traj.samples, pds):
-        wd = WeierstrassData.from_roots(*config_to_weierstrass(pd.cfg), pd=pd)
-        two_w1 = 2.0 * wd.w1
-        two_w1_0 = rows[0]["two_w1"] if rows else two_w1
-        L = abs(2.0 * wd.w2)       # real period of the wave
-        X = (np.arange(n_grid) + 0.5) * (2.0 * L / n_grid)
-        v, v_shift = 2.0 * wp_function(wd, np.stack((X, X + two_w1_0)))[0]
-        rows.append({
-            "x": complex(s.x[0]), "u": complex(s.u[0]),
-            "two_w1": two_w1,
-            "two_w1_drift": abs(two_w1 - two_w1_0) / abs(two_w1_0),
-            "wave_period_defect": float(np.max(np.abs(v_shift - v)) / np.max(np.abs(v))),
-        })
+    rows, samples = [], iter(traj.samples)
+    for run in _flow.sample_periods(cfg0, traj.samples, quad_tol):
+        pds = list(run)
+        SegmentTable.fill([pd.table for pd in pds])     # the run's b-rows; the a-rows are there
+        for pd, s in zip(pds, samples):
+            wd = WeierstrassData.from_roots(*config_to_weierstrass(pd.cfg), pd=pd)
+            two_w1 = 2.0 * wd.w1
+            two_w1_0 = rows[0]["two_w1"] if rows else two_w1
+            L = abs(2.0 * wd.w2)       # real period of the wave
+            X = (np.arange(n_grid) + 0.5) * (2.0 * L / n_grid)
+            v, v_shift = 2.0 * wp_function(wd, np.stack((X, X + two_w1_0)))[0]
+            rows.append({
+                "x": complex(s.x[0]), "u": complex(s.u[0]),
+                "two_w1": two_w1,
+                "two_w1_drift": abs(two_w1 - two_w1_0) / abs(two_w1_0),
+                "wave_period_defect": float(np.max(np.abs(v_shift - v)) / np.max(np.abs(v))),
+            })
     return {
         "samples": rows,
         "max_two_w1_drift": max(r["two_w1_drift"] for r in rows),
@@ -259,8 +258,8 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     """
     require_positive(quad_tol=quad_tol)
     U_rows, U_band_rows = [], []
-    for block in _flow.check_blocks(list(trajectory.samples)):
-        pds = [_flow.sample_periods(cfg, s, quad_tol) for s in block]
+    for run in _flow.sample_periods(cfg, trajectory.samples, quad_tol):
+        pds = list(run)
         U_rows += [wavevector_U(pd.cfg, pd) for pd in pds]
         real = [pd for pd in pds if pd.cfg.real]
         if real:

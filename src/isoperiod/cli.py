@@ -19,7 +19,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +130,9 @@ def write_json(path: Path, payload):
 def read_trajectory_csv(path, genus: int) -> flow.Trajectory:
     """Samples (x, u, du, drift) back from a trajectory CSV written by deform.
 
-    The CSV does not record alpha, the target b-periods or the mode, so the
-    returned trajectory has None there; its path is the samples' x.
+    Alpha, the target b-periods and the mode are read from the JSON sidecar
+    that deform writes beside the CSV (same stem), and are None without one;
+    the trajectory's path is the samples' x.
     """
     with open(path, "r", encoding="utf-8") as f:
         rows = list(csv.reader(f))
@@ -148,23 +149,16 @@ def read_trajectory_csv(path, genus: int) -> flow.Trajectory:
         du = np.array(vals[2 * g:2 * g + g * g]).reshape(g, g)
         drift = np.array([v.real for v in vals[2 * g + g * g:]])
         samples.append(flow.FlowSample(x=x, u=u, du=du, beta_drift=drift))
+    sidecar, alpha, beta_target, mode = Path(path).with_suffix(".json"), None, None, None
+    if sidecar.exists():
+        data = json.loads(sidecar.read_text(encoding="utf-8"))
+        if not isinstance(data, dict) or data.get("mode") not in (flow.IMPLICIT, flow.RATIONAL):
+            raise ValueError(f"unexpected trajectory sidecar schema in {sidecar}")
+        alpha, beta_target = (np.array(_finite_vector(data.get(k), g, f"{sidecar} {k}"))
+                              for k in ("alpha", "beta_target"))
+        mode = data["mode"]
     return flow.Trajectory(samples=samples, path=[s.x for s in samples],
-                           beta_target=None, alpha=None, mode=None)
-
-
-def _read_trajectory(path, genus: int) -> flow.Trajectory:
-    """:func:`read_trajectory_csv`, with alpha, the target b-periods and the mode
-    read from the JSON sidecar that deform writes beside the CSV (same stem), if any."""
-    traj = read_trajectory_csv(path, genus)
-    sidecar = Path(path).with_suffix(".json")
-    if not sidecar.exists():
-        return traj
-    data = json.loads(sidecar.read_text(encoding="utf-8"))
-    if not isinstance(data, dict) or data.get("mode") not in (flow.IMPLICIT, flow.RATIONAL):
-        raise ValueError(f"unexpected trajectory sidecar schema in {sidecar}")
-    alpha, beta_target = (np.array(_finite_vector(data.get(k), genus, f"{sidecar} {k}"))
-                          for k in ("alpha", "beta_target"))
-    return replace(traj, alpha=alpha, beta_target=beta_target, mode=data["mode"])
+                           beta_target=beta_target, alpha=alpha, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +192,7 @@ def cmd_deform(args):
     cfg = _load_valid(args.config)
     path = _parse_path(args.path, cfg.genus)
     control = flow.FlowControl(quad_tol=args.tol_quad, macro_step=args.macro_step,
-                               correct=args.correct, drift_tol=args.tol_flow)
+                               drift_tol=args.tol_flow)
     state = flow.DeformationState(cfg=cfg, alpha=_parse_alpha(args, cfg.genus),
                                   mode=args.mode)
     traj = flow.integrate_flow(state, path, control)
@@ -225,7 +219,7 @@ def cmd_verify(args):
         hill = {k: hc[k] for k in ("is_hill", "n", "residuals", "T")}
     wavevector = None
     if args.trajectory is not None:
-        traj = _read_trajectory(args.trajectory, cfg.genus)
+        traj = read_trajectory_csv(args.trajectory, cfg.genus)
         rep = apps.kdv_wavevector_report(cfg, traj, quad_tol=args.tol_quad)
         wavevector = {k: rep[k] for k in ("max_drift", "U", "max_im_U_band") if k in rep}
         wavevector["max_recorded_beta_drift"] = traj.max_drift()
@@ -246,7 +240,7 @@ def cmd_comb(args):
         "beta_ratio": region.beta_ratio,
     }
     if args.trajectory is not None:
-        traj = _read_trajectory(args.trajectory, cfg.genus)
+        traj = read_trajectory_csv(args.trajectory, cfg.genus)
         rep = comb.comb_invariance_check(cfg, traj, tol=args.tol_invariance,
                                          quad_tol=args.tol_quad)
         payload["invariance"] = {k: rep[k] for k in (
@@ -268,15 +262,13 @@ def cmd_examples(args):
         cfg = BranchConfig(x=(2.0,), u=(1.0,), real=True)
         state = flow.DeformationState(cfg=cfg, alpha=np.zeros(1), mode=flow.IMPLICIT)
         traj = flow.integrate_flow(state, [[2.0], [2.2]],
-                                   flow.FlowControl(quad_tol=args.tol_quad,
-                                                    macro_step=args.macro_step))
+                                   flow.FlowControl(quad_tol=args.tol_quad, macro_step=0.02))
         return {"run.json": {"example": name, "config": config_json(cfg),
                              "max_drift": traj.max_drift()},
                 "trajectory.csv": _trajectory_rows(traj)}, ""
     if name == "lame-one-gap":
-        rep = apps.cnoidal_period_report(0.0, 1.0, 2.1, n_grid=args.grid,
-                                         quad_tol=args.tol_quad,
-                                         macro_step=args.macro_step)
+        rep = apps.cnoidal_period_report(0.0, 1.0, 2.1, n_grid=512, quad_tol=args.tol_quad,
+                                         macro_step=0.02)
         return {"run.json": {
             "example": name,
             "max_two_w1_drift": rep["max_two_w1_drift"],
@@ -413,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-flow", type=_tolerance, default=None,
                    help="abort when period drift exceeds this")
     p.add_argument("--macro-step", type=float, default=0.01)
-    p.add_argument("--no-correct", dest="correct", action="store_false",
-                   help="implicit mode: keep the prediction, skip the Newton projection")
     p.set_defaults(func=cmd_deform)
 
     p = sub.add_parser("verify", help="run the identity verification harness")
@@ -437,8 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("examples", help="canned reference runs")
     p.add_argument("name", choices=_EXAMPLES)
     common(p, config=False)
-    p.add_argument("--macro-step", type=float, default=0.02)
-    p.add_argument("--grid", type=int, default=512, help="lame-one-gap wave samples, even")
     p.set_defaults(func=cmd_examples)
     return ap
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
-from .flow import check_blocks, sample_periods
+from .flow import sample_periods
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
                       build_omega, horner, power_rows, require_positive, tanh_sinh)
 
@@ -192,9 +192,8 @@ def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,
     samples, combs = list(trajectory.samples), []
     n = next((i for i, s in enumerate(samples)     # the first sample out of order
               if validate_config(cfg.replace(x=s.x, u=s.u), ordered=True)), len(samples))
-    for block in check_blocks(samples[:n]):     # their checks raise before its own
-        pds = [sample_periods(cfg, s, quad_tol) for s in block]
-        combs += _combs([(pd.cfg, pd, build_omega(pd.cfg, pd)) for pd in pds], quad_tol)
+    for run in sample_periods(cfg, samples[:n], quad_tol):     # their checks raise before its own
+        combs += _combs([(pd.cfg, pd, build_omega(pd.cfg, pd)) for pd in run], quad_tol)
     if n < len(samples):
         raise OrderingViolation(UNORDERED)
     q = np.array([c.q for c in combs])

@@ -8,8 +8,8 @@ modes are provided:
   third order from the first-order system
   du_m/dx_j = -v_m(P_xj) Omega(P_xj) / Omega(P_um), evaluated from fresh period
   data, and the rational second derivative at both ends of the step, then
-  Newton-projects it back onto the constant-b-period manifold (unless
-  ``correct`` is off): two period evaluations a step at the usual step sizes.
+  Newton-projects it back onto the constant-b-period manifold: two period
+  evaluations a step at the usual step sizes.
 * ``rational``: the second-order system with rational coefficients is
   integrated directly, each macro step tried as one DOP853 step
   (:func:`solve_ivp`); a step whose embedded error estimate is too large is
@@ -28,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +45,7 @@ RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 MAX_HALVINGS = 40                       # per macro step, on a failed step
-CHECK_BLOCK = 32                        # samples per stacked period evaluation or report stack
+CHECK_BLOCK = 32                        # samples per stacked period evaluation
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
@@ -332,7 +333,6 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
 class FlowControl:
     quad_tol: float = 1e-11
     macro_step: float = 0.01            # largest sample spacing along a leg
-    correct: bool = True                # implicit mode: Newton after the predictor
     drift_tol: float | None = None      # raise DriftExceeded beyond this
 
     def __post_init__(self):
@@ -377,24 +377,31 @@ class FlowSample:
     pd: PeriodData | None = field(default=None, repr=False, compare=False)
 
 
-def sample_periods(cfg: BranchConfig, s: FlowSample, tol: float) -> PeriodData:
-    """Default-marking period data of sample ``s`` on ``cfg``'s curve to ``tol``.
-
-    Returns ``s.pd`` when it was computed for cfg.replace(x=s.x, u=s.u), to
-    ``tol`` and in the default gap marking, and otherwise computes it anew, so
-    a report reads the same values either way.
+def sample_periods(cfg: BranchConfig, samples, tol: float, basis=None):
+    """Period data of ``samples`` on ``cfg``'s curve to ``tol`` in ``basis`` (else the
+    default gap marking): one iterator of PeriodData per run of ``CHECK_BLOCK``
+    samples, in path order.  A sample's own ``pd`` serves when it was computed for
+    cfg.replace(x=s.x, u=s.u), to ``tol`` and in that marking; the rest of the run is
+    one :func:`normalized_bases` stack, bit for bit the same.  If the stack raises,
+    each of those samples gets a :func:`normalized_basis` call as the iterator reaches
+    it, so the first failing sample raises after the ones before it are read.
     """
-    c = cfg.replace(x=s.x, u=s.u)
-    pd = s.pd
-    if (pd is not None and pd.cfg == c and pd.tol == tol
-            and pd.basis == default_marking(pd.table)):
-        return pd
-    return normalized_basis(c, tol=tol)
+    samples = list(samples)
+    for i in range(0, len(samples), CHECK_BLOCK):
+        yield _run_periods([(cfg.replace(x=s.x, u=s.u), s.pd)
+                            for s in samples[i:i + CHECK_BLOCK]], tol, basis)
 
 
-def check_blocks(items: list) -> list:
-    """``items`` in runs of ``CHECK_BLOCK``: a report stacks one run at a time."""
-    return [items[i:i + CHECK_BLOCK] for i in range(0, len(items), CHECK_BLOCK)]
+def _run_periods(run, tol, basis):
+    own = [pd if pd is not None and pd.cfg == c and pd.tol == tol
+           and pd.basis == (basis or default_marking(pd.table)) else None for c, pd in run]
+    need = [c for (c, _), pd in zip(run, own) if pd is None]
+    try:
+        stack = iter(normalized_bases(need, basis, tol) if need else ())
+    except IsoperiodError:      # one by one, in turn
+        stack = None
+    for (c, _), pd in zip(run, own):
+        yield pd or (next(stack) if stack else normalized_basis(c, basis=basis, tol=tol))
 
 
 @dataclass
@@ -419,11 +426,11 @@ def _continuation_step(state, control, beta_target, p, d, s, t, u, du):
     holds, to tau = t: the third-order predictor
     u + du dx + (2 T0(dx, dx) + T1(dx, dx)) / 6 with dx = x1 - x0, T = rhs_genus_g,
     T0 at (x0, u, du) and T1 at x1 on the second-order Taylor values
-    (u + du dx + T0(dx, dx) / 2, du + T0 dx), then at most 3 Newton updates (none
-    without ``control.correct``).  Its local error is O(|dx|^4); at a macro step
-    of 0.025 it leaves a residual of order 1e-8, which one update takes to the
-    rounding floor.  Returns (u, du, pd, updates) at x1, with the final Newton
-    iterate's period data pd: usually two period evaluations a step.
+    (u + du dx + T0(dx, dx) / 2, du + T0 dx), then at most 3 Newton updates.  Its
+    local error is O(|dx|^4); at a macro step of 0.025 it leaves a residual of
+    order 1e-8, which one update takes to the rounding floor.  Returns (u, du, pd,
+    updates) at x1, with the final Newton iterate's period data pd: usually two
+    period evaluations a step.
     """
     x0, x1 = p + s * d, p + t * d
     dx = x1 - x0
@@ -434,10 +441,9 @@ def _continuation_step(state, control, beta_target, p, d, s, t, u, du):
     T1 = rhs_genus_g(x1, u1 + 0.5 * t0, du + T0 @ dx)
     u_pred = u1 + (2.0 * t0 + np.einsum("mkn,kn->m", T1, dxx)) / 6.0
     _check_regular(x1, u_pred, 1e-8)
-    tol, max_iter = (NEWTON_TOL, 3) if control.correct else (math.inf, 0)
     cfg, _, iters, pd, om = newton_correct(state.cfg.replace(x=x1, u=u_pred), state.alpha,
-                                           beta_target, state.basis, tol, control.quad_tol,
-                                           max_iter)
+                                           beta_target, state.basis, NEWTON_TOL,
+                                           control.quad_tol, 3)
     # a real step that reorders the branch points has jumped through a collision
     if cfg.real and np.any(np.argsort(cfg.points.real) != np.argsort(state.cfg.points.real)):
         raise SingularLocus(f"branch points changed order between x = {x0} and {x1}")
@@ -475,8 +481,8 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     mode's step function (:func:`_continuation_step`, :func:`_rational_step`), halved on
     failure at most ``MAX_HALVINGS`` times (``info["halvings"]``).  A sample whose step
     returned period data is recorded at once; the others are checked in path order,
-    ``CHECK_BLOCK`` at a time on one stacked period evaluation, the rest when the
-    stepper ends or stops.  Each sample keeps its period data (``FlowSample.pd``).
+    ``CHECK_BLOCK`` at a time by :func:`sample_periods`, the rest when the stepper
+    ends or stops.  Each sample keeps its period data (``FlowSample.pd``).
     On a real curve alpha . C must be real, or DegenerateConfig is raised before
     the first step.  An empty path, or a path point that does not have one
     coordinate per x_j or is not finite, raises ValueError.
@@ -511,24 +517,21 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
                           du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1}, pd=pd0)]
     u = np.asarray(cfg0.u, dtype=complex)
-    stepped = []                # the samples (x, u, du, info) not yet checked
+    stepped = []                # the samples not yet checked, in path order
 
-    def sample(x, u, du, info, pd):
-        drift = np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
-        if control.drift_tol is not None and np.max(drift) > control.drift_tol:
-            raise DriftExceeded(f"period drift {np.max(drift):.3e} at x = {x}")
-        return FlowSample(x=x, u=u.copy(), du=du.copy(), beta_drift=drift, info=info, pd=pd)
+    def record(new, pd):
+        new.pd, new.beta_drift = pd, np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
+        if control.drift_tol is not None and np.max(new.beta_drift) > control.drift_tol:
+            raise DriftExceeded(f"period drift {np.max(new.beta_drift):.3e} at x = {new.x}")
+        samples.append(new)
 
-    def check():                # the stepped samples, in path order, on one stacked evaluation
-        cfgs = [state.cfg.replace(x=x, u=u) for x, u, _, _ in stepped]
-        try:
-            pds = normalized_bases(cfgs, state.basis, control.quad_tol) if cfgs else []
-        except IsoperiodError:  # one by one, in turn, so the first failing sample raises
-            pds = (normalized_basis(c, basis=state.basis, tol=control.quad_tol) for c in cfgs)
-        for cfg, pd, (x, u, du, info) in zip(cfgs, pds, stepped):
-            om = build_omega(cfg, pd, state.alpha)
-            info["du_consistency"] = float(np.max(np.abs(first_derivatives(cfg, pd, om) - du)))
-            samples.append(sample(x, u, du, info, pd))
+    def check():
+        runs = sample_periods(state.cfg, stepped, control.quad_tol, state.basis)
+        for new, pd in zip(stepped, chain.from_iterable(runs)):
+            om = build_omega(pd.cfg, pd, state.alpha)
+            new.info["du_consistency"] = float(np.max(np.abs(
+                first_derivatives(pd.cfg, pd, om) - new.du)))
+            record(new, pd)
         stepped.clear()
 
     step = _continuation_step if state.mode == IMPLICIT else _rational_step
@@ -554,11 +557,13 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                     continue
                 iters += n
                 s, t = t, b
-            info = {"leg": leg_no, "halvings": halvings}
-            if pd is not None:
-                samples.append(sample(p + b * d, u, du, info | {"newton_iters": iters}, pd))
+            new = FlowSample(p + b * d, u.copy(), du.copy(), None,
+                             {"leg": leg_no, "halvings": halvings})
+            if pd is None:
+                stepped.append(new)
             else:
-                stepped.append((p + b * d, u, du, info))
+                new.info["newton_iters"] = iters
+                record(new, pd)
             if len(stepped) == CHECK_BLOCK:
                 check()
     check()

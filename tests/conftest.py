@@ -31,17 +31,24 @@ def segment_calls(monkeypatch):
 @pytest.fixture
 def period_calls(monkeypatch):
     """The ``basis`` argument (None for the default gap marking) of every
-    normalized_basis call that isoperiod.flow or isoperiod.apps makes, in order."""
+    normalized_basis call that isoperiod.flow or isoperiod.apps makes, and once per
+    curve of every normalized_bases call that isoperiod.flow makes, in order: one
+    entry per evaluated curve."""
     import isoperiod.apps as apps_module
     import isoperiod.flow as flow_module
 
     calls = []
-    original = flow_module.normalized_basis
+    original, original_stack = flow_module.normalized_basis, flow_module.normalized_bases
 
     def recording(*args, **kwargs):
         calls.append(kwargs.get("basis"))
         return original(*args, **kwargs)
 
+    def stacked(cfgs, basis=None, tol=1e-10):
+        calls.extend([basis] * len(cfgs))
+        return original_stack(cfgs, basis, tol)
+
     for module in (flow_module, apps_module):
         monkeypatch.setattr(module, "normalized_basis", recording)
+    monkeypatch.setattr(flow_module, "normalized_bases", stacked)
     return calls

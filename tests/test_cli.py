@@ -199,14 +199,24 @@ def test_read_trajectory_csv_returns_trajectory(tmp_path):
     rows = (run / "trajectory.csv").read_text().strip().splitlines()[1:]
     assert len(traj.samples) == len(rows) >= 3
     assert np.array_equal(np.array(traj.path), np.array([s.x for s in traj.samples]))
-    assert traj.alpha is None and traj.beta_target is None and traj.mode is None
+    # alpha, the target and the mode come from deform's sidecar, and are None without it
+    sidecar = json.loads((run / "trajectory.json").read_text())
+    assert traj.mode == sidecar["mode"] == "implicit"
+    assert np.array_equal(traj.alpha, [j2c(a) for a in sidecar["alpha"]])
+    assert np.array_equal(traj.beta_target, [j2c(b) for b in sidecar["beta_target"]])
+    (run / "trajectory.json").unlink()
+    bare = read_trajectory_csv(run / "trajectory.csv", 1)
+    assert bare.alpha is None and bare.beta_target is None and bare.mode is None
     with pytest.raises(ValueError, match="schema"):
         read_trajectory_csv(run / "trajectory.csv", 2)
 
 
-def test_reports_on_csv_read_back_match_in_memory_trajectory(tmp_path):
+def test_reports_on_csv_read_back_match_in_memory_trajectory(tmp_path, monkeypatch):
     # the read-back samples carry no period data, so both reports compute
-    # them anew; the in-memory samples lend theirs.  Same values bit for bit
+    # them anew, as one stacked evaluation; the in-memory samples lend theirs.
+    # Same values bit for bit
+    import isoperiod.flow as flow_module
+
     cfg_path = _write_config(tmp_path, G2)
     run = tmp_path / "run"
     path = [[3.0, 5.0], [3.1, 5.0], [3.1, 5.1]]
@@ -218,8 +228,17 @@ def test_reports_on_csv_read_back_match_in_memory_trajectory(tmp_path):
     back = read_trajectory_csv(run / "trajectory.csv", 2)
     assert all(s.pd is None for s in back.samples)
     assert all(s.pd is not None for s in mem.samples)
+    calls = []
+    one, stack = flow_module.normalized_basis, flow_module.normalized_bases
+    monkeypatch.setattr(flow_module, "normalized_basis",
+                        lambda *args, **kwargs: calls.append("one") or one(*args, **kwargs))
+    monkeypatch.setattr(flow_module, "normalized_bases",
+                        lambda cfgs, *args: calls.append(len(cfgs)) or stack(cfgs, *args))
     for report in (kdv_wavevector_report, comb_invariance_check):
-        a, b = report(cfg, mem, quad_tol=1e-11), report(cfg, back, quad_tol=1e-11)
+        a = report(cfg, mem, quad_tol=1e-11)
+        calls.clear()
+        b = report(cfg, back, quad_tol=1e-11)
+        assert calls == [len(back.samples)]
         assert a.keys() == b.keys()
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
@@ -291,8 +310,7 @@ def _run_every_command(tmp_path) -> dict:
             "rational": ["deform", cfg, "--mode", "rational"] + _LEG,
             "verify": ["verify", cfg, "--hill-T", "[0, -1.5]", "--trajectory", traj],
             "comb": ["comb", cfg, "--trace", "--trajectory", traj]}
-    runs.update((name, ["examples", name, "--grid", "64", "--macro-step", "0.05"])
-                for name in _EXAMPLES)
+    runs.update((name, ["examples", name]) for name in _EXAMPLES)
     for name, argv in runs.items():
         assert main(argv + ["--out", str(tmp_path / name)]) == 0, name
     return {name: tmp_path / name for name in runs}
@@ -423,7 +441,7 @@ def test_comb_rejects_unordered_exit_3(tmp_path):
                                   "comb-g1"])
 def test_examples_run(tmp_path, capsys, name):
     out = tmp_path / name
-    assert main(["examples", name, "--out", str(out), "--macro-step", "0.05"]) == 0
+    assert main(["examples", name, "--out", str(out)]) == 0
     assert (out / "run.json").exists()
     _assert_manifest_lists_the_artifacts(out)
     assert capsys.readouterr().out == f"wrote {out / 'run.json'}\n"
@@ -431,22 +449,11 @@ def test_examples_run(tmp_path, capsys, name):
 
 def test_examples_lame_one_gap_small_grid(tmp_path):
     out = tmp_path / "lame1"
-    rc = main(["examples", "lame-one-gap", "--out", str(out), "--grid", "64",
-               "--macro-step", "0.05"])
-    assert rc == 0
+    assert main(["examples", "lame-one-gap", "--out", str(out)]) == 0
     _assert_manifest_lists_the_artifacts(out)
     data = json.loads((out / "run.json").read_text())
     assert data["max_two_w1_drift"] < 1e-7
     assert data["max_wave_defect"] < 1e-6
-
-
-@pytest.mark.parametrize("grid", ["3", "0"])
-def test_examples_lame_one_gap_odd_or_zero_grid_exit_2(tmp_path, capsys, grid):
-    # an odd grid puts its middle node on the pole X = L; 0 divided by zero
-    out = tmp_path / "lame1"
-    assert main(["examples", "lame-one-gap", "--out", str(out), "--grid", grid]) == 2
-    assert "n_grid must be a positive even integer" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_examples_unknown_name_exit_2(tmp_path):

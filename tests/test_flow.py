@@ -299,8 +299,17 @@ def test_flow_du_consistency(g1_flows):
         assert abs(si.du[0, 0] - sr.du[0, 0]) < 1e-6
 
 
-def test_flow_without_correction_stays_within_loose_tolerance():
-    ctrl = FlowControl(quad_tol=TOL, macro_step=0.02, correct=False)
+def _without_correction(monkeypatch):
+    """Make the implicit steps keep their predictions: newton_correct applies no update."""
+    original = flow_module.newton_correct
+    monkeypatch.setattr(flow_module, "newton_correct",
+                        lambda cfg, alpha, target, basis, tol, quad_tol, max_iter:
+                        original(cfg, alpha, target, basis, math.inf, quad_tol, 0))
+
+
+def test_flow_without_correction_stays_within_loose_tolerance(monkeypatch):
+    _without_correction(monkeypatch)
+    ctrl = FlowControl(quad_tol=TOL, macro_step=0.02)
     traj = integrate_flow(DeformationState(G1, np.zeros(1), mode=IMPLICIT),
                           [[2.0], [2.2]], ctrl)
     assert traj.max_drift() < 1e-5
@@ -403,17 +412,18 @@ def test_implicit_flow_in_the_benchmark_shape_takes_two_evaluations_per_step(
 
 @pytest.mark.parametrize("cfg", [G2, BranchConfig(x=[2.5, 6.0, 9.5], u=[0.8, 4.2, 8.0], real=True)],
                          ids=["g2", "g3"])
-def test_implicit_predictor_is_third_order(cfg):
+def test_implicit_predictor_is_third_order(cfg, monkeypatch):
     # uncorrected, one step's drift is the predictor's local error, O(h^4): halving h
     # cuts it 16-fold (15.4 at g = 2, 15.6 at g = 3), where the second-order Taylor
     # predictor cut it 8-fold
+    _without_correction(monkeypatch)
     x0 = np.real(cfg.x)
     d = np.eye(cfg.genus)[0]
 
     def drift(h):
         traj = integrate_flow(DeformationState(cfg, np.zeros(cfg.genus), mode=IMPLICIT),
                               [x0, x0 + h * d],
-                              FlowControl(quad_tol=TOL, macro_step=h, correct=False))
+                              FlowControl(quad_tol=TOL, macro_step=h))
         assert len(traj.samples) == 2
         return traj.max_drift()
 

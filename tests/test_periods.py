@@ -515,16 +515,18 @@ def _pair_product(p, S):
 
 
 @pytest.mark.parametrize("imag", [0.0, 0.3], ids=["real", "complex"])
-@pytest.mark.parametrize("g, radius", [(1, 8), (2, 7), (3, 6)])
+@pytest.mark.parametrize("g, radius", [(1, 8), (2, 7), (3, 6), (4, 5)])
 def test_thomae_formula_matches_B(g, radius, imag):
     # Thomae: for each g-subset T of the 2g + 1 finite branch points p, some even
     # characteristic eta_T has theta[eta_T](0 | B)^4 = c prod_{i<j in T} (p_i - p_j)
     # prod_{i<j not in T} (p_i - p_j), and the other even theta constants vanish.
     # A change of marking permutes the characteristics and scales every theta(0)
     # alike, so the sorted magnitudes match in any marking, with no quadrature
-    # in the referee.  Measured spread of the ratios at most 1.2e-14 (B at quad
-    # tol 1e-12; complex curves in the gap marking of their real parts); B[0, 1]
-    # and B[1, 0] scaled by 1 + 1e-12 spread them by 4e-12 or more at g = 2, 3
+    # in the referee.  Measured spread of the ratios at most 1.2e-14 at g <= 3 (B at
+    # quad tol 1e-12; complex curves in the gap marking of their real parts); B[0, 1]
+    # and B[1, 0] scaled by 1 + 1e-12 spread them by 4e-12 or more at g = 2, 3.  At
+    # g = 4 the spread is 1.2e-13 to 2.0e-13, the same at radius 6 (so not the
+    # lattice's truncation), and the scaled B spreads it by 8.4e-12 or more
     rng = np.random.default_rng(900 + g)
     for _ in range(3):
         z = np.cumsum(rng.uniform(0.5, 1.5, 2 * g)) + 1j * rng.uniform(-imag, imag, 2 * g)
@@ -537,7 +539,7 @@ def test_thomae_formula_matches_B(g, radius, imag):
         thomae = np.sort([abs(_pair_product(p, T) * _pair_product(p, sorted(everyone - set(T))))
                           for T in combinations(range(2 * g + 1), g)])[::-1]
         ratio = theta4[:len(thomae)] / thomae
-        assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= 1e-13
+        assert np.max(np.abs(ratio / ratio[0] - 1.0)) <= (5e-13 if g == 4 else 1e-13)
         assert np.all(theta4[len(thomae):] <= 1e-48 * theta4[0])
 
 
