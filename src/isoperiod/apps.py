@@ -263,7 +263,7 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
         U_rows += [wavevector_U(pd.cfg, pd) for pd in pds]
         real = [pd for pd in pds if pd.cfg.real]
         if real:
-            bands = in_markings(real, [_cycles.band_basis(pd.cfg.points) for pd in real])
+            bands = in_markings(real, [_cycles.band_marking(pd.table.key) for pd in real])
             U_band_rows += [b.omega_at[:, -1] for b in bands]
     U = np.array(U_rows)
     out = {"U": U, "max_drift": float(np.max(np.abs(U - U[0])))}

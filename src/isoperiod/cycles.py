@@ -94,13 +94,18 @@ def band_basis(points: np.ndarray) -> CanonicalBasis:
     real for real configurations, so the normalized differentials have real
     coefficients (and real evaluation at infinity).
     """
-    order = _sorted_real_order(points)
+    return band_marking(tuple(_sorted_real_order(points).tolist()))
+
+
+@functools.lru_cache(maxsize=64)
+def band_marking(order: tuple) -> CanonicalBasis:
+    """The band marking of real points in ascending order ``order``, shared as gap_marking's."""
     g = (len(order) - 1) // 2
     a = []
     b = []
     for j in range(1, g + 1):
-        a.append(CycleSpec(frozenset(order[2 * j - 2: 2 * j].tolist()), +1))
-        b.append(CycleSpec(frozenset(order[2 * j - 1:].tolist()), +1))
+        a.append(CycleSpec(frozenset(order[2 * j - 2: 2 * j]), +1))
+        b.append(CycleSpec(frozenset(order[2 * j - 1:]), +1))
     return CanonicalBasis(tuple(a), tuple(b))
 
 

@@ -13,7 +13,9 @@ modes are provided:
 * ``rational``: the second-order system with rational coefficients is
   integrated directly, each macro step tried as one DOP853 step
   (:func:`solve_ivp`); a step whose embedded error estimate is too large is
-  rejected and halved.  The stepper reads no periods; its samples' drifts,
+  rejected and halved.  On a real curve (real points, real alpha . C) the
+  state (u, du) stays real, and is stepped in float64; the samples store it
+  as complex.  The stepper reads no periods; its samples' drifts,
   2 pi i omega(P_inf) + alpha B, are checked ``CHECK_BLOCK`` at a time on one
   stacked period evaluation, the b-cycles integrated (for B) only if alpha != 0.
 
@@ -150,8 +152,8 @@ def first_derivatives(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential) 
 # ---------------------------------------------------------------------------
 
 def _differences(x, u) -> np.ndarray:
-    """The pairwise table D[a, b] = p_a - p_b over p = (0, x, u)."""
-    pts = np.concatenate(([0j], x, u))
+    """The pairwise table D[a, b] = p_a - p_b over p = (0, x, u), real when x and u are."""
+    pts = np.concatenate(([0.0], x, u))
     return np.subtract.outer(pts, pts)
 
 
@@ -164,7 +166,8 @@ def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray
     close = dist < threshold * scale
     if np.count_nonzero(close) > len(D):            # more than the diagonal
         i, j = np.argwhere(np.triu(close, 1))[0]
-        raise SingularLocus(f"branch points {D[i, 0]} and {D[j, 0]} within {threshold * scale}")
+        raise SingularLocus(f"branch points {complex(D[i, 0])} and {complex(D[j, 0])} "
+                            f"within {threshold * scale}")
     return D
 
 
@@ -208,7 +211,8 @@ def _coefficients(D: np.ndarray, du: np.ndarray):
 def rhs_genus_g(x, u, du) -> np.ndarray:
     """Full second-derivative tensor T[m, k, n] = d^2 u_{m+1} / dx_{k+1} dx_{n+1}.
 
-    Rational in (x, u, du) and valid for every genus >= 1.  Entry by entry,
+    Rational in (x, u, du), valid for every genus >= 1 and computed in the dtype
+    np.result_type(x, u, du, float): float64 on real inputs.  Entry by entry,
     with S[m] = sum_j du[m, j],
 
         T[m, k, k] = (du[m, k] (line1 + C[m, k, k]) + du[m, k]^2 (UX[m, k, k] + 1/(x_k - u_m))
@@ -258,9 +262,10 @@ def rhs_genus_g(x, u, du) -> np.ndarray:
     entry-by-entry loop form of the system, so the two agree to rounding
     (about 1e-13 relative for g <= 8), not bit for bit.
     """
-    du = np.asarray(du, dtype=complex)
+    dt = np.result_type(np.asarray(x), np.asarray(u), np.asarray(du), float)
+    du = np.asarray(du, dtype=dt)
     g = len(du)
-    D = _check_regular(x, u, 1e-8)
+    D = _check_regular(np.asarray(x, dtype=dt), u, 1e-8)
     R, S1, Mu, Mx = _coefficients(D, du)
     X, U = slice(1, g + 1), slice(g + 1, 2 * g + 1)
     r_ux = R[U, X]                                      # 1/(u_m - x_k) = -1/(x_k - u_m)
@@ -454,21 +459,26 @@ def _rational_step(state, control, beta_target, p, d, s, t, u, du):
     """One rational-mode step along x = p + tau d from tau = s, where (u, du)
     holds, to tau = t: y = (u, du) evolves through the second-order rational
     system, u' = du d and du' = T d with T = rhs_genus_g, as one DOP853 step
-    (:func:`solve_ivp`).  A step whose embedded error estimate is too large
-    raises SingularLocus, so the caller halves it.  The step reads no periods:
-    returns (u, du, None, 0), and the caller checks the sample's drift later.
+    (:func:`solve_ivp`): in float64 when y, p and d have no imaginary part, else
+    in complex128.  A step whose embedded error estimate is too large raises
+    SingularLocus, so the caller halves it.  The step reads no periods: returns
+    (u, du, None, 0) as complex128, and the caller checks the sample's drift later.
     """
     g = len(u)
+    y0 = np.concatenate((u, du.reshape(-1)))
+    if not (y0.imag.any() or p.imag.any() or d.imag.any()):     # a real curve stays real
+        y0, p, d = y0.real, p.real, d.real
 
     def rhs(tau, y):
-        du = y[g:].reshape(g, g)
-        T = rhs_genus_g(p + tau * d, y[:g], du)
-        return np.concatenate((du @ d, (T @ d).reshape(-1)))
+        du, f = y[g:].reshape(g, g), np.empty_like(y)
+        np.matmul(du, d, out=f[:g])
+        np.matmul(rhs_genus_g(p + tau * d, y[:g], du), d, out=f[g:].reshape(g, g))
+        return f
 
-    step = solve_ivp(rhs, (s, t), np.concatenate((u, du.reshape(-1))))
+    step = solve_ivp(rhs, (s, t), y0)
     if not step.error_norm < 1.0:                       # NaN fails too
         raise SingularLocus(f"step [{s}, {t}] rejected: error norm {step.error_norm:.3g}")
-    return step.y[:g], step.y[g:].reshape(g, g), None, 0
+    return np.asarray(step.y[:g], complex), np.asarray(step.y[g:], complex).reshape(g, g), None, 0
 
 
 def integrate_flow(state: DeformationState, path, control: FlowControl | None = None) -> Trajectory:

@@ -126,6 +126,29 @@ def test_rhs_matches_loop_form(g):
         assert np.array_equal(T, np.swapaxes(T, 1, 2))
 
 
+@pytest.mark.parametrize("g", range(1, 9))
+def test_rhs_of_real_inputs_is_real(g):
+    # real (x, u, du) give a float64 T.  It rounds its sums in another order than the
+    # complex128 call (they differ by up to ~50 ulp of max |T| at g = 8), but against
+    # the same system in extended precision it is as accurate as that call
+    rng = np.random.default_rng(200 + g)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        x, u = _interleaved(rng, g, complex_perturbed=False)
+        du = rng.normal(size=(g, g))
+        T = rhs_genus_g(x, u, du)
+        Tc = rhs_genus_g(x.astype(complex), u.astype(complex), du.astype(complex))
+        assert T.dtype == np.float64 and Tc.dtype == np.complex128
+        if np.finfo(np.longdouble).eps < eps:
+            exact = rhs_genus_g(*(a.astype(np.longdouble) for a in (x, u, du)))
+            scale = float(np.max(np.abs(exact)))
+            err, err_c = (float(np.max(np.abs(A - exact))) / scale for A in (T, Tc))
+            assert err <= 2.0 * err_c + 4.0 * eps
+        ref = rhs_genus_g_loops(x, u, du)
+        assert np.max(np.abs(T - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(T, np.swapaxes(T, 1, 2))
+
+
 def test_rhs_property_symmetric_and_matches_loop_form():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
@@ -881,10 +904,8 @@ def test_dop853_tableau_equals_scipy():
     assert np.array_equal(flow_module.DOP_E5, ref.E5[:12])
 
 
-@pytest.mark.parametrize("g", range(1, 5))
-def test_dop853_step_equals_scipy(g, monkeypatch):
-    # each macro step of a rational flow against scipy's DOP853 taking the same first step
-    integrate = pytest.importorskip("scipy.integrate")
+def _recording_solve_ivp(monkeypatch):
+    """Record (fun, t_span, y0, result) of every flow.solve_ivp call."""
     steps = []
     original = flow_module.solve_ivp
 
@@ -894,12 +915,31 @@ def test_dop853_step_equals_scipy(g, monkeypatch):
         return out
 
     monkeypatch.setattr(flow_module, "solve_ivp", recording)
-    x, u = _interleaved(np.random.default_rng(60 + g), g, complex_perturbed=False)
-    cfg = BranchConfig(x=x, u=u, real=True)
+    return steps
+
+
+def _rational_diagonal_flow(cfg, basis=None):
+    """A rational flow from cfg along a diagonal leg of two macro steps."""
+    g = cfg.genus
+    x = np.array(cfg.x)
     leg = 0.02 * (1.0 - 1e-9) / math.sqrt(g) * np.ones(g)
-    integrate_flow(DeformationState(cfg, np.zeros(g), mode=RATIONAL), [x, x + leg],
-                   FlowControl(quad_tol=TOL, macro_step=0.01))
+    return integrate_flow(DeformationState(cfg, np.zeros(g), mode=RATIONAL, basis=basis),
+                          [x, x + leg], FlowControl(quad_tol=TOL, macro_step=0.01))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4, "complex"])
+def test_dop853_step_equals_scipy(g, monkeypatch):
+    # each macro step of a rational flow against scipy's DOP853 taking the same first
+    # step: real curves step in float64, G1_COMPLEX in complex128
+    integrate = pytest.importorskip("scipy.integrate")
+    steps = _recording_solve_ivp(monkeypatch)
+    if g == "complex":
+        _rational_diagonal_flow(G1_COMPLEX, gap_basis(G1_COMPLEX.points.real))
+    else:
+        x, u = _interleaved(np.random.default_rng(60 + g), g, complex_perturbed=False)
+        _rational_diagonal_flow(BranchConfig(x=x, u=u, real=True))
     assert len(steps) == 2
+    assert {y0.dtype for _, _, y0, _ in steps} == {np.dtype(complex if g == "complex" else float)}
     rtol, atol = flow_module.RK_RTOL, flow_module.RK_ATOL
     for fun, t_span, y0, out in steps:
         h = t_span[1] - t_span[0]
@@ -921,6 +961,21 @@ def test_flow_reality_preserved(g1_flows):
     for traj in (imp, rat):
         _, us = traj.grid()
         assert np.max(np.abs(us.imag)) < 1e-9
+    # rational mode steps a real curve in real arithmetic
+    _, us = rat.grid()
+    assert not us.imag.any()
+    assert not any(s.du.imag.any() for s in rat.samples)
+
+
+@pytest.mark.parametrize("case", ["g2", "g3", "g1-complex"])
+def test_rational_state_dtype_follows_the_curve(case, monkeypatch):
+    # float64 steps on a real curve, complex128 on a complex one; samples stay complex
+    cfg = {"g2": G2, "g3": _interleaved_g3(0), "g1-complex": G1_COMPLEX}[case]
+    steps = _recording_solve_ivp(monkeypatch)
+    traj = _rational_diagonal_flow(cfg, None if cfg.real else gap_basis(cfg.points.real))
+    assert len(steps) == 2
+    assert {y0.dtype for _, _, y0, _ in steps} == {np.dtype(float if cfg.real else complex)}
+    assert all(s.u.dtype == s.du.dtype == np.complex128 for s in traj.samples)
 
 
 # -- Hill condition -----------------------------------------------------------------
