@@ -15,9 +15,9 @@ h_j = Im Theta(xi_j) at the zeros xi_j of Q (one zero per gap).
 
 Theta at the branch points is a cumulative sum of the period data's segment
 table (:class:`isoperiod.periods.SegmentTable`) times Q, so the full
-segments cost no quadrature here; the partial integrals from a branch point
-to an interior point use the same tanh-sinh kernel, with one singular
-endpoint.  Up to the zeros, Q is evaluated in product form over them, from
+segments cost no quadrature here; the partial integrals from a branch point,
+up to a zero or to a trace point, use the same tanh-sinh kernel, with one
+singular endpoint.  Every one evaluates Q in product form over its zeros, from
 the exact node differences: the monomial form cancels near xi_j, where
 narrow gaps put the slit heights' whole integrand.
 """
@@ -32,7 +32,7 @@ from .curves import BranchConfig, validate_config
 from .errors import OrderingViolation, RootLocalizationFailed
 from .flow import sample_periods
 from .periods import (OmegaDifferential, PeriodData, SegmentTable, beta_from_evaluations,
-                      build_omega, horner, power_rows, require_positive, tanh_sinh)
+                      build_omega, horner, require_positive, tanh_sinh)
 
 UNORDERED = "comb construction requires 0 < u_1 < x_1 < ... < x_g"
 
@@ -88,47 +88,55 @@ def comb_map(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
              tol: float = 1e-10) -> CombRegion:
     """Base marks q_j, slit heights h_j, and the q/beta ratio vector.
 
-    The full segments are the segment table of ``pd`` (to ``pd.tol``) times
-    the polynomial; only the g partial integrals up to the zeros are new
-    quadratures (to ``tol``, which must be finite and positive).  It is the
-    stack of one of the comb that :func:`comb_invariance_check` builds.
+    ``cfg`` must be ordered (else OrderingViolation), then ``om`` of zero
+    a-periods (else ValueError).  The full segments are the segment table of
+    ``pd`` (to ``pd.tol``) times the polynomial; only the g partial integrals up
+    to the zeros are new quadratures (to ``tol``, which must be finite and
+    positive).  It is the stack of one of the comb that
+    :func:`comb_invariance_check` builds.
     """
     require_positive(tol=tol)
+    if validate_config(cfg, ordered=True):
+        raise OrderingViolation(UNORDERED)
+    if np.any(np.abs(om.alpha) > 0):
+        raise ValueError("comb construction uses the zero-a-period differential")
     return _combs([(cfg, pd, om)], tol)[0]
 
 
+def _partials(q, zeros, first, hi, tol: float) -> np.ndarray:
+    """int Q dt / |mu| from q[i, first[k]] to hi[i, k], for the curves i of sorted
+    points q and zeros of Q (rows), as one kernel call.  Q is the product over its
+    zeros, t - xi_j = (t - u_j) - (xi_j - u_j) from the exact node differences."""
+    gaps, m = np.arange(1, q.shape[1] - 1, 2), hi.shape[1]
+    offsets = (zeros - q[:, gaps]).repeat(m, axis=0)[:, None]
+    return tanh_sinh(q[:, first].ravel(), hi.ravel(), q.repeat(m, axis=0), tol,
+                     lambda t, D, sel: np.prod(D[..., gaps] - offsets[sel], axis=-1)[..., None],
+                     diffs=True)[0].reshape(-1, m)
+
+
 def _combs(curves, tol: float) -> list:
-    """:func:`comb_map` of each (cfg, pd, om) of ``curves`` (one genus, and tables to
-    one tolerance) as one stack, bit for bit what a call per curve gives: one batched
-    root solve, one fill of the segment tables and one kernel call for the partial
-    integrals of all gaps.  The checks raise for the first failing curve in order."""
+    """:func:`comb_map` of each (cfg, pd, om) of ``curves`` (one genus, tables to one
+    tolerance, cfg ordered, om of zero a-periods) as one stack, bit for bit what a
+    call per curve gives: one batched root solve, one fill of the segment tables and
+    one kernel call for the partial integrals of all gaps.  The first curve in order
+    whose zeros stall or leave their gaps raises."""
     polys = np.array([om.poly for *_, om in curves])
     roots, stalled = _polished_roots(polys)
     zeros = []
-    for (cfg, _, om), r, err in zip(curves, roots, stalled):
-        if validate_config(cfg, ordered=True):
-            raise OrderingViolation(UNORDERED)
-        if np.any(np.abs(om.alpha) > 0):
-            raise ValueError("comb construction uses the zero-a-period differential")
+    for (cfg, _, _), r, err in zip(curves, roots, stalled):
         if err is not None:
             raise err
         zeros.append(np.sort(_one_per_gap(cfg, r).real))   # cfg is ordered, om built on it
-    g = curves[0][0].genus
     tables = [pd.table for _, pd, _ in curves]
     SegmentTable.fill(tables)
-    gaps = np.arange(1, 2 * g, 2)
+    gaps = np.arange(1, 2 * curves[0][0].genus, 2)
     q, zeros = np.array([t.q for t in tables]), np.array(zeros)
-    # int_{u_j}^{xi_j} Q / |mu|, with t - xi_k = (t - u_k) - (xi_k - u_k), the offsets
-    # of the interval's own curve
-    offsets = (zeros - q[:, gaps]).repeat(g, axis=0)[:, None]
-    part = tanh_sinh(q[:, gaps].ravel(), zeros.ravel(), q.repeat(g, axis=0), tol,
-                     lambda t, D, sel: np.prod(D[..., gaps] - offsets[sel], axis=-1)[..., None],
-                     diffs=True)[0].reshape(-1, g)
+    part = _partials(q, zeros, gaps, zeros, tol)
     out = []
     for (_, pd, _), table, poly, xi, p in zip(curves, tables, polys, zeros, part):
         poly = poly.real if np.max(np.abs(poly.imag)) < 1e-9 else poly
         seg_vals = table.values @ poly          # phase included
-        th_u = 0.5 * np.cumsum(seg_vals)[0:2 * g:2]         # Theta at u_j = sorted point 2j-1
+        th_u = 0.5 * np.cumsum(seg_vals)[::2]         # Theta at u_j = sorted point 2j-1
         # Theta(u_j) is real (the a-periods of Q vanish); its imaginary part is
         # rounding, reported as the base residual, and left out of h
         out.append(CombRegion(q=th_u.real, h=(0.5 * p / table.phase[gaps]).imag, zeros=xi,
@@ -143,32 +151,23 @@ def boundary_trace(cfg: BranchConfig, pd: PeriodData, om: OmegaDifferential,
                    n_per_segment: int = 64, tol: float = 1e-9) -> np.ndarray:
     """Sample (lambda, Theta(lambda)) along the real axis for plotting.
 
-    Interior sample points of each inter-branch-point segment only; the map
-    is continuous up to the branch points where it has square-root behaviour.
-    ``tol`` must be finite and positive.
+    Interior sample points of each inter-branch-point segment, then its end;
+    the map has square-root behaviour at the branch points.  :func:`comb_map`
+    checks ``tol``, the ordering (its OrderingViolation) and alpha (nonzero
+    raises ValueError) and finds the zeros; the partials are one kernel call.
     """
     if n_per_segment < 2:
         raise ValueError(f"n_per_segment must be at least 2, not {n_per_segment!r}")
-    require_positive(tol=tol)
-    if validate_config(cfg, ordered=True):
-        raise OrderingViolation("boundary trace requires an ordered real configuration")
-    g = cfg.genus
-    poly = om.poly.real if np.max(np.abs(om.poly.imag)) < 1e-9 else om.poly
-    table = pd.table
-    pts = table.q
-    SegmentTable.fill([table])
-    seg_vals = table.values @ poly
-    rows = []
-    theta_base = 0.0 + 0.0j
+    region = comb_map(cfg, pd, om, tol)
+    pts, phase = pd.table.q, pd.table.phase
     frac = np.linspace(0.0, 1.0, n_per_segment, endpoint=False)[1:]
-    for s in range(2 * g):
-        targets = pts[s] + (pts[s + 1] - pts[s]) * frac
-        part = tanh_sinh(np.full(len(targets), pts[s]), targets, pts, tol,
-                         power_rows(g + 1))[0] @ poly
-        rows.extend(zip(targets, theta_base + 0.5 * part / table.phase[s]))
-        theta_base = theta_base + 0.5 * seg_vals[s]
-        rows.append((pts[s + 1], theta_base))
-    return np.array(rows, dtype=complex)
+    targets = pts[:-1, None] + np.diff(pts)[:, None] * frac
+    part = _partials(pts[None], region.zeros[None], np.arange(len(phase)).repeat(frac.size),
+                     targets.reshape(1, -1), tol).reshape(targets.shape)
+    # Theta at the points: the segment values (their phase, a power of i, divided out) summed from 0
+    base = np.cumsum(np.append(0j, 0.5 * np.divide(region.diagnostics["segment_values"], phase)))
+    theta = np.hstack((base[:-1, None] + 0.5 * part / phase[:, None], base[1:, None]))
+    return np.stack((np.hstack((targets, pts[1:, None])).ravel(), theta.ravel()), axis=1)
 
 
 def comb_invariance_check(cfg: BranchConfig, trajectory, tol: float = 1e-6,

@@ -56,6 +56,13 @@ def test_periods_duplicate_points_exit_3(tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+def test_periods_real_flag_on_a_complex_point_exit_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"genus": 1, "x": [[2.0, 1e-3]], "u": [1.0], "real": True})
+    assert main(["periods", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "real flag set but x_1 = (2+0.001j) is not real" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("payload,extra", [
     ({"x": 2.0, "u": [1.0]}, []),
     ([2.0, 1.0], []),

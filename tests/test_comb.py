@@ -133,6 +133,71 @@ def test_boundary_trace_needs_two_parts_per_segment(n):
     assert boundary_trace(G1, pd, om, n_per_segment=2).shape == (4, 2)
 
 
+def test_boundary_trace_integrates_through_the_comb_map(monkeypatch):
+    # the trace takes its checks and zeros from comb_map, then makes one kernel
+    # call of its own, through the partials helper that the comb's stack uses
+    events = []
+    for name in ("comb_map", "_partials", "tanh_sinh"):
+        original = getattr(comb_module, name)
+
+        def recording(*args, _name=name, _original=original, **kwargs):
+            events.append(_name)
+            out = _original(*args, **kwargs)
+            events.append("/" + _name)
+            return out
+
+        monkeypatch.setattr(comb_module, name, recording)
+    pd, om = _setup(G2)
+    boundary_trace(G2, pd, om, n_per_segment=8, tol=TOL)
+    inner = ["_partials", "tanh_sinh", "/tanh_sinh", "/_partials"]
+    assert events == ["comb_map"] + inner + ["/comb_map"] + inner
+    assert not hasattr(comb_module, "power_rows")
+
+
+def test_boundary_trace_refuses_what_comb_map_refuses():
+    pd, om = _setup(G2)
+    alpha = build_omega(G2, pd, alpha=[0.3j, 0.1j], tol=TOL)
+    with pytest.raises(ValueError, match="^comb construction uses the zero-a-period differential$"):
+        boundary_trace(G2, pd, alpha)
+    cfg = BranchConfig(x=[3.0, 1.0], u=[2.0, 4.0], real=True)
+    pd, om = _setup(cfg)
+    message = re.escape(comb_module.UNORDERED)
+    with pytest.raises(OrderingViolation, match=f"^{message}$"):
+        boundary_trace(cfg, pd, om)
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_boundary_trace_in_a_narrow_gap_matches_mpmath(width):
+    # Theta(lambda) - Theta(u) = -(i/2) int_u^lambda Q dt / |mu| inside the gap,
+    # Q the product over the comb's zeros.  The monomial form of Q cancels near
+    # its zero: it was off by 3.2e-13, 1e-10, 3.3e-9 and 5e-7 relative at these
+    # widths.  The product form reads 2.9e-16 and 2e-15 at 1e-2 and 1e-4, and
+    # 5e-13 at 1e-6 and 1e-8, at the last point: below magnitude 1 the kernel's
+    # tolerance is absolute, and a partial of 1e-7 is accepted at 73 nodes
+    mp = pytest.importorskip("mpmath")
+    cfg = BranchConfig(x=[1.0 + width], u=[1.0], real=True)
+    pd = normalized_basis(cfg, tol=1e-12)
+    om = build_omega(cfg, pd, tol=1e-12)
+    (xi,) = comb_map(cfg, pd, om, tol=1e-12).zeros
+    trace = boundary_trace(cfg, pd, om, n_per_segment=64, tol=1e-12)
+    lam, theta = trace[:, 0].real, trace[:, 1]
+    u, x = cfg.u[0].real, cfg.x[0].real
+    (at_u,) = theta[lam == u]
+    inside = (lam > u) & (lam < x)
+    assert np.count_nonzero(inside) == 63
+    with mp.workdps(40):
+        U, X, XI = mp.mpf(u), mp.mpf(x), mp.mpf(xi)
+
+        def f(v):                     # t = u + v^2 absorbs the endpoint root
+            t = U + v * v
+            return 2 * (t - XI) / mp.sqrt(t * (X - t))
+
+        for lam_i, theta_i in zip(lam[inside], theta[inside]):
+            ref = -0.5 * mp.quad(f, [0, mp.sqrt(mp.mpf(lam_i) - U)])
+            d = theta_i - at_u
+            assert abs(mp.mpc(d.real, d.imag) - mp.mpc(0, ref)) <= 1e-12 * abs(ref)
+
+
 def test_ratio_constant_across_configs():
     ratios = []
     for cfg in (G1, BranchConfig(x=[2.4], u=[0.7], real=True), G2):
@@ -224,21 +289,36 @@ def test_stacked_combs_equal_comb_map_per_curve(g):
             assert np.array_equal(r[np.argsort(r.real)], omega_zeros_fixed_steps(om))
 
 
-def test_stacked_comb_raises_for_the_first_failing_curve():
-    # each curve is checked in stack order, as a comb_map per curve would be:
-    # its interleaving, then its a-periods, then its zeros
+def test_stacked_comb_raises_for_the_first_failing_curve(monkeypatch):
+    # the stack only computes: the ordering and the a-periods are its callers'
+    # checks (comb_map's, below), and it raises the first stalled or misplaced
+    # zero in stack order
     pd, om = _setup(G2)
-    out_of_order = BranchConfig(x=[4.5, 5.0], u=[1.0, 4.0], real=True)
-    ordering = (out_of_order, *_setup(out_of_order))
-    alpha = (G2, pd, build_omega(G2, pd, alpha=[0.1, 0.0], tol=TOL))
-    # Q = (t - 0.5)(t - 4.5): neither zero in its gap
-    zeros = (G2, pd, replace(om, c=np.array([2.25, -5.0], dtype=complex)))
-    for stack, error in (([(G2, pd, om), ordering, zeros], OrderingViolation),
-                         ([(G2, pd, om), zeros, ordering], RootLocalizationFailed),
-                         ([alpha, ordering], ValueError),
-                         ([ordering, alpha], OrderingViolation)):
-        with pytest.raises(error):
+    # Q = (t - 0.5)(t - 4.5) leaves the first gap, Q = (t - 2)(t - 6) the second
+    first = (G2, pd, replace(om, c=np.array([2.25, -5.0], dtype=complex)))
+    second = (G2, pd, replace(om, c=np.array([12.0, -8.0], dtype=complex)))
+    for stack, gap in (([(G2, pd, om), first, second], "(1.0, 3.0)"),
+                       ([(G2, pd, om), second, first], "(4.0, 5.0)")):
+        with pytest.raises(RootLocalizationFailed, match=re.escape(f"in gap {gap}")):
             comb_module._combs(stack, TOL)
+    original = comb_module._polished_roots
+
+    def stall_second(poly):
+        roots, stalled = original(poly)
+        return roots, stalled[:1] + [RootLocalizationFailed("stalled")] + stalled[2:]
+
+    monkeypatch.setattr(comb_module, "_polished_roots", stall_second)
+    for stack, message in (([(G2, pd, om), (G2, pd, om), first], "^stalled$"),
+                           ([first, (G2, pd, om), (G2, pd, om)], "in gap")):
+        with pytest.raises(RootLocalizationFailed, match=message):
+            comb_module._combs(stack, TOL)
+    # comb_map checks its one curve: the interleaving, then alpha, then the zeros
+    out_of_order = BranchConfig(x=[4.5, 5.0], u=[1.0, 4.0], real=True)
+    alpha = np.array([0.1, 0.0], dtype=complex)
+    for cfg, a, error in ((out_of_order, alpha, OrderingViolation),
+                          (G2, alpha, ValueError), (G2, 0 * alpha, RootLocalizationFailed)):
+        with pytest.raises(error):
+            comb_map(cfg, pd, replace(first[2], alpha=a), tol=TOL)
 
 
 # -- invariance along flows ------------------------------------------------------------
@@ -288,6 +368,16 @@ def test_comb_defaults_reuse_a_default_flows_period_data(period_calls):
     assert len(traj.samples) > 2
     assert period_calls == []
     assert rep["base_invariant"]
+
+
+def test_comb_invariance_checks_each_sample_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(comb_module, "validate_config",
+                        lambda *a, **k: calls.append(k) or validate_config(*a, **k))
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT),
+                          [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=TOL, macro_step=0.025))
+    comb_invariance_check(G2, traj, quad_tol=TOL)
+    assert calls == [{"ordered": True}] * len(traj.samples) and len(traj.samples) == 3
 
 
 def test_comb_invariance_rejects_prescribed_a_periods():

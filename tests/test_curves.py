@@ -41,6 +41,17 @@ def test_validate_non_finite_reported_alone(bad):
         require_valid(cfg)
 
 
+def test_validate_real_flag_on_a_complex_point():
+    cfg = BranchConfig(x=[2.0 + 1e-3j], u=[1.0], real=True)
+    assert validate_config(cfg) == ["real flag set but x_1 = (2+0.001j) is not real"]
+    assert validate_config(cfg.replace(x=[2.0 + 1e-12j])) == []    # within the snap threshold
+
+
+def test_unequal_x_and_u_rejected():
+    with pytest.raises(DegenerateConfig, match="^need equally many x and u branch points"):
+        BranchConfig(x=[2.0, 3.0], u=[1.0])
+
+
 def test_point_curve_needs_odd_count():
     with pytest.raises(DegenerateConfig):
         PointCurve((0.0, 1.0))

@@ -12,7 +12,8 @@ from isoperiod.curves import BranchConfig
 from isoperiod.cycles import gap_basis
 import isoperiod.flow as flow_module
 from isoperiod.errors import (DegenerateConfig, DriftExceeded, NoConvergence, NoProgress,
-                             SingularLocus, SingularPeriodMatrix, VanishingOmegaAtU)
+                             SingularJacobian, SingularLocus, SingularPeriodMatrix,
+                             VanishingOmegaAtU)
 from isoperiod.flow import (IMPLICIT, RATIONAL, DeformationState, FlowControl,
                             first_derivatives, hill_check, integrate_flow,
                             newton_correct, period_jacobian, rhs_genus_g,
@@ -289,6 +290,17 @@ def test_newton_polishes_a_prediction_already_under_tol():
                                              tol=flow_module.NEWTON_TOL, quad_tol=TOL)
     assert iters == 1
     assert np.max(np.abs(np.asarray(fixed.u) - np.asarray(G2.u))) <= 1e-14
+
+
+def test_newton_raises_singular_jacobian_where_omega_vanishes_at_u():
+    # alpha_1 = -Omega_0(P_u1) / omega_1(P_u1) makes Omega(P_u1) = 0: the period
+    # Jacobian's first row vanishes, and its condition is infinite
+    pd, om = _setup(G2)
+    alpha = np.array([-om.values_at[1] / pd.omega_at[0, 1], 0.0])
+    assert abs(build_omega(G2, pd, alpha).values_at[1]) <= 1e-15
+    target = beta_from_evaluations(pd, alpha) + 1e-6
+    with pytest.raises(SingularJacobian, match="^period Jacobian condition"):
+        newton_correct(G2, alpha, target, quad_tol=TOL)
 
 
 # -- flow integration -------------------------------------------------------------
@@ -800,6 +812,12 @@ def test_flow_rational_mode_du_consistency_recorded():
 def test_flow_control_rejects_non_positive_or_non_finite(field, value):
     with pytest.raises(ValueError, match=f"{field} must be finite and positive"):
         FlowControl(**{field: value})
+
+
+def test_path_must_start_at_the_configurations_x():
+    state = DeformationState(G2, np.zeros(2), mode=IMPLICIT)
+    with pytest.raises(ValueError, match="^path must start at the configuration's x$"):
+        integrate_flow(state, [[3.01, 5.0], [3.02, 5.0]], FlowControl(quad_tol=TOL))
 
 
 def test_path_point_of_wrong_length_rejected():

@@ -12,7 +12,7 @@ from isoperiod.comb import boundary_trace, comb_map
 from isoperiod.curves import BranchConfig
 from isoperiod.cycles import (CanonicalBasis, CycleSpec, band_basis, gap_basis,
                               intersection_matrix, realize)
-from isoperiod.errors import DegenerateConfig
+from isoperiod.errors import DegenerateConfig, SingularPeriodMatrix
 from isoperiod.flow import verify_identities
 from isoperiod.periods import (ContourTable, SegmentTable, beta_from_evaluations,
                                build_omega, integrate_contour, normalized_bases,
@@ -148,6 +148,14 @@ def test_singular_period_matrix_detected():
     cfg = BranchConfig(x=[1.0 + 1e-14, 5.0], u=[1.0, 4.0], real=True)
     with pytest.raises(Exception):
         normalized_basis(cfg, tol=TOL)
+
+
+def test_repeated_a_cycle_fails_the_condition_check():
+    # both a-cycles around the first gap: the a-period matrix has two equal
+    # rows, and normalized_basis's own condition check raises
+    basis = gap_basis(G2.points)
+    with pytest.raises(SingularPeriodMatrix, match="^a-period matrix condition"):
+        normalized_basis(G2, basis=CanonicalBasis((basis.a[0], basis.a[0]), basis.b), tol=TOL)
 
 
 # -- evaluations at infinity --------------------------------------------------

@@ -110,7 +110,7 @@ def test_comb_and_boundary_trace_at_gap_1e8(j):
     gap = theta[(lam > cfg.u[j].real) & (lam <= cfg.x[j].real)]
     # the narrow gap walks its slit: real part at the base mark, height up to h_j
     assert np.max(np.abs(gap.real - region.q[j])) < 1e-9
-    assert np.all(gap.imag >= -1e-15) and np.max(gap.imag) <= region.h[j] * (1.0 + 1e-6)
+    assert np.all(gap.imag >= -1e-15) and np.max(gap.imag) <= region.h[j] * (1.0 + 1e-12)
 
 
 def _kernel_cases():
