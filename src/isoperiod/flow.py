@@ -15,14 +15,15 @@ modes are provided:
   (:func:`solve_ivp`); a step whose embedded error estimate is too large is
   rejected and halved.  On a real curve (real points, real alpha . C) the
   state (u, du) stays real, and is stepped in float64; the samples store it
-  as complex.  The stepper reads no periods; its samples' drifts,
-  2 pi i omega(P_inf) + alpha B, are checked ``CHECK_BLOCK`` at a time on one
-  stacked period evaluation, the b-cycles integrated (for B) only if alpha != 0.
+  as complex.  The stepper reads no periods: its samples get theirs
+  ``CHECK_BLOCK`` at a time from one stacked evaluation, the b-cycles
+  integrated (for B) only if alpha != 0.
 
-A path is a polyline in x-space, integrated leg by leg along the straight
-segments x(tau) = p + tau (q - p).  The second-order system is integrable
-(T[m, k, n] is symmetric in k, n), so every route between two points traces
-the same family.
+A path is a polyline in x-space of at most ``MAX_MACRO_STEPS`` macro steps,
+integrated leg by leg along the straight segments x(tau) = p + tau (q - p).  The
+second-order system is integrable (T[m, k, n] is symmetric in k, n), so every
+route between two points traces the same family.  One check records every
+sample, the start included, with its drift from the start's b-periods.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
 NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
 MAX_HALVINGS = 40                       # per macro step, on a failed step
 CHECK_BLOCK = 32                        # samples per stacked period evaluation
+MAX_MACRO_STEPS = 100_000               # per path, checked before the first period evaluation
 OMEGA_ZERO_TOL = 1e-11                  # |Omega(P_um)| below this times max |Omega| vanishes
 
 
@@ -158,11 +160,11 @@ def _differences(x, u) -> np.ndarray:
 
 
 def _check_regular(x: np.ndarray, u: np.ndarray, threshold: float) -> np.ndarray:
-    """Raise SingularLocus at the first pair (row-major, i < j) of p = (0, x, u)
-    closer than ``threshold`` relative; return the table D of :func:`_differences`."""
+    """Raise SingularLocus at the first pair (row-major, i < j) of p = (0, x, u) closer
+    than ``threshold`` max |p|; return the table D of :func:`_differences`."""
     D = _differences(x, u)
     dist = np.abs(D)
-    scale = max(1.0, float(np.maximum.reduce(dist[:, 0])))
+    scale = float(np.maximum.reduce(dist[:, 0]))
     close = dist < threshold * scale
     if np.count_nonzero(close) > len(D):            # more than the diagonal
         i, j = np.argwhere(np.triu(close, 1))[0]
@@ -489,13 +491,14 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     equal macro steps (the quotient read with a relative slack of 1e-12, so rounding
     in q - p adds none), with a sample at each end.  A macro step is one call of the
     mode's step function (:func:`_continuation_step`, :func:`_rational_step`), halved on
-    failure at most ``MAX_HALVINGS`` times (``info["halvings"]``).  A sample whose step
-    returned period data is recorded at once; the others are checked in path order,
-    ``CHECK_BLOCK`` at a time by :func:`sample_periods`, the rest when the stepper
-    ends or stops.  Each sample keeps its period data (``FlowSample.pd``).
-    On a real curve alpha . C must be real, or DegenerateConfig is raised before
-    the first step.  An empty path, or a path point that does not have one
-    coordinate per x_j or is not finite, raises ValueError.
+    failure at most ``MAX_HALVINGS`` times (``info["halvings"]``).  One check records
+    every sample, the start included, in path order (its drift, the ``drift_tol`` test):
+    after a step that returned period data, when ``CHECK_BLOCK`` samples without any
+    wait for :func:`sample_periods` (and ``info["du_consistency"]``), before a flow
+    stopped by its halvings raises, and at the end.  Each sample keeps its ``pd``, about
+    5 KB at genus 2.  More than ``MAX_MACRO_STEPS`` macro steps, an empty path, or a path
+    point not finite or without one coordinate per x_j raise ValueError before any
+    quadrature; on a real curve alpha . C must be real, or DegenerateConfig is raised.
     """
     control = control or FlowControl()
     cfg0 = state.cfg
@@ -512,6 +515,11 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     if np.max(np.abs(path[0] - np.asarray(cfg0.x))) > 1e-12 * max(1.0, cfg0.scale()):
         raise ValueError("path must start at the configuration's x")
     legs = [(p, q - p) for p, q in zip(path, path[1:]) if np.any(q != p)]
+    # the slack keeps 0.02 / 0.01, which reads 2.0000000000000018, at 2 macro steps
+    ratios = [float(np.linalg.norm(d)) / control.macro_step * (1.0 - 1e-12) for _, d in legs]
+    nmacro = [max(1, math.ceil(r)) if r < math.inf else r for r in ratios]  # ceil(inf) raises
+    if not (total := sum(nmacro)) <= MAX_MACRO_STEPS:
+        raise ValueError(f"the path needs {total:.4g} macro steps, more than {MAX_MACRO_STEPS}")
 
     pd0 = normalized_basis(cfg0, basis=state.basis, tol=control.quad_tol)
     # alpha sets alpha . C in Omega's polynomial; unless that is real, a real
@@ -523,32 +531,29 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
     om0 = build_omega(cfg0, pd0, state.alpha)
     beta_target = beta_from_evaluations(pd0, state.alpha)
     du = first_derivatives(cfg0, pd0, om0)
-
-    samples = [FlowSample(x=np.asarray(cfg0.x).copy(), u=np.asarray(cfg0.u).copy(),
-                          du=du.copy(), beta_drift=np.zeros(g), info={"leg": -1}, pd=pd0)]
     u = np.asarray(cfg0.u, dtype=complex)
-    stepped = []                # the samples not yet checked, in path order
-
-    def record(new, pd):
-        new.pd, new.beta_drift = pd, np.abs(beta_from_evaluations(pd, state.alpha) - beta_target)
-        if control.drift_tol is not None and np.max(new.beta_drift) > control.drift_tol:
-            raise DriftExceeded(f"period drift {np.max(new.beta_drift):.3e} at x = {new.x}")
-        samples.append(new)
+    # the samples check() has not recorded, in path order, with their step's period data
+    samples, pending = [], [FlowSample(np.asarray(cfg0.x).copy(), np.asarray(cfg0.u).copy(),
+                                       du.copy(), None, pd=pd0)]
 
     def check():
-        runs = sample_periods(state.cfg, stepped, control.quad_tol, state.basis)
-        for new, pd in zip(stepped, chain.from_iterable(runs)):
-            om = build_omega(pd.cfg, pd, state.alpha)
-            new.info["du_consistency"] = float(np.max(np.abs(
-                first_derivatives(pd.cfg, pd, om) - new.du)))
-            record(new, pd)
-        stepped.clear()
+        looked_up = chain.from_iterable(sample_periods(
+            state.cfg, [s for s in pending if s.pd is None], control.quad_tol, state.basis))
+        for new in pending:
+            if new.pd is None:
+                new.pd = pd = next(looked_up)
+                du_pd = first_derivatives(pd.cfg, pd, build_omega(pd.cfg, pd, state.alpha))
+                new.info["du_consistency"] = float(np.max(np.abs(du_pd - new.du)))
+            new.beta_drift = np.abs(beta_from_evaluations(new.pd, state.alpha) - beta_target)
+            if control.drift_tol is not None and np.max(new.beta_drift) > control.drift_tol:
+                raise DriftExceeded(f"period drift {np.max(new.beta_drift):.3e} at x = {new.x}")
+            samples.append(new)
+        pending.clear()
 
+    check()
     step = _continuation_step if state.mode == IMPLICIT else _rational_step
-    for leg_no, (p, d) in enumerate(legs):
-        # the slack keeps 0.02 / 0.01, which reads 2.0000000000000018, at 2 macro steps
-        nmacro = max(1, math.ceil(np.linalg.norm(d) / control.macro_step * (1.0 - 1e-12)))
-        sgrid = [i / nmacro for i in range(nmacro + 1)]
+    for (p, d), count in zip(legs, nmacro):
+        sgrid = [i / count for i in range(count + 1)]
         for a, b in zip(sgrid, sgrid[1:]):
             s, t = a, b
             halvings = iters = 0
@@ -567,14 +572,9 @@ def integrate_flow(state: DeformationState, path, control: FlowControl | None = 
                     continue
                 iters += n
                 s, t = t, b
-            new = FlowSample(p + b * d, u.copy(), du.copy(), None,
-                             {"leg": leg_no, "halvings": halvings})
-            if pd is None:
-                stepped.append(new)
-            else:
-                new.info["newton_iters"] = iters
-                record(new, pd)
-            if len(stepped) == CHECK_BLOCK:
+            info = {"halvings": halvings} | ({} if pd is None else {"newton_iters": iters})
+            pending.append(FlowSample(p + b * d, u.copy(), du.copy(), None, info, pd))
+            if pd is not None or len(pending) == CHECK_BLOCK:
                 check()
     check()
     return Trajectory(samples=samples, path=path, beta_target=beta_target,

@@ -147,6 +147,26 @@ def test_deform_non_positive_macro_step_exit_2(tmp_path, capsys, step):
     assert "macro_step must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("step", ["1e-320", "1e-16"])
+def test_deform_path_of_too_many_macro_steps_exit_2(tmp_path, capsys, step):
+    # the count is checked before the first step, and names the bound
+    cfg = _write_config(tmp_path, G1)
+    assert main(["deform", str(cfg), "--path", "[[2.0],[2.1]]", "--macro-step", step,
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "input error:" in err and "macro steps, more than 100000" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+def test_verify_exit_4_where_the_w_constants_do_not_converge(tmp_path):
+    # a real genus-3 curve with a gap of about 5.6e6: the periods converge, the
+    # identity suite's W constants do not (see test_flow's twin)
+    cfg = _write_config(tmp_path, {"genus": 3, "x": [2.33, 5624204.97, 5624205.73],
+                                   "u": [0.729, 3.05, 5624205.32], "real": True})
+    assert main(["verify", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("deform", "--tol-quad", "0"), ("deform", "--tol-quad", "nan"),
     ("deform", "--tol-quad", "-1"), ("deform", "--tol-quad", "tight"),

@@ -679,6 +679,101 @@ def test_empty_path_raises_value_error():
         integrate_flow(DeformationState(G1, np.zeros(1)), [])
 
 
+@pytest.mark.parametrize("path, macro_step, count", [
+    ([[2.0], [2.1]], 1e-320, "inf"),            # the quotient overflows to inf
+    ([[2.0], [2.1]], 1e-16, "1e+15"),
+    ([[2.0], [10002.0]], 0.01, "1e+06")])
+def test_path_of_too_many_macro_steps_rejected_before_any_quadrature(
+        path, macro_step, count, segment_calls):
+    with pytest.raises(ValueError, match=f"needs {re.escape(count)} macro steps, more than "
+                                         f"{flow_module.MAX_MACRO_STEPS}"):
+        integrate_flow(DeformationState(G1, np.zeros(1)), path,
+                       FlowControl(quad_tol=TOL, macro_step=macro_step))
+    assert segment_calls == []
+
+
+@pytest.mark.parametrize("mode", [IMPLICIT, RATIONAL])
+def test_flow_is_scale_covariant_below_unit_scale(mode):
+    # lambda -> s lambda maps the family to itself, u(s x) = s u(x); the
+    # singular-locus guard is relative to max |p|, so it does not fire at s = 1e-9
+    def u_end(s):
+        cfg = BranchConfig(x=[3.0 * s, 5.0 * s], u=[1.0 * s, 4.0 * s], real=True)
+        x0 = np.array([3.0, 5.0]) * s
+        traj = integrate_flow(DeformationState(cfg, np.zeros(2), mode=mode),
+                              [x0, x0 + 0.05 * s], FlowControl(quad_tol=TOL, macro_step=0.01 * s))
+        return traj.samples[-1].u / s
+
+    ref = u_end(1.0)
+    for s in (1e-9, 1e-6):
+        assert np.max(np.abs(u_end(s) - ref) / np.abs(ref)) < 1e-13, s
+
+
+# -- the one recorder: every sample, the start included, is checked by check() --
+
+G2_PATH = [[3.0, 5.0], [3.05, 5.0], [3.05, 5.05]]
+
+
+def _count_period_evaluations(monkeypatch):
+    """[normalized_basis calls, curves in normalized_bases calls] made by isoperiod.flow."""
+    counts = [0, 0]
+    one, stack = flow_module.normalized_basis, flow_module.normalized_bases
+
+    def counting_one(*args, **kwargs):
+        counts[0] += 1
+        return one(*args, **kwargs)
+
+    def counting_stack(cfgs, *args, **kwargs):
+        counts[1] += len(cfgs)
+        return stack(cfgs, *args, **kwargs)
+
+    monkeypatch.setattr(flow_module, "normalized_basis", counting_one)
+    monkeypatch.setattr(flow_module, "normalized_bases", counting_stack)
+    return counts
+
+
+@pytest.mark.parametrize("mode, evaluations, kernel_calls, intervals", [
+    (IMPLICIT, [9, 0], 9, 18),      # the start's, then two a step: no sample is re-evaluated
+    (RATIONAL, [1, 4], 2, 10)])     # the start's, then the four samples on one stack
+def test_recorded_samples_take_the_parents_period_evaluations(
+        mode, evaluations, kernel_calls, intervals, monkeypatch, segment_calls):
+    counts = _count_period_evaluations(monkeypatch)
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=mode), G2_PATH,
+                          FlowControl(quad_tol=TOL, macro_step=0.025))
+    assert len(traj.samples) == 5 and counts == evaluations
+    assert len(segment_calls) == kernel_calls
+    assert sum(len(call) for call in segment_calls) == intervals
+
+
+def test_implicit_drift_failure_raises_before_the_next_step(monkeypatch):
+    steps = []
+    original = flow_module._continuation_step
+    monkeypatch.setattr(flow_module, "_continuation_step",
+                        lambda *args: steps.append(1) or original(*args))
+    with pytest.raises(DriftExceeded, match=r"2\.665e-15 at x = \[3\.025"):
+        integrate_flow(DeformationState(G2, np.zeros(2), mode=IMPLICIT), G2_PATH,
+                       FlowControl(quad_tol=TOL, macro_step=0.025, drift_tol=1e-300))
+    assert len(steps) == 1
+
+
+@pytest.mark.parametrize("mode, keys", [(IMPLICIT, {"halvings", "newton_iters"}),
+                                        (RATIONAL, {"halvings", "du_consistency"})])
+def test_start_sample_is_recorded_as_every_other(mode, keys, monkeypatch):
+    evaluated = []
+    original = flow_module.normalized_basis
+
+    def recording(*args, **kwargs):
+        evaluated.append(original(*args, **kwargs))
+        return evaluated[-1]
+
+    monkeypatch.setattr(flow_module, "normalized_basis", recording)
+    traj = integrate_flow(DeformationState(G2, np.zeros(2), mode=mode), G2_PATH,
+                          FlowControl(quad_tol=TOL, macro_step=0.025))
+    start = traj.samples[0]
+    assert start.info == {} and start.pd is evaluated[0]
+    assert start.beta_drift.tolist() == [0.0, 0.0]
+    assert all(set(s.info) == keys for s in traj.samples[1:])
+
+
 def test_zero_alpha_identities_never_assemble_B_on_contours(monkeypatch):
     # beta_consistency reads the b-contours' monomial periods, each contour
     # integrated once, after w_constants' two a-contours, and never assembles B
@@ -1104,6 +1199,16 @@ def test_w_constants_match_v_solve_route(g):
         ref = ellipse_w_constants(cfg, pd, contours, 1e-12)
         bound = 1e-13 if g <= 4 else 1e-11
         assert np.max(np.abs(I - ref)) <= bound * np.max(np.abs(ref)), trial
+
+
+def test_identities_raise_no_convergence_on_a_real_wide_gap_curve():
+    # the periods and Omega converge on this curve, whose gap of about 5.6e6 the
+    # W constants' kernel call cannot resolve within its node limit
+    cfg = BranchConfig(x=[2.33, 5624204.97, 5624205.73], u=[0.729, 3.05, 5624205.32], real=True)
+    pd = normalized_basis(cfg)
+    om = build_omega(cfg, pd)
+    with pytest.raises(NoConvergence, match="did not converge within 131072 nodes"):
+        verify_identities(cfg, pd, om)
 
 
 def test_verify_identities_builds_tables_once(monkeypatch):
