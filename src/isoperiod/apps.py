@@ -19,9 +19,7 @@ import numpy as np
 from . import flow as _flow
 from .curves import BranchConfig, require_valid
 from .errors import LatticePoint, OrderingViolation
-from .periods import (PeriodData, SegmentTable, in_markings, normalized_basis,
-                      require_positive, wavevector_U)
-from . import cycles as _cycles
+from .periods import PeriodData, SegmentTable, normalized_basis, require_positive, wavevector_U
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +247,25 @@ def kdv_wavevector_report(cfg: BranchConfig, trajectory, quad_tol: float = 1e-11
     (:func:`isoperiod.periods.default_marking`), so a complex trajectory raises
     DegenerateConfig.  Reports the maximum componentwise drift there and, for
     samples flagged ``real``, the imaginary part of the wavevector in the
-    involution-invariant band marking (where it is a real vector), one stack per
-    ``CHECK_BLOCK`` samples on their own segment tables
-    (:func:`isoperiod.periods.in_markings`): its band segments are the gap
-    marking's b-segments, which the comb map integrates too, so each is
-    integrated once.  A ``quad_tol`` that is not finite and positive raises
-    ValueError before any quadrature.
+    involution-invariant band marking, where it is a real vector.  That marking
+    needs no assembly of its own: its a_k is b_(k-1) - b_k of the gap marking
+    (b_0 = 0), so the band a-periods of the gap-normalized omega are Q = B L, with
+    L = eye(g, k=1) - eye(g) (B is symmetric), and U_band = Q^-1 U.  The b-rows of
+    each run of ``CHECK_BLOCK`` samples are one kernel call on their own segment
+    tables, and the comb map reads the same segments, so each is integrated once.
+    A ``quad_tol`` that is not finite and positive raises ValueError before any
+    quadrature.
     """
     require_positive(quad_tol=quad_tol)
-    U_rows, U_band_rows = [], []
+    U_rows, U_band_rows, g = [], [], cfg.genus
     for run in _flow.sample_periods(cfg, trajectory.samples, quad_tol):
         pds = list(run)
         U_rows += [wavevector_U(pd.cfg, pd) for pd in pds]
-        real = [pd for pd in pds if pd.cfg.real]
-        if real:
-            bands = in_markings(real, [_cycles.band_marking(pd.table.key) for pd in real])
-            U_band_rows += [b.omega_at[:, -1] for b in bands]
+        if real := [pd for pd in pds if pd.cfg.real]:
+            SegmentTable.fill([pd.table for pd in real])    # the b-rows; the a-rows are there
+            Q = np.array([pd.B for pd in real]) @ (np.eye(g, k=1) - np.eye(g))
+            U_gap = np.array([pd.omega_at[:, -1] for pd in real])
+            U_band_rows += list(np.linalg.solve(Q, U_gap[..., None])[..., 0])
     U = np.array(U_rows)
     out = {"U": U, "max_drift": float(np.max(np.abs(U - U[0])))}
     if U_band_rows:

@@ -52,20 +52,24 @@ class CombRegion:
 def _polished_roots(poly: np.ndarray):
     """Roots of the monic polynomials ``poly`` (ascending, a row per curve): the
     eigenvalues of ``np.roots``'s companion matrices in one batched call, after at
-    most 8 Newton steps, stopped once no curve moves (a fixed curve
-    stays fixed, so each gets its bits alone); and per curve, None or the
-    RootLocalizationFailed of a stalled polish."""
+    most 8 Newton steps, each curve frozen once a step is at most 2^-40 of its
+    largest root (at its rounding floor; a frozen curve takes no more steps, so
+    each gets its bits alone); and per curve, None or the RootLocalizationFailed
+    of a stalled polish."""
     n, g = poly.shape[0], poly.shape[1] - 1
     companion = np.zeros((n, g, g), dtype=poly.dtype)
     companion[:, np.arange(1, g), np.arange(g - 1)] = 1.0     # the subdiagonal
     companion[:, 0] = -poly[:, -2::-1] / poly[:, -1:]
     roots = np.linalg.eigvals(companion)
     dpoly = np.arange(1, g + 1) * poly[:, 1:]
+    live = np.arange(n)
     for _ in range(8):
-        new = roots - horner(poly, roots) / horner(dpoly, roots)
-        if new.tobytes() == roots.tobytes():
+        r = roots[live]
+        step = horner(poly[live], r) / horner(dpoly[live], r)
+        roots[live] = r - step
+        live = live[~(np.abs(step).max(axis=1) <= 2.0 ** -40 * np.abs(r).max(axis=1))]
+        if not live.size:
             break
-        roots = new
     resid = np.abs(horner(poly, roots)).max(axis=1)
     stalled = resid > 1e-12 * np.maximum(1.0, np.abs(roots).max(axis=1) ** g)
     return roots, [RootLocalizationFailed(f"root polishing stalled at residual {r:.2e}")

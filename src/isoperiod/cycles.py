@@ -94,12 +94,7 @@ def band_basis(points: np.ndarray) -> CanonicalBasis:
     real for real configurations, so the normalized differentials have real
     coefficients (and real evaluation at infinity).
     """
-    return band_marking(tuple(_sorted_real_order(points).tolist()))
-
-
-@functools.lru_cache(maxsize=64)
-def band_marking(order: tuple) -> CanonicalBasis:
-    """The band marking of real points in ascending order ``order``, shared as gap_marking's."""
+    order = _sorted_real_order(points).tolist()
     g = (len(order) - 1) // 2
     a = []
     b = []

@@ -308,8 +308,8 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
     beta_target = np.asarray(beta_target, dtype=complex)
     u = np.asarray(cfg.u, dtype=complex)
     # residuals this close to the rounding of beta are at the floor, however
-    # much the last update cut them
-    rounding = 16.0 * np.finfo(float).eps * max(1.0, float(np.max(np.abs(beta_target))))
+    # much the last update cut them; relative at every scale of the curve
+    rounding = 16.0 * np.finfo(float).eps * float(np.max(np.abs(beta_target)))
     res_prev = None
     for it in range(max_iter + 1):
         work = cfg.replace(u=u)

@@ -411,8 +411,9 @@ def normalized_basis(cfg: BranchConfig, basis: CanonicalBasis | None = None,
     real configuration's a- and b-cycles are all checked first); ``B`` on first
     read.  A ``tol`` that is not finite and positive raises ValueError.  The
     configuration is validated, its points snapped and sorted once, and the
-    default marking taken from that order; :func:`in_markings` assembles
-    another marking on the same table.
+    default marking taken from that order.  Another marking's periods are a
+    change of marking of these (the band a-cycles are differences of the gap
+    b-cycles, as :func:`isoperiod.apps.kdv_wavevector_report` reads them).
     """
     return normalized_bases([cfg], basis, tol)[0]
 
@@ -421,7 +422,10 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
                      tol: float = 1e-10) -> list:
     """:func:`normalized_basis` of each of ``cfgs`` (one genus) as one stack, bit for
     bit what a call per curve gives, in ``basis`` or else each curve's default
-    marking; one :class:`PeriodData` per curve.  A failure raises for the stack."""
+    marking; one :class:`PeriodData` per curve.  The a-periods are one kernel call
+    for all segment tables (after checking every cycle), then C and omega at the
+    ramification points come from one stacked inverse and Horner.  A failure raises
+    for the stack."""
     require_positive(tol=tol)
     curves = []
     for cfg in cfgs:
@@ -431,37 +435,12 @@ def normalized_bases(cfgs, basis: CanonicalBasis | None = None,
                  else SegmentTable(points.real, tol))
         curves.append((cfg, default_marking(table) if basis is None else basis,
                        table, phi_values(points)))
-    return _assemble(curves, tol)
-
-
-def in_markings(pds, bases) -> list:
-    """What :func:`normalized_basis` returns for each of ``pds`` (one genus and
-    tolerance) in the marking of the same index in ``bases``, assembled on its own
-    table, so a period that either marking needs is integrated once; one stack, with
-    one kernel call for the rows that any table lacks and one stacked inverse."""
-    return _assemble([(pd.cfg, b, pd.table, pd.phi_at) for pd, b in zip(pds, bases)],
-                     pds[0].tol)
-
-
-def default_marking(table) -> CanonicalBasis:
-    """The default gap marking of the curve of ``table``, read from the sorted
-    order that its segment table holds; a complex curve's ContourTable has none."""
-    if isinstance(table, SegmentTable):
-        return _cycles.gap_marking(table.key)
-    raise DegenerateConfig("default cycle bases require real branch points")
-
-
-def _assemble(curves, tol: float) -> list:
-    """The period data of each curve (cfg, basis, table, phis) of ``curves``: its
-    a-periods on its table (one kernel call for all segment tables, after checking
-    every cycle), then C and omega at the ramification points from the phi table
-    ``phis``, by one stacked inverse and Horner."""
     g = curves[0][0].genus
     SegmentTable.fill([t for _, _, t, _ in curves], [b for _, b, _, _ in curves])
     parts = []
-    for _, basis, table, _ in curves:
+    for _, b, table, _ in curves:
         report = {"tol": tol, "b_nodes": [], "b_err": []}
-        A, report["a_nodes"], report["a_err"] = table.periods(basis.a)
+        A, report["a_nodes"], report["a_err"] = table.periods(b.a)
         parts.append((A, report))
     A_raw = np.array([A[:, :g] for A, _ in parts])
     # the 1-norm condition numbers from the inverses: one LU factorization each
@@ -479,9 +458,17 @@ def _assemble(curves, tol: float) -> list:
     # at infinity lambda^(g-1) phi -> -2 d(zeta) on the principal sheet
     omega_at = np.concatenate((horner(C, lam_phi[:, :1]) * lam_phi[:, 1:],
                                -2.0 * C[:, :, g - 1, None]), axis=2)
-    return [PeriodData(cfg=cfg, basis=basis, A_raw=A[:, :g], A_ext=A, C=Ci, omega_at=om,
+    return [PeriodData(cfg=cfg, basis=b, A_raw=A[:, :g], A_ext=A, C=Ci, omega_at=om,
                        phi_at=phi, tol=tol, quad_report=report, table=table)
-            for (cfg, basis, table, phi), (A, report), Ci, om in zip(curves, parts, C, omega_at)]
+            for (cfg, b, table, phi), (A, report), Ci, om in zip(curves, parts, C, omega_at)]
+
+
+def default_marking(table) -> CanonicalBasis:
+    """The default gap marking of the curve of ``table``, read from the sorted
+    order that its segment table holds; a complex curve's ContourTable has none."""
+    if isinstance(table, SegmentTable):
+        return _cycles.gap_marking(table.key)
+    raise DegenerateConfig("default cycle bases require real branch points")
 
 
 @dataclass

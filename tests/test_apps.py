@@ -15,7 +15,7 @@ from isoperiod.curves import BranchConfig, validate_config
 from isoperiod.cycles import band_basis, gap_basis
 from isoperiod.errors import DegenerateConfig, LatticePoint, OrderingViolation
 from isoperiod.flow import IMPLICIT, RATIONAL, DeformationState, FlowControl, integrate_flow
-from isoperiod.periods import SegmentTable, in_markings, normalized_basis
+from isoperiod.periods import SegmentTable, normalized_basis
 
 from _oracles import wp_laurent
 
@@ -389,19 +389,10 @@ def test_kdv_report_is_deterministic(g2_traj):
 
 # -- reports on the flow samples' own period data -------------------------------------
 
-def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_calls):
-    # the band marking read on a sample's own segment table is what
-    # normalized_basis computes for it, bit for bit, and the band segments it
-    # integrates are the ones the comb map needs: no segment twice
-    cfg, traj = g2_traj
-    for s in traj.samples:
-        band = band_basis(s.pd.cfg.points)
-        pdb = in_markings([s.pd], [band])[0]
-        ref = normalized_basis(s.pd.cfg, basis=band, tol=s.pd.tol)
-        assert pdb.table is s.pd.table
-        for key in ("A_raw", "C", "omega_at"):
-            assert np.array_equal(getattr(pdb, key), getattr(ref, key))
-        assert pdb.quad_report["a_nodes"] == ref.quad_report["a_nodes"]
+def test_report_and_comb_integrate_each_segment_once(g2_traj, segment_calls):
+    # the band a-periods are differences of the gap b-periods, which the comb
+    # map reads too: across both reports no segment is integrated twice
+    cfg, _ = g2_traj
     fresh = integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
                            [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=1e-11, macro_step=0.05))
     segment_calls.clear()
@@ -472,24 +463,74 @@ def test_reports_reuse_sample_periods_only_when_they_match(case, period_calls):
 
 # -- the reports over a trajectory's stack ---------------------------------------------
 
+def _seeded_trajectory(g, seed):
+    # a real interleaved genus-g curve and a diagonal leg of two macro steps
+    rng = np.random.default_rng(seed)
+    bands, gaps = rng.uniform(0.5, 2.0, g), rng.uniform(0.3, 2.0, g)
+    u = np.cumsum(bands) + np.concatenate(([0.0], np.cumsum(gaps)[:-1]))
+    cfg = BranchConfig(x=list(u + gaps), u=list(u), real=True)
+    x0 = np.array(cfg.x).real
+    return cfg, integrate_flow(DeformationState(cfg, np.zeros(g), mode=IMPLICIT),
+                               [x0, x0 + 0.04], FlowControl(quad_tol=1e-11, macro_step=0.02))
+
+
+@pytest.mark.parametrize("g", range(1, 5))
 @pytest.mark.parametrize("own", [True, False])
-def test_band_rows_equal_in_marking_per_sample(g2_traj, own):
-    # the band marking assembled for all samples as one stack gives each
-    # sample what in_markings gives it alone, bit for bit; on the samples' own
-    # period data and on a trajectory without them
-    cfg, traj = g2_traj
+def test_band_wavevector_equals_a_fresh_band_assembly(g, own):
+    # U_band, a change of marking of each sample's gap periods, is the
+    # wavevector of the band-marking period data computed anew, on the
+    # samples' own period data and on a trajectory without them
+    for seed in range(3):
+        cfg, traj = _seeded_trajectory(g, 40 * g + seed)
+        if not own:
+            traj = replace(traj, samples=[replace(s, pd=None) for s in traj.samples])
+        rep = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+        assert len(rep["U_band"]) == len(traj.samples) >= 3
+        for s, U_band in zip(traj.samples, rep["U_band"]):
+            c = cfg.replace(x=s.x, u=s.u)
+            ref = normalized_basis(c, basis=band_basis(c.points), tol=1e-11).omega_at[:, -1]
+            assert np.max(np.abs(U_band - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert rep["max_im_U_band"] <= 1e-12
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_band_a_periods_are_gap_b_period_differences(g):
+    # band a_k = b_(k-1) - b_k of the gap marking (b_0 = 0): the band a-periods
+    # of the gap-normalized omega, C_gap A_raw(band)^T, are B_gap L
+    L = np.eye(g, k=1) - np.eye(g)
+    for seed in range(3):
+        cfg, _ = _seeded_trajectory(g, 40 * g + seed)
+        gap = normalized_basis(cfg, tol=1e-11)
+        band = normalized_basis(cfg, basis=band_basis(cfg.points), tol=1e-11)
+        Q = gap.C @ band.A_raw.T
+        assert np.max(np.abs(Q - gap.B @ L)) <= 1e-13 * np.max(np.abs(Q))
+
+
+@pytest.mark.parametrize("own", [True, False])
+def test_band_rows_are_one_kernel_call_per_block_and_no_assembly(own, monkeypatch,
+                                                                segment_calls):
+    # the report assembles no period data of its own: on the samples' own
+    # period data none at all, else one per sample in sample_periods' stack;
+    # the band rows are one fill of the b-segments per CHECK_BLOCK samples
+    import isoperiod.periods as periods_module
+
+    built = []
+
+    class Recording(periods_module.PeriodData):
+        def __init__(self, **fields):
+            built.append(fields["cfg"])
+            super().__init__(**fields)
+
+    cfg, traj = _three_sample_trajectory()
     if not own:
         traj = replace(traj, samples=[replace(s, pd=None) for s in traj.samples])
+    monkeypatch.setattr(flow_module, "CHECK_BLOCK", 2)
+    monkeypatch.setattr(periods_module, "PeriodData", Recording)
+    segment_calls.clear()
     rep = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
-    pds = [normalized_basis(cfg.replace(x=s.x, u=s.u), tol=1e-11) for s in traj.samples]
-    bands = [band_basis(pd.cfg.points) for pd in pds]
-    alone = [in_markings([pd], [b])[0] for pd, b in zip(pds, bands)]
-    assert np.array_equal(rep["U_band"], np.array([a.omega_at[:, -1] for a in alone]))
-    fresh = [normalized_basis(pd.cfg, tol=1e-11) for pd in pds]
-    for got, ref in zip(in_markings(fresh, bands), alone):
-        for key in ("A_raw", "A_ext", "C", "omega_at"):
-            assert np.array_equal(getattr(got, key), getattr(ref, key))
-        assert got.quad_report == ref.quad_report
+    assert len(built) == (0 if own else 3) and len(rep["U_band"]) == 3
+    # a- and b-rows on bare samples: one call for each block's a-rows, one for its b-rows
+    assert [len(call) for call in segment_calls] == ([4, 2] if own else [4, 4, 2, 2])
 
 
 def _three_sample_trajectory():

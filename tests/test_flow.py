@@ -708,6 +708,25 @@ def test_flow_is_scale_covariant_below_unit_scale(mode):
         assert np.max(np.abs(u_end(s) - ref) / np.abs(ref)) < 1e-13, s
 
 
+def test_newton_floor_is_relative_below_unit_scale():
+    # on the axis leg x_1 -> x_1 + 0.05 s of G2 scaled by s = 1e-9, |beta| ~ 3e-5
+    # and the predictor's residual ~2.5e-15: Newton's rounding floor is relative
+    # to |beta|, so every prediction gets an update (an absolute floor of
+    # 16 eps = 3.6e-15 takes some unpolished, and u/s ends 1.3e-10 from s = 1)
+    def leg(s):
+        cfg = BranchConfig(x=[3.0 * s, 5.0 * s], u=[1.0 * s, 4.0 * s], real=True)
+        x0 = np.array([3.0, 5.0]) * s
+        traj = integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
+                              [x0, x0 + np.array([0.05, 0.0]) * s],
+                              FlowControl(quad_tol=TOL, macro_step=0.01 * s))
+        return traj.samples[-1].u / s, [smp.info["newton_iters"] for smp in traj.samples[1:]]
+
+    ref, _ = leg(1.0)
+    u, iters = leg(1e-9)
+    assert len(iters) == 5 and min(iters) >= 1
+    assert np.max(np.abs(u - ref) / np.abs(ref)) < 1e-13
+
+
 # -- the one recorder: every sample, the start included, is checked by check() --
 
 G2_PATH = [[3.0, 5.0], [3.05, 5.0], [3.05, 5.05]]
