@@ -389,10 +389,18 @@ def test_kdv_report_is_deterministic(g2_traj):
 
 # -- reports on the flow samples' own period data -------------------------------------
 
-def test_report_and_comb_integrate_each_segment_once(g2_traj, segment_calls):
-    # the band a-periods are differences of the gap b-periods, which the comb
-    # map reads too: across both reports no segment is integrated twice
-    cfg, _ = g2_traj
+def test_band_marking_on_sample_table_matches_fresh_periods(g2_traj, segment_calls):
+    # the band wavevector read on a sample's own segment table is the one
+    # normalized_basis computes in the band marking, and the band a-periods,
+    # differences of the gap b-periods, are read from segments the comb map
+    # needs too: across both reports no segment is integrated twice
+    cfg, traj = g2_traj
+    rep = kdv_wavevector_report(cfg, traj, quad_tol=1e-11)
+    for s, U_band in zip(traj.samples, rep["U_band"]):
+        band = normalized_basis(s.pd.cfg, basis=band_basis(s.pd.cfg.points), tol=s.pd.tol)
+        ref = band.omega_at[:, -1]
+        assert np.max(np.abs(U_band - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert len(rep["U_band"]) == len(traj.samples)
     fresh = integrate_flow(DeformationState(cfg, np.zeros(2), mode=IMPLICIT),
                            [[3.0, 5.0], [3.05, 5.0]], FlowControl(quad_tol=1e-11, macro_step=0.05))
     segment_calls.clear()

@@ -71,8 +71,9 @@ def _near_the_fixed_step_loop(zeros, om) -> bool:
     return bool(np.all(np.abs(zeros - ref) <= 2.0 * g * np.finfo(float).eps * floor))
 
 
-def test_zeros_stop_at_their_floor(monkeypatch):
-    # a curve is frozen after a Newton step of at most 2^-40 of its largest root:
+def test_zeros_equal_the_fixed_step_loop(monkeypatch):
+    # the zeros equal the 8-step loop's to Newton's rounding floor.  A curve is
+    # frozen after a Newton step of at most 2^-40 of its largest root:
     # seeded interleaved curves with wide gaps and with every gap 1e-8 wide stop
     # after one step, at the floor of the loop that always takes 8 steps (its
     # bits differ by up to 27 ulp, or 3.9e-15 relative, where a root's
