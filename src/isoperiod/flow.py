@@ -46,7 +46,7 @@ from .periods import (OmegaDifferential, PeriodData, beta_from_evaluations,
 IMPLICIT = "implicit"
 RATIONAL = "rational"
 RK_RTOL, RK_ATOL = 1e-9, 1e-12         # DOP853 error control, rational mode
-NEWTON_TOL = 1e-11                      # implicit mode: Newton residual on beta
+NEWTON_TOL = 1e-11                      # implicit mode: Newton residual, times max(1, |beta|)
 MAX_HALVINGS = 40                       # per macro step, on a failed step
 CHECK_BLOCK = 32                        # samples per stacked period evaluation
 MAX_MACRO_STEPS = 100_000               # per path, checked before the first period evaluation
@@ -300,6 +300,8 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
                    max_iter: int = 5):
     """Newton-project u onto beta(x, u) = beta_target at fixed x.
 
+    The residual max |beta - beta_target| passes at ``tol * max(1, max |beta_target|)``
+    once an update cuts it by less than 1e3 or it is under 16 eps max |beta_target|.
     Returns (corrected cfg, final residual, updates applied, PeriodData,
     OmegaDifferential), the last two of the final iterate, after at most
     ``max_iter`` updates.  Raises SingularJacobian / NoProgress on failure.
@@ -307,9 +309,10 @@ def newton_correct(cfg: BranchConfig, alpha, beta_target, basis=None,
     alpha = np.asarray(alpha, dtype=complex)
     beta_target = np.asarray(beta_target, dtype=complex)
     u = np.asarray(cfg.u, dtype=complex)
-    # residuals this close to the rounding of beta are at the floor, however
-    # much the last update cut them; relative at every scale of the curve
-    rounding = 16.0 * np.finfo(float).eps * float(np.max(np.abs(beta_target)))
+    # residuals this close to the rounding of beta are at the floor, however much
+    # the last update cut them; relative at every scale, as tol is above unit scale
+    size = float(np.max(np.abs(beta_target)))
+    rounding, tol = 16.0 * np.finfo(float).eps * size, tol * max(1.0, size)
     res_prev = None
     for it in range(max_iter + 1):
         work = cfg.replace(u=u)

@@ -203,6 +203,61 @@ def test_wp_elongated_lattice_is_finite_and_matches_degenerate_limit():
     assert np.max(np.abs(p - ref) / np.abs(ref)) <= 1e-13
 
 
+def _lattice(w1, w2):
+    """WeierstrassData of the lattice 2 w1 Z + 2 w2 Z; wp_function reads w1 and w2 alone."""
+    nan = complex(math.nan)
+    return WeierstrassData(e2=nan, e3=nan, e1=nan, g2=nan, g3=nan, w1=w1, w2=w2, cfg=None)
+
+
+# the e2 = 0, e3 = 1 lattice, the elongated lattice of the test above (Im tau = 30)
+# and the rhombic lattice of the complex roots e2 = 0.3 + i = conj(e3)
+MIXED_LATTICES = [(1.3110287771460598j, -1.3110287771460598), (15j, 0.5),
+                  (2.0205874309669936, 1.0102937154834968 - 0.708098739278959j)]
+
+
+def test_wp_stacked_lattices_equal_each_lattice_alone_bitwise():
+    rng = np.random.default_rng(37)
+    wds = [_lattice(*w) for w in MIXED_LATTICES]
+    z = rng.uniform(-2.0, 2.0, (3, 4, 5)) + 1j * rng.uniform(-2.0, 2.0, (3, 4, 5))
+    z[1] *= 7.5                     # over the elongated cell's long side
+    p, dp = wp_function(wds, z)
+    assert p.shape == dp.shape == (3, 4, 5)
+    for wd, zi, pi, dpi in zip(wds, z, p, dp):
+        alone = wp_function(wd, zi)
+        assert np.array_equal(pi, alone[0]) and np.array_equal(dpi, alone[1])
+    # one row per lattice, whatever the row's shape
+    p1, _ = wp_function(wds, z[:, 0, 0])
+    assert p1.shape == (3,) and np.array_equal(p1, p[:, 0, 0])
+
+
+def test_wp_single_lattice_and_scalar_keep_their_values():
+    # values of the one-lattice code before lattices could be stacked, equal to
+    # the last bit in the numpy build they were taken with (1e-15 leaves room for
+    # another libm); a scalar stays a 0-d result
+    wd = _lattice(*MIXED_LATTICES[0])
+    pinned = {0.37 + 0.21j: (2.8511174151510734 - 4.712361527354552j,
+                             -0.427000002844564 + 26.050649049198142j),
+              1.9 - 0.8j: (-0.10577413290928445 - 0.6446702813944842j,
+                           -1.5220208639606818 - 1.170755391850029j)}
+    for z, (p_ref, dp_ref) in pinned.items():
+        p, dp = wp_function(wd, z)
+        assert np.shape(p) == np.shape(dp) == ()
+        assert abs(p - p_ref) <= 1e-15 * abs(p_ref) and abs(dp - dp_ref) <= 1e-15 * abs(dp_ref)
+        rows = wp_function([wd], [[z]])
+        assert rows[0][0, 0] == p and rows[1][0, 0] == dp
+
+
+def test_wp_lattice_point_of_its_own_row_rejected():
+    # 2 w1 + 2 w2 of the third lattice is no lattice point of the first: a point
+    # is a pole only in the row of its own lattice
+    wds = [_lattice(*w) for w in MIXED_LATTICES]
+    pole = 2.0 * MIXED_LATTICES[2][0] + 2.0 * MIXED_LATTICES[2][1]
+    wp_function(wds, [[pole, 0.3], [0.3, 0.4], [0.3, 0.4]])
+    z = np.array([[0.3, 0.4], [0.3, 0.4], [0.3, pole]])
+    with pytest.raises(LatticePoint, match=re.escape(str(z[2, 1]))):
+        wp_function(wds, z)
+
+
 # -- cnoidal report ------------------------------------------------------------------
 
 def test_cnoidal_period_preservation_small():
@@ -212,26 +267,58 @@ def test_cnoidal_period_preservation_small():
     assert rep["beta_drift"] < 1e-7
 
 
-def test_cnoidal_one_wp_call_per_sample(monkeypatch):
-    # the grid and the shifted grid are one stacked array call, and each row is
-    # bit for bit what a call on that grid alone gives
+def test_cnoidal_one_wp_call_per_run(monkeypatch):
+    # the grids and shifted grids of a run of samples are one stacked call, a
+    # lattice per sample, and each row is bit for bit what a call on that
+    # sample's lattice alone gives
     import isoperiod.apps as apps
 
-    shapes, rows = [], []
+    calls = []
     original = apps.wp_function
 
-    def counting(wd, z):
-        shapes.append(np.shape(z))
-        out = original(wd, z)
-        rows.append((out[0], [original(wd, zi)[0] for zi in z]))
+    def recording(wds, z):
+        out = original(wds, z)
+        calls.append((np.shape(z), out[0], [original(wd, zi)[0] for wd, zi in zip(wds, z)]))
         return out
 
-    monkeypatch.setattr(apps, "wp_function", counting)
+    monkeypatch.setattr(apps, "wp_function", recording)
     rep = cnoidal_period_report(0.0, 1.0, 2.04, n_grid=8, macro_step=0.02)
-    assert shapes == [(2, 8)] * len(rep["samples"])
-    for stacked, alone in rows:
-        assert all(np.array_equal(row, a) for row, a in zip(stacked, alone))
-    assert np.array_equal(rep["wave_v"], 2.0 * rows[-1][1][0])
+    assert len(rep["samples"]) == 3
+    assert [shape for shape, _, _ in calls] == [(3, 2, 8)]
+    (_, stacked, alone), = calls
+    assert all(np.array_equal(row, a) for row, a in zip(stacked, alone))
+    assert np.array_equal(rep["wave_v"], 2.0 * alone[-1][0])
+
+
+def test_cnoidal_op_work_is_pinned(monkeypatch, segment_calls):
+    # the first three seed-7 inputs of the cnoidal benchmark: the work of an op
+    # repeats exactly, so a change in it shows on any machine
+    import make_outputs
+    import isoperiod.apps as apps
+    import isoperiod.periods as periods_module
+
+    counts = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(apps, "wp_function")
+    counting(flow_module, "rhs_genus_g")
+    for module in (flow_module, periods_module):
+        counting(module, "normalized_bases")
+    workloads = make_outputs.load_workloads()
+    for inp in workloads.make_inputs("cnoidal", 7)[:3]:
+        counts.clear()
+        segment_calls.clear()
+        workloads.op_cnoidal(inp)
+        counts["tanh_sinh"] = len(segment_calls)
+        assert counts == {"wp_function": 1, "normalized_bases": 5, "tanh_sinh": 6,
+                          "rhs_genus_g": 4}, inp
 
 
 @pytest.mark.parametrize("n_grid", [0, -2, 3])

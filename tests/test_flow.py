@@ -727,6 +727,27 @@ def test_newton_floor_is_relative_below_unit_scale():
     assert np.max(np.abs(u - ref) / np.abs(ref)) < 1e-13
 
 
+@pytest.mark.parametrize("s", [1e8, 1e9])
+def test_newton_tol_is_relative_above_unit_scale(s):
+    # on the diagonal leg x -> x + 0.05 s of G2 scaled by s, |beta| ~ 4e4 at s = 1e8
+    # and 1.3e5 at s = 1e9, where its rounding (4.5e-11) exceeds an absolute tol of
+    # 1e-11: each prediction then took up to 5 updates, or every step failed and the
+    # flow stopped.  Relative to max |beta|, one update polishes each sample.
+    def leg(s, mode):
+        cfg = BranchConfig(x=[3.0 * s, 5.0 * s], u=[1.0 * s, 4.0 * s], real=True)
+        x0 = np.array([3.0, 5.0]) * s
+        traj = integrate_flow(DeformationState(cfg, np.zeros(2), mode=mode),
+                              [x0, x0 + 0.05 * s], FlowControl(quad_tol=TOL, macro_step=0.01 * s))
+        return traj.samples[-1].u / s, [smp.info.get("newton_iters") for smp in traj.samples[1:]]
+
+    for mode in (IMPLICIT, RATIONAL):
+        ref, _ = leg(1.0, mode)
+        u, iters = leg(s, mode)
+        assert np.max(np.abs(u - ref) / np.abs(ref)) < 1e-13, mode
+        if mode == IMPLICIT:
+            assert iters == [1] * 8
+
+
 # -- the one recorder: every sample, the start included, is checked by check() --
 
 G2_PATH = [[3.0, 5.0], [3.05, 5.0], [3.05, 5.05]]
